@@ -52,9 +52,27 @@ class AddressMap
             // increment landed on zero"; the common streaming case
             // stops at the first dimension.
             coord_.channel = (coord_.channel + 1) & channelMask_;
-            if (coord_.channel != 0)
-                return;
-            coord_.column = (coord_.column + 1) & columnMask_;
+            if (coord_.channel == 0)
+                nextInChannel(1);
+        }
+
+        /** Columns from the current one to the end of its row. */
+        u32
+        columnsLeftInRow() const
+        {
+            return columnMask_ + 1 - coord_.column;
+        }
+
+        /**
+         * Advance @p n columns within the current channel — the same
+         * as n * channels calls to next() — where
+         * @p n <= columnsLeftInRow(), so the column carries at most
+         * once, out of the row.
+         */
+        void
+        nextInChannel(u32 n)
+        {
+            coord_.column = (coord_.column + n) & columnMask_;
             if (coord_.column != 0)
                 return;
             coord_.bank = (coord_.bank + 1) & bankMask_;

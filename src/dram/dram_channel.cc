@@ -1,6 +1,7 @@
 #include "dram_channel.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace mgx::dram {
 
@@ -127,6 +128,72 @@ DramChannel::access(const Coord &coord, bool is_write, Cycles arrival)
     ++(is_write ? counters_.writes : counters_.reads);
     lastCompletion_ = std::max(lastCompletion_, burst_end);
     return burst_end;
+}
+
+Cycles
+DramChannel::accessRun(const Coord &first, u32 count, bool is_write,
+                       Cycles arrival)
+{
+    assert(count > 0);
+    access(first, is_write, arrival);
+    BankState &bank = banks_[first.rank * cfg_.banksPerRank + first.bank];
+    const Cycles bl = cfg_.burstCycles();
+    // A write's recovery (burst end + tWR) outlasts its tCCD exactly
+    // when this guard holds; then each later write starts tWR after
+    // the previous burst ends and bursts repeat with this period.
+    const Cycles write_period = cfg_.tCWL + bl + cfg_.tWR;
+    const bool closed_form = !is_write || write_period >= cfg_.tCCD;
+
+    for (u64 left = count - 1; left > 0;) {
+        // The row is open and the bus faces this direction, so every
+        // remaining column would take access()'s fast path while its
+        // start stays inside the cached refresh window. Any later
+        // start is >= arrival (it is >= the previous column's command),
+        // so only this stretch's first start can be the arrival.
+        const Cycles start = std::max(arrival, bank.readyAt);
+        const Cycles win_end = refreshWinStart_ + cfg_.tREFI;
+        if (!closed_form || start < refreshWinStart_ + cfg_.tRFC ||
+            start >= win_end) {
+            access(first, is_write, arrival);
+            --left;
+            continue;
+        }
+        u64 n;             // columns in this stretch
+        Cycles last_burst; // burst start of its last column
+        if (!is_write) {
+            // Column m starts at start + m*tCCD and bursts at
+            // max(b0 + m*BL, start + tCL + m*tCCD).
+            const u64 fit = cfg_.tCCD == 0
+                                ? left
+                                : (win_end - 1 - start) / cfg_.tCCD + 1;
+            n = std::min(left, fit);
+            const Cycles b0 = std::max(start + cfg_.tCL, busFreeAt_);
+            last_burst = std::max(b0 + (n - 1) * bl,
+                                  start + cfg_.tCL + (n - 1) * cfg_.tCCD);
+            bank.readyAt = start + n * cfg_.tCCD;
+            counters_.reads += n;
+        } else {
+            // Column m >= 1 starts at b0 - tCWL + m*period and bursts
+            // at b0 + m*period.
+            const Cycles b0 = std::max(start + cfg_.tCWL, busFreeAt_);
+            const Cycles base = b0 - cfg_.tCWL;
+            u64 fit = left;
+            if (write_period != 0)
+                fit = base + write_period >= win_end
+                          ? 1
+                          : (win_end - 1 - base) / write_period + 1;
+            n = std::min(left, fit);
+            last_burst = b0 + (n - 1) * write_period;
+            bank.readyAt = last_burst + bl + cfg_.tWR;
+            counters_.writes += n;
+        }
+        busFreeAt_ = last_burst + bl;
+        counters_.rowHits += n;
+        lastCompletion_ = std::max(lastCompletion_, busFreeAt_);
+        left -= n;
+    }
+    // Bursts serialize on the bus, so the last one ends last.
+    return busFreeAt_;
 }
 
 } // namespace mgx::dram

@@ -15,7 +15,10 @@
  * tREFI window (no per-access division in steady state), and
  * same-open-row same-direction bursts take a short fast path that
  * skips the activate/precharge state machine — all
- * cycle-bitwise-identical to the general path.
+ * cycle-bitwise-identical to the general path. accessRun() goes one
+ * step further for a row's worth of consecutive columns: the fast
+ * path's recurrences have a closed form, so a stretch of row hits
+ * costs O(1) instead of O(columns).
  *
  * A channel is entirely self-contained: banks, bus, activate windows,
  * refresh phase, and counters are all channel-local, so distinct
@@ -75,6 +78,22 @@ class DramChannel
      * @return cycle at which the data burst completes
      */
     Cycles access(const Coord &coord, bool is_write, Cycles arrival);
+
+    /**
+     * Serve @p count consecutive columns of one row in one bank, all
+     * arriving at @p arrival — cycle- and counter-identical to
+     * @p count access() calls. The first column takes access(); every
+     * later one is a same-direction row hit, so each stretch of them
+     * whose command starts stay inside the cached refresh window is
+     * applied in closed form. Columns leaving the window, and writes
+     * under timings that break the closed form's guard, fall back to
+     * access().
+     * @param first coordinates of the first column (its column field
+     *              is not timing-visible)
+     * @return completion cycle of the run's last (and latest) burst
+     */
+    Cycles accessRun(const Coord &first, u32 count, bool is_write,
+                     Cycles arrival);
 
     /** Completion time of the latest burst seen so far. */
     Cycles lastCompletion() const { return lastCompletion_; }

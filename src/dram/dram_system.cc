@@ -44,12 +44,36 @@ DramSystem::accessRange(Addr addr, u64 bytes, bool is_write, Cycles arrival)
             capture_->emit(walker.coord(), is_write);
         return arrival;
     }
+    const u32 channels = channelCount();
     Cycles done = arrival;
-    for (u64 i = 0; i < blocks; ++i, walker.next()) {
-        const Coord &coord = walker.coord();
-        Cycles c =
-            channels_[coord.channel]->access(coord, is_write, arrival);
-        done = std::max(done, c);
+    if (blocks <= channels) {
+        // At most one block per channel (every random gather): nothing
+        // to run-length, so the per-line walk is the cheapest path.
+        for (u64 i = 0; i < blocks; ++i, walker.next()) {
+            const Coord &coord = walker.coord();
+            Cycles c =
+                channels_[coord.channel]->access(coord, is_write, arrival);
+            done = std::max(done, c);
+        }
+        return done;
+    }
+    // Serve the range one channel at a time, as row runs. Bitwise
+    // identical to the interleaved per-line walk: a channel's timing
+    // depends only on its own ordered command stream (kept: ascending
+    // columns), every block shares one arrival, and the range returns
+    // a max. The first `channels` blocks visit each channel once, at
+    // its first block.
+    for (u32 k = 0; k < channels; ++k, walker.next()) {
+        AddressMap::LineWalker lane = walker;
+        DramChannel &channel = *channels_[lane.coord().channel];
+        for (u64 left = (blocks - k + channels - 1) / channels; left > 0;) {
+            const u32 run = static_cast<u32>(
+                std::min<u64>(left, lane.columnsLeftInRow()));
+            done = std::max(done, channel.accessRun(lane.coord(), run,
+                                                    is_write, arrival));
+            lane.nextInChannel(run);
+            left -= run;
+        }
     }
     return done;
 }

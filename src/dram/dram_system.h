@@ -4,7 +4,9 @@
  * routes each 64-byte access to its channel, and reports completion
  * times and aggregate statistics. Contiguous ranges decode
  * incrementally through AddressMap::LineWalker instead of re-deriving
- * every line's coordinates.
+ * every line's coordinates, and ranges long enough to give a channel
+ * several blocks are timed channel by channel as row runs
+ * (DramChannel::accessRun).
  *
  * Channel-sharded replay seam: while a CaptureBuffer is attached
  * (beginCapture), every entry point decodes exactly as it would when
@@ -135,7 +137,11 @@ class DramSystem
 
     /**
      * Serve a contiguous @p bytes-long transfer starting at @p addr as a
-     * run of block accesses all arriving at @p arrival.
+     * run of block accesses all arriving at @p arrival. Ranges that
+     * give some channel two or more blocks are served channel by
+     * channel as DramChannel::accessRun row runs; shorter ranges, and
+     * capture mode, walk line by line. Both are bitwise-identical to
+     * one access() per block in address order.
      * @return completion cycle of the last burst.
      */
     Cycles accessRange(Addr addr, u64 bytes, bool is_write, Cycles arrival);

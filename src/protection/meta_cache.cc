@@ -1,5 +1,7 @@
 #include "meta_cache.h"
 
+#include <cassert>
+
 #include "common/bitops.h"
 #include "common/log.h"
 
@@ -97,6 +99,40 @@ MetaCache::access(Addr addr, bool dirty, MetaClass cls, Memo *memo)
         memo->generation_ = generation_;
     }
     return result;
+}
+
+void
+MetaCache::touchRepeat(std::span<Memo *const> memos, u64 rounds,
+                       bool dirty)
+{
+    if (rounds == 0)
+        return;
+    // Round r's touch of memo p would tick tick_ + r * n + p + 1.
+    const u64 n = memos.size();
+    const u64 last_round = tick_ + (rounds - 1) * n;
+    for (u64 p = 0; p < n; ++p) {
+        Line &line = *memos[p]->line_;
+        assert(memos[p]->generation_ == generation_ && line.valid &&
+               line.tag == memos[p]->addr_);
+        line.lruTick = last_round + p + 1;
+        line.dirty |= dirty;
+    }
+    tick_ += rounds * n;
+    statHits_.add(rounds * n);
+}
+
+MetaCache::LineView
+MetaCache::inspect(Addr addr) const
+{
+    const Addr line_addr = alignDown(addr, kLineBytes);
+    const u32 set =
+        static_cast<u32>((line_addr / kLineBytes) & (numSets_ - 1));
+    const Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
+    for (u32 w = 0; w < ways_; ++w) {
+        if (base[w].valid && base[w].tag == line_addr)
+            return {true, base[w].dirty, base[w].lruTick};
+    }
+    return {};
 }
 
 void

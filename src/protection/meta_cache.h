@@ -16,12 +16,15 @@
  * accumulation, hit counter) without the set-associative probe. A memo
  * self-invalidates when its line is evicted — eviction bumps
  * generation(), and a stale memo fails the residency re-check — so
- * the shortcut is bitwise-identical to always probing.
+ * the shortcut is bitwise-identical to always probing. touchRepeat()
+ * collapses k rounds of the same touches — the blocks that share
+ * every metadata line of the block before them — into one O(1) step.
  */
 
 #ifndef MGX_PROTECTION_META_CACHE_H
 #define MGX_PROTECTION_META_CACHE_H
 
+#include <span>
 #include <vector>
 
 #include "common/stats.h"
@@ -121,6 +124,16 @@ class MetaCache
     }
 
     /**
+     * @p rounds repetitions of the touch() sequence memos[0], ...,
+     * memos[n-1] (each with @p dirty), applied in O(n): the same
+     * per-line LRU ticks (only the last round's survive), dirty bits,
+     * LRU clock and hit count. Every memo must be armed at the current
+     * generation — each just touched successfully, with no eviction
+     * since — which makes every repeated touch a guaranteed hit.
+     */
+    void touchRepeat(std::span<Memo *const> memos, u64 rounds, bool dirty);
+
+    /**
      * Eviction tick: bumped whenever a resident line is replaced or
      * the cache is flushed/reset — i.e. whenever an armed memo may
      * have lost its line. Unchanged generation proves every resident
@@ -156,6 +169,20 @@ class MetaCache
 
     /** Cumulative dirty-eviction count (0 without stats). */
     u64 writebacks() const { return statWritebacks_.value(); }
+
+    /** LRU clock: bumped once per access() and per touch(). */
+    u64 tick() const { return tick_; }
+
+    /** Replacement state of one line, for inspection. */
+    struct LineView
+    {
+        bool resident = false;
+        bool dirty = false;
+        u64 lruTick = 0;
+    };
+
+    /** State of the line containing @p addr (not an access). */
+    LineView inspect(Addr addr) const;
 
   private:
     struct Line

@@ -17,6 +17,7 @@
 #ifndef MGX_PROTECTION_METADATA_LAYOUT_H
 #define MGX_PROTECTION_METADATA_LAYOUT_H
 
+#include <algorithm>
 #include <vector>
 
 #include "common/bitops.h"
@@ -87,11 +88,33 @@ class MetadataLayout
         }
 
         /** Advance to the next consecutive baseline block. */
+        void next() { advance(1); }
+
+        /** Advance @p k blocks (the same as k calls to next()). */
         void
-        next()
+        advance(u64 k)
         {
-            vnOff_ += vnStride_;
-            macOff_ += macStride_;
+            vnOff_ += k * vnStride_;
+            macOff_ += k * macStride_;
+        }
+
+        /**
+         * Blocks after the current one that share its VN line, its
+         * level-1 tree node and, when @p mac, its MAC line — at most
+         * kLineBytes / vnBytes - 1.
+         */
+        u64
+        sameLineBlocks(bool mac) const
+        {
+            constexpr u64 kLast = kLineBytes - 1;
+            const u64 tree_last = (u64{kLineBytes} << arityShift_) - 1;
+            u64 k = std::min(
+                (kLast - ((vnBase_ + vnOff_) & kLast)) / vnStride_,
+                (tree_last - (vnOff_ & tree_last)) / vnStride_);
+            if (mac)
+                k = std::min(
+                    k, (kLast - ((macBase_ + macOff_) & kLast)) / macStride_);
+            return k;
         }
 
       private:

@@ -123,30 +123,40 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
     metaReqs_.clear();
     macReqs_.clear();
 
-    // Data blocks stream in address order; when the protection block
-    // matches the DRAM block the coordinates decode incrementally.
-    const bool walk_data = gran == dram_->blockBytes();
-    dram::AddressMap::LineWalker data_walker =
-        walk_data ? dram_->map().walkerAt(begin)
-                  : dram::AddressMap::LineWalker{};
-    // Metadata addresses stream incrementally too: one VN line covers
+    // Data blocks stream first, in address order. The cache loop below
+    // issues no DRAM request (its misses are deferred), so the data
+    // go out as one range ahead of it with the same command order.
+    // When the protection block is not the DRAM block each protection
+    // block is one request at its own address.
+    Cycles done = arrival;
+    if (gran == dram_->blockBytes()) {
+        done = dram_->accessRange(begin, end - begin, is_write, arrival);
+    } else {
+        for (Addr block = begin; block < end; block += gran)
+            done = std::max(done,
+                            dram_->access({block, is_write, arrival}));
+    }
+
+    // Metadata addresses stream incrementally: one VN line covers
     // kLine/vnBytes consecutive blocks, one level-1 node treeArity VN
     // lines, one MAC line kLine/macBytes blocks.
     MetadataLayout::BaselineWalker meta = layout_.baselineWalker(begin);
 
+    // The memos a block touches, in touch order; a block whose
+    // lookups all hit them hands the blocks that share its lines to
+    // one MetaCache::touchRepeat.
     const u32 levels = layout_.treeLevels();
-    Cycles done = arrival;
-    for (Addr block = begin; block < end; block += gran, meta.next()) {
-        // Data block itself (streamed in address order).
-        if (walk_data) {
-            done = std::max(done,
-                            dram_->accessCoord(data_walker.coord(),
-                                               is_write, arrival));
-            data_walker.next();
-        } else {
-            done = std::max(done,
-                            dram_->access({block, is_write, arrival}));
-        }
+    MetaCache::Memo *memos[3] = {&vnMemo_};
+    std::size_t num_memos = 1;
+    if (levels != 0)
+        memos[num_memos++] = &treeMemo_;
+    if (mac_per_block)
+        memos[num_memos++] = &macMemo_;
+
+    const u64 blocks = (end - begin) / gran;
+    for (u64 i = 0; i < blocks; ++i, meta.next()) {
+        const Addr block = begin + i * gran;
+        bool all_touched = true;
 
         // VN line (write-allocate RMW on stores). The memoized line
         // from the previous block short-circuits the probe; touch()
@@ -154,6 +164,7 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
         // guaranteed hit the probe would have produced.
         const Addr vn_line = meta.vnLine();
         if (!cache_.touch(vnMemo_, vn_line, is_write)) {
+            all_touched = false;
             CacheResult r = cache_.access(vn_line, is_write,
                                           MetaClass::Vn, &vnMemo_);
             if (!r.hit) {
@@ -174,6 +185,7 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
         // level's allocation, which is a model change, not a speedup.
         if (levels != 0 &&
             !cache_.touch(treeMemo_, meta.treeNode1(), is_write)) {
+            all_touched = false;
             for (u32 level = 1; level <= levels; ++level) {
                 const Addr node = level == 1
                                       ? meta.treeNode1()
@@ -196,6 +208,7 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
         if (mac_per_block) {
             const Addr mac_line = meta.macLine();
             if (!cache_.touch(macMemo_, mac_line, is_write)) {
+                all_touched = false;
                 CacheResult r = cache_.access(mac_line, is_write,
                                               MetaClass::Mac, &macMemo_);
                 if (!r.hit) {
@@ -207,6 +220,17 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
                     trafficFor(r.victimClass) += kLine;
                 }
             }
+        }
+
+        // Every lookup was a memo hit, so nothing was evicted and all
+        // memos are armed: the following blocks on the same lines
+        // would each repeat exactly these touches.
+        if (all_touched) {
+            const u64 k =
+                std::min(meta.sameLineBlocks(mac_per_block), blocks - 1 - i);
+            cache_.touchRepeat({memos, num_memos}, k, is_write);
+            meta.advance(k);
+            i += k;
         }
     }
     done = std::max(done, dram_->accessBatch(metaReqs_));

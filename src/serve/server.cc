@@ -108,44 +108,6 @@ CellKey::key() const
            protection::schemeName(scheme);
 }
 
-std::optional<sim::RunRecord>
-ResultMemo::get(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it == entries_.end())
-        return std::nullopt;
-    order_.splice(order_.begin(), order_, it->second.order);
-    return it->second.record;
-}
-
-void
-ResultMemo::put(const std::string &key, const sim::RunRecord &record)
-{
-    if (capacity_ == 0)
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-        // A follower re-inserting the leader's result: refresh only.
-        order_.splice(order_.begin(), order_, it->second.order);
-        return;
-    }
-    while (entries_.size() >= capacity_) {
-        entries_.erase(order_.back());
-        order_.pop_back();
-    }
-    order_.push_front(key);
-    entries_.emplace(key, Entry{order_.begin(), record});
-}
-
-std::size_t
-ResultMemo::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
-}
-
 Server::Server(ServerOptions opts)
     : opts_(std::move(opts)), memo_(opts_.resultMemoCapacity)
 {
@@ -541,26 +503,19 @@ Server::handleRequest(const HttpRequest &req, int *status_out)
 bool
 Server::validateWorkload(const std::string &name, std::string *error)
 {
-    {
-        std::lock_guard<std::mutex> lock(validmu_);
-        auto it = validation_.find(name);
-        if (it != validation_.end()) {
-            if (error)
-                *error = it->second;
-            return it->second.empty();
-        }
+    if (std::optional<std::string> known = validation_.get(name)) {
+        if (error)
+            *error = *known;
+        return known->empty();
     }
-    // Construct outside the lock — kernels are cheap to build but not
-    // free, and two threads validating one name is harmless.
+    // Construct outside the memo's lock — kernels are cheap to build
+    // but not free, and two threads validating one name is harmless.
     std::string message;
     auto kernel =
         sim::tryMakeKernel(name, sim::cloudPlatform(), &message);
     if (kernel)
         message.clear();
-    {
-        std::lock_guard<std::mutex> lock(validmu_);
-        validation_.emplace(name, message);
-    }
+    validation_.put(name, message);
     if (error)
         *error = message;
     return message.empty();

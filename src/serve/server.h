@@ -159,31 +159,62 @@ struct CellOutcome
 using CellRunner = std::function<CellOutcome(const CellKey &)>;
 
 /**
- * Bounded LRU memo of finished cell records, shared by every worker.
- * Hits return a copy; the stored record is never mutated, so a memo'd
- * answer is bitwise the answer a fresh engine run would give (cell
- * results are deterministic by construction — see sim/shard.h for why
- * that holds across replay modes).
+ * Bounded, thread-safe LRU memo from a string key to a value, shared
+ * by every worker. Hits return a copy; a stored value is never
+ * mutated. Capacity 0 disables it.
  */
-class ResultMemo
+template <typename Value>
+class LruMemo
 {
   public:
-    explicit ResultMemo(std::size_t capacity) : capacity_(capacity) {}
+    explicit LruMemo(std::size_t capacity) : capacity_(capacity) {}
 
-    /** The memo'd record for @p key, refreshing its recency. */
-    std::optional<sim::RunRecord> get(const std::string &key);
+    /** The memo'd value for @p key, refreshing its recency. */
+    std::optional<Value>
+    get(const std::string &key)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = entries_.find(key);
+        if (it == entries_.end())
+            return std::nullopt;
+        order_.splice(order_.begin(), order_, it->second.order);
+        return it->second.value;
+    }
 
-    /** Memoize @p record under @p key, evicting the LRU entry at
-     *  capacity. Idempotent for concurrent followers of one flight. */
-    void put(const std::string &key, const sim::RunRecord &record);
+    /** Memoize @p value under @p key, evicting the LRU entry at
+     *  capacity. A key already present is only refreshed (concurrent
+     *  producers of one key store the same value). */
+    void
+    put(const std::string &key, const Value &value)
+    {
+        if (capacity_ == 0)
+            return;
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = entries_.find(key);
+        if (it != entries_.end()) {
+            order_.splice(order_.begin(), order_, it->second.order);
+            return;
+        }
+        while (entries_.size() >= capacity_) {
+            entries_.erase(order_.back());
+            order_.pop_back();
+        }
+        order_.push_front(key);
+        entries_.emplace(key, Entry{order_.begin(), value});
+    }
 
-    std::size_t size() const;
+    std::size_t
+    size() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return entries_.size();
+    }
 
   private:
     struct Entry
     {
         std::list<std::string>::iterator order;
-        sim::RunRecord record;
+        Value value;
     };
 
     mutable std::mutex mu_;
@@ -191,6 +222,14 @@ class ResultMemo
     std::list<std::string> order_; ///< front = most recently used
     std::map<std::string, Entry> entries_;
 };
+
+/**
+ * The memo of finished cell records. A memo'd answer is bitwise the
+ * answer a fresh engine run would give (cell results are
+ * deterministic by construction — see sim/shard.h for why that holds
+ * across replay modes).
+ */
+using ResultMemo = LruMemo<sim::RunRecord>;
 
 class Server
 {
@@ -284,10 +323,11 @@ class Server
     std::deque<int> pending_; ///< accepted fds awaiting a worker
     bool draining_ = false;   ///< guarded by qmu_
 
-    std::mutex validmu_;
     /// workload name -> registry error ("" = known-good); memoized so
     /// repeated requests skip kernel construction during validation.
-    std::map<std::string, std::string> validation_;
+    /// Bounded: names come from clients, and a stream of distinct ones
+    /// (a seed sweep) must not grow a long-running daemon's memory.
+    LruMemo<std::string> validation_{1024};
 
     std::atomic<bool> cacheDegraded_{false};
     std::mutex cachemu_;

@@ -1,21 +1,39 @@
 #include "runner.h"
 
-#include <cassert>
-
+#include "common/log.h"
 #include "experiment.h"
 
 namespace mgx::sim {
 
+namespace {
+
+/**
+ * The NP baseline and @p s entries of @p results. A missing entry is a
+ * caller bug; panic() rather than assert() so the contract holds in
+ * NDEBUG builds too instead of dereferencing end().
+ */
+auto
+lookup(const std::map<protection::Scheme, RunResult> &results,
+       protection::Scheme s)
+{
+    const auto np = results.find(protection::Scheme::NP);
+    const auto it = results.find(s);
+    if (np == results.end())
+        panic("SchemeComparison: no NP baseline was run");
+    if (it == results.end())
+        panic("SchemeComparison: scheme %s was not run",
+              protection::schemeName(s));
+    return std::pair{np, it};
+}
+
+} // namespace
+
 double
 SchemeComparison::normalizedTime(protection::Scheme s) const
 {
-    auto np = results.find(protection::Scheme::NP);
-    auto it = results.find(s);
-    assert(np != results.end() &&
-           "SchemeComparison: no NP baseline was run");
-    assert(it != results.end() &&
-           "SchemeComparison: scheme was not run");
-    assert(np->second.totalCycles != 0);
+    const auto [np, it] = lookup(results, s);
+    if (np->second.totalCycles == 0)
+        panic("SchemeComparison: NP baseline has zero cycles");
     return static_cast<double>(it->second.totalCycles) /
            static_cast<double>(np->second.totalCycles);
 }
@@ -23,13 +41,9 @@ SchemeComparison::normalizedTime(protection::Scheme s) const
 double
 SchemeComparison::trafficIncrease(protection::Scheme s) const
 {
-    auto np = results.find(protection::Scheme::NP);
-    auto it = results.find(s);
-    assert(np != results.end() &&
-           "SchemeComparison: no NP baseline was run");
-    assert(it != results.end() &&
-           "SchemeComparison: scheme was not run");
-    assert(np->second.traffic.totalBytes() != 0);
+    const auto [np, it] = lookup(results, s);
+    if (np->second.traffic.totalBytes() == 0)
+        panic("SchemeComparison: NP baseline has zero traffic");
     return static_cast<double>(it->second.traffic.totalBytes()) /
            static_cast<double>(np->second.traffic.totalBytes());
 }

@@ -6,8 +6,10 @@
  * model's outputs.
  *
  * Three layers:
- *  - unit: memo arming/invalidation semantics in MetaCache, and the
- *    BaselineWalker's bit-equality with the point queries;
+ *  - unit: memo arming/invalidation semantics in MetaCache, the
+ *    repeat-touch's equality with rounds of touch(), and the
+ *    BaselineWalker's bit-equality with the point queries (stepping,
+ *    advancing, and counting same-line blocks);
  *  - property: a touch-then-access stream and an access-only stream
  *    drive two caches identically, and DramSystem::accessBatch
  *    matches per-request access() cycle for cycle;
@@ -19,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <random>
 #include <vector>
 
@@ -182,6 +186,86 @@ TEST(MetaCacheMemo, TouchStreamIsBitwiseEquivalentToAccessStream)
     }
 }
 
+TEST(MetaCacheMemo, TouchRepeatEqualsRoundsOfTouch)
+{
+    // After a shared random history, one cache applies k rounds of a
+    // memo touch sequence through touchRepeat and the other touch by
+    // touch. Every line's residency, dirty bit and LRU tick, the LRU
+    // clock and the hit count must agree — and so must the victim the
+    // next miss in each touched line's set picks.
+    Rng rng(0x7e9);
+    for (int trial = 0; trial < 300; ++trial) {
+        StatGroup stats_a("a"), stats_b("b");
+        // 1 KB, 4 ways: 4 sets over a 64-line universe, so every set
+        // is full and every line competes for LRU order.
+        MetaCache repeated(1 << 10, 4, &stats_a);
+        MetaCache touched(1 << 10, 4, &stats_b);
+        const auto line = [](u64 i) { return static_cast<Addr>(i * 0x40); };
+        const u64 universe = 64;
+        for (int i = 0; i < 40; ++i) {
+            const Addr addr = line(rng.next() % universe);
+            const bool dirty = (rng.next() & 1) != 0;
+            repeated.access(addr, dirty);
+            touched.access(addr, dirty);
+        }
+
+        // Arm 1-3 memos on distinct lines (the engine's VN, tree and
+        // MAC streams), then touch each once, as a block whose lookups
+        // all hit would.
+        const std::size_t n = 1 + rng.next() % 3;
+        MetaCache::Memo memos_a[3], memos_b[3];
+        MetaCache::Memo *ptrs_a[3] = {&memos_a[0], &memos_a[1], &memos_a[2]};
+        Addr addrs[3];
+        for (std::size_t p = 0; p < n; ++p) {
+            do {
+                addrs[p] = line(rng.next() % universe);
+            } while (std::find(addrs, addrs + p, addrs[p]) != addrs + p);
+            repeated.access(addrs[p], false, MetaClass::Vn, &memos_a[p]);
+            touched.access(addrs[p], false, MetaClass::Vn, &memos_b[p]);
+        }
+        const bool first_dirty = (rng.next() & 1) != 0;
+        for (std::size_t p = 0; p < n; ++p) {
+            ASSERT_TRUE(repeated.touch(memos_a[p], addrs[p], first_dirty));
+            ASSERT_TRUE(touched.touch(memos_b[p], addrs[p], first_dirty));
+        }
+
+        const u64 k = rng.next() % 9;
+        const bool dirty = (rng.next() & 1) != 0;
+        repeated.touchRepeat({ptrs_a, n}, k, dirty);
+        for (u64 r = 0; r < k; ++r) {
+            for (std::size_t p = 0; p < n; ++p)
+                ASSERT_TRUE(touched.touch(memos_b[p], addrs[p], dirty));
+        }
+
+        const auto expectSame = [&](const char *when) {
+            EXPECT_EQ(repeated.tick(), touched.tick()) << when;
+            EXPECT_EQ(repeated.hits(), touched.hits()) << when;
+            EXPECT_EQ(repeated.misses(), touched.misses()) << when;
+            EXPECT_EQ(repeated.writebacks(), touched.writebacks()) << when;
+            for (u64 i = 0; i < universe; ++i) {
+                const MetaCache::LineView a = repeated.inspect(line(i));
+                const MetaCache::LineView b = touched.inspect(line(i));
+                EXPECT_EQ(a.resident, b.resident) << when << " line " << i;
+                EXPECT_EQ(a.dirty, b.dirty) << when << " line " << i;
+                EXPECT_EQ(a.lruTick, b.lruTick) << when << " line " << i;
+            }
+        };
+        expectSame("after the repeat");
+        // A fresh line in each touched line's set evicts that set's
+        // LRU way: the same one in both caches.
+        for (std::size_t p = 0; p < n; ++p) {
+            const Addr fresh = addrs[p] + universe * 0x40;
+            const CacheResult a = repeated.access(fresh, false);
+            const CacheResult b = touched.access(fresh, false);
+            EXPECT_EQ(a.writeback, b.writeback);
+            EXPECT_EQ(a.victimAddr, b.victimAddr);
+        }
+        expectSame("after the next misses");
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
 // ---------------------------------------------------------------------
 // MetadataLayout::BaselineWalker
 // ---------------------------------------------------------------------
@@ -206,6 +290,76 @@ TEST(BaselineWalker, MatchesPointQueriesAcrossTheRange)
         ASSERT_EQ(walker.macLine(),
                   layout.macLineAddr(block, cfg.baselineGranularity))
             << "block " << i;
+    }
+}
+
+TEST(BaselineWalker, AdvanceAndSameLineCountMatchPointQueries)
+{
+    // advance(k) must equal k next() calls, and sameLineBlocks() must
+    // count exactly the following blocks whose VN line, level-1 node
+    // and (optionally) MAC line all equal the current block's — at
+    // unaligned starts, for entry sizes below, at and above a line,
+    // and with metadata regions that do not start on a line boundary
+    // (VN lines and tree nodes then split at different blocks).
+    struct Sizes
+    {
+        u32 vnBytes, macBytes, arity;
+        u64 protectedBytes;
+    };
+    constexpr u64 k16G = 16ull << 30;
+    constexpr u64 kOdd = (1ull << 30) + 3 * 64; // VN region at +24 B
+    const Sizes sizes[] = {{8, 8, 8, k16G},  {8, 4, 8, k16G},
+                           {16, 8, 2, k16G}, {4, 64, 4, k16G},
+                           {128, 8, 8, k16G}, {8, 8, 8, kOdd},
+                           {16, 4, 2, kOdd}};
+    Rng rng(0xba5e);
+    for (const Sizes &s : sizes) {
+        ProtectionConfig cfg;
+        cfg.scheme = Scheme::BP;
+        cfg.vnBytes = s.vnBytes;
+        cfg.macBytes = s.macBytes;
+        cfg.treeArity = s.arity;
+        cfg.protectedBytes = s.protectedBytes;
+        const MetadataLayout layout(cfg);
+        ASSERT_GE(layout.treeLevels(), 1u);
+        const u32 gran = cfg.baselineGranularity;
+        const auto lines = [&](Addr block, bool mac) {
+            return std::array<Addr, 3>{
+                layout.vnLineAddr(block), layout.treeNodeAddr(1, block),
+                mac ? layout.macLineAddr(block, gran) : Addr{0}};
+        };
+        for (int trial = 0; trial < 200; ++trial) {
+            const Addr begin = (rng.next() % (1u << 24)) * gran;
+            MetadataLayout::BaselineWalker walker =
+                layout.baselineWalker(begin);
+            Addr block = begin;
+            for (int step = 0; step < 20; ++step) {
+                for (bool mac : {false, true}) {
+                    const u64 k = walker.sameLineBlocks(mac);
+                    const auto here = lines(block, mac);
+                    for (u64 m = 1; m <= k; ++m)
+                        ASSERT_EQ(lines(block + m * gran, mac), here)
+                            << "block " << block << " + " << m;
+                    ASSERT_NE(lines(block + (k + 1) * gran, mac), here)
+                        << "block " << block << ": count " << k
+                        << " is not maximal";
+                }
+                // advance(j) == j x next(), checked through the point
+                // queries at the block reached.
+                const u64 j = rng.next() % 20;
+                MetadataLayout::BaselineWalker stepped = walker;
+                for (u64 i = 0; i < j; ++i)
+                    stepped.next();
+                walker.advance(j);
+                block += j * gran;
+                ASSERT_EQ(walker.vnLine(), stepped.vnLine());
+                ASSERT_EQ(walker.treeNode1(), stepped.treeNode1());
+                ASSERT_EQ(walker.macLine(), stepped.macLine());
+                ASSERT_EQ(walker.vnLine(), layout.vnLineAddr(block));
+                ASSERT_EQ(walker.treeNode1(), layout.treeNodeAddr(1, block));
+                ASSERT_EQ(walker.macLine(), layout.macLineAddr(block, gran));
+            }
+        }
     }
 }
 

@@ -994,6 +994,28 @@ TEST(ServerTest, ResultMemoEvictsLeastRecentlyUsed)
     server.shutdown();
 }
 
+TEST(LruMemo, StaysBoundedUnderDistinctKeysAndKeepsHotOnes)
+{
+    // The workload-validation memo's shape: a stream of never-repeated
+    // names (a seed sweep) interleaved with a few hot ones. The memo
+    // must stay at capacity, and the hot names — refreshed on every
+    // use — must never be the ones evicted.
+    LruMemo<std::string> memo(16);
+    for (int i = 0; i < 1000; ++i) {
+        for (const char *hot : {"core/matmul", "video/h264"}) {
+            if (!memo.get(hot))
+                memo.put(hot, "");
+        }
+        memo.put("dnn/MobileNet?seed=" + std::to_string(i), "");
+        ASSERT_LE(memo.size(), 16u);
+        ASSERT_TRUE(memo.get("core/matmul").has_value()) << i;
+        ASSERT_TRUE(memo.get("video/h264").has_value()) << i;
+    }
+    EXPECT_EQ(memo.size(), 16u);
+    EXPECT_FALSE(memo.get("dnn/MobileNet?seed=0").has_value());
+    EXPECT_TRUE(memo.get("dnn/MobileNet?seed=999").has_value());
+}
+
 TEST(ServerTest, ResultMemoDisabledRunsEveryTime)
 {
     ServerOptions opts;

@@ -296,11 +296,14 @@ TEST(ShardPoolUnit, ChannelLoadsIdenticalAcrossWidths)
 
 TEST(ShardReplay, MatchesSerialStreamingAllDomains)
 {
-    // BP exercises the metadata cache, MGX the VN expansion path;
-    // both must be bitwise-identical between the serial drain and
-    // 4-wide channel-sharded replay in every domain.
+    // All five schemes, bitwise-identical between the serial drain
+    // and 4-wide channel-sharded replay in every domain. Capture stays
+    // per line, so this also checks the serial run's row-run DRAM
+    // path against a per-line oracle on every scheme's traffic: data
+    // ranges (NP, MGX's expanded blocks, BP's and MGX_MAC's data),
+    // MAC tag lines, and the metadata cache's miss streams.
     for (const char *workload : kDomainWorkloads) {
-        for (Scheme scheme : {Scheme::NP, Scheme::MGX, Scheme::BP}) {
+        for (Scheme scheme : protection::kAllSchemes) {
             const std::string label =
                 std::string(workload) + "/" +
                 protection::schemeName(scheme);
