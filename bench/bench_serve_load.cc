@@ -1,26 +1,18 @@
 /**
  * @file
  * Load generator for the experiment service: starts an in-process
- * Server on a private unix socket and temp trace-cache dir, then
+ * Server on a private unix socket, then
  *
- *   1. cold burst — N clients fire the same cold-cache request at
- *      once, so the singleflight + trace-cache layers should collapse
- *      the N engine runs (dedupCollapsed lands between 0 and
- *      (N-1) x cells, racing arrival order; > 0 on any real overlap),
+ *   1. cold burst — N clients fire the same never-run request at
+ *      once, so the singleflight layer should collapse the N engine
+ *      runs (dedupCollapsed lands between 0 and (N-1) x cells,
+ *      racing arrival order; > 0 on any real overlap),
  *   2. sustained — the N clients hammer the warm cell for a fixed
  *      wall-clock window, measuring served requests and cells/second.
  *
- * `--chaos` turns the sustained phase into a fault drill: a rotation
- * thread arms one trace_io failpoint set after another (ENOSPC, torn
- * renames, corrupt reads, EINTR storms — never a livelocking spec)
- * while the clients keep hammering, and every 200 body is checked
- * byte-for-byte against a fault-free reference. The run fails if any
- * request errors or any body drifts: injected cache faults must cost
- * only cache reuse, never correctness or availability.
- *
  * `--fleet` swaps the in-process Server for a real fleet::Fleet —
  * forked mgx_serve workers behind the consistent-hash proxy — and
- * the fault drill becomes process murder: `--kill-every-ms N` runs a
+ * adds a fault drill of process murder: `--kill-every-ms N` runs a
  * killer thread SIGKILLing one worker after another while the
  * clients hammer. Pass criteria: zero failed requests, zero body
  * drift, every worker restarted, and shutdown leaves no orphan
@@ -44,7 +36,6 @@
 
 #include <unistd.h>
 
-#include "common/failpoint.h"
 #include "fleet/fleet.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -60,26 +51,9 @@ struct Options
     double seconds = 2.0;
     std::string workload = "core/matmul";
     std::string schemes = "NP,BP";
-    bool chaos = false;
     bool fleet = false;
     int fleetWorkers = 3;
     int killEveryMs = 2000; ///< 0 = no killer (fleet mode)
-};
-
-/**
- * The chaos rotation: every entry is a complete MGX_FAILPOINTS-style
- * list armed for one slice of the sustained window. Specs are
- * recurring (every:N / prob) so faults keep firing across requests.
- * `lock.eintr=always` is deliberately absent — the flock retry loop
- * would livelock; an every:2 storm exercises the same retry path and
- * always makes progress.
- */
-const char *const kChaosRotation[] = {
-    "trace_io.read.open=every:3,trace_io.read.corrupt=every:2",
-    "trace_io.write.open=every:2,trace_io.write.enospc=every:3",
-    "trace_io.write.short=every:3,trace_io.write.torn=every:2",
-    "trace_io.lock.open=every:3,trace_io.lock.eintr=every:2",
-    "trace_io.read.corrupt=prob:0.5:1234,trace_io.write.enospc=prob:0.5:5678",
 };
 
 /**
@@ -99,7 +73,6 @@ runFleetBench(const Options &opt)
     fleet::FleetOptions fopts;
     fopts.supervisor.workers = opt.fleetWorkers;
     fopts.supervisor.socketDir = dir.string();
-    fopts.supervisor.traceCacheDir = (dir / "cache").string();
     fopts.supervisor.probeIntervalMs = 100;
     fopts.supervisor.restartBackoffMs = 100;
     // Deliberate murder is not flapping: a worker that survives its
@@ -116,9 +89,9 @@ runFleetBench(const Options &opt)
         "/run?workload=" + serve::percentEncode(opt.workload) +
         "&schemes=" + opt.schemes;
 
-    // Warm the shared trace cache, then take the reference from the
-    // warm path: from here on every worker deserializes the same
-    // cached traces, so every answer must be bitwise identical.
+    // Take the reference from a calm fleet: cells are deterministic,
+    // so every later answer, from any worker, must match it bit for
+    // bit.
     std::string reference;
     {
         serve::HttpResponse resp;
@@ -325,8 +298,6 @@ main(int argc, char **argv)
             opt.workload = value();
         else if (arg == "--schemes")
             opt.schemes = value();
-        else if (arg == "--chaos")
-            opt.chaos = true;
         else if (arg == "--fleet")
             opt.fleet = true;
         else if (arg == "--fleet-workers")
@@ -339,35 +310,23 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "usage: bench_serve_load [--clients N] "
                          "[--seconds S] [--workload W] [--schemes "
-                         "S,...] [--chaos] [--fleet "
+                         "S,...] [--fleet "
                          "[--fleet-workers N] [--kill-every-ms N]]\n");
             return 2;
         }
     }
     if (opt.clients == 0)
         opt.clients = 1;
-    if (opt.fleet) {
-        if (opt.chaos) {
-            // trace_io failpoints arm in *this* process; the fleet's
-            // faults are real SIGKILLs in the workers instead.
-            std::fprintf(stderr, "bench_serve_load: --chaos and "
-                                 "--fleet are mutually exclusive\n");
-            return 2;
-        }
+    if (opt.fleet)
         return runFleetBench(opt);
-    }
 
-    const std::string tag = std::to_string(::getpid());
-    const std::string sock = "/tmp/mgx-serve-bench-" + tag + ".sock";
-    const std::string cache_dir =
-        std::filesystem::temp_directory_path() /
-        ("mgx-serve-bench-cache-" + tag);
+    const std::string sock =
+        "/tmp/mgx-serve-bench-" + std::to_string(::getpid()) + ".sock";
 
     serve::ServerOptions sopts;
     sopts.listen.unixPath = sock;
     sopts.workers = opt.clients;
     sopts.admissionCapacity = opt.clients * 2;
-    sopts.traceCacheDir = cache_dir;
     serve::Server server(sopts);
     server.start();
 
@@ -404,96 +363,32 @@ main(int argc, char **argv)
             .count();
     const auto after_burst = server.metricsSnapshot();
 
-    // --- Phase 2: sustained warm-cache load ----------------------
-    // Fault-free reference body for --chaos byte-identity: the serve
-    // layer promises injected cache faults never change a response.
-    std::string reference;
-    if (opt.chaos) {
-        serve::HttpResponse resp;
-        std::string error;
-        if (!serve::httpGet(addr, target, &resp, &error) ||
-            resp.status != 200) {
-            std::fprintf(stderr,
-                         "bench_serve_load: reference request failed: "
-                         "%s\n",
-                         error.c_str());
-            return 1;
-        }
-        reference = resp.body;
-    }
-
+    // --- Phase 2: sustained warm load ---------------------------
     std::atomic<unsigned long long> sustained_ok{0};
-    std::atomic<unsigned long long> sustained_failed{0};
-    std::atomic<unsigned long long> body_mismatches{0};
-    std::atomic<unsigned long long> chaos_rotations{0};
-    std::atomic<bool> stop_chaos{false};
     const auto deadline =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(opt.seconds));
     threads.clear();
     const auto sustained_start = Clock::now();
-
-    std::thread chaos;
-    if (opt.chaos) {
-        chaos = std::thread([&] {
-            std::size_t i = 0;
-            while (!stop_chaos.load(std::memory_order_acquire)) {
-                failpoint::disarmAll();
-                failpoint::armSpecList(
-                    kChaosRotation[i++ %
-                                   (sizeof kChaosRotation /
-                                    sizeof kChaosRotation[0])]);
-                chaos_rotations.fetch_add(1);
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(100));
-            }
-            failpoint::disarmAll();
-        });
-    }
-
     for (unsigned i = 0; i < opt.clients; ++i) {
         threads.emplace_back([&] {
             while (Clock::now() < deadline) {
                 serve::HttpResponse resp;
                 std::string error;
                 if (serve::httpGet(addr, target, &resp, &error) &&
-                    resp.status == 200) {
+                    resp.status == 200)
                     sustained_ok.fetch_add(1);
-                    if (opt.chaos && resp.body != reference)
-                        body_mismatches.fetch_add(1);
-                } else if (opt.chaos) {
-                    // Under trace_io chaos every request must still
-                    // be answered: faults cost reuse, not service.
-                    sustained_failed.fetch_add(1);
-                }
             }
         });
     }
     for (auto &t : threads)
         t.join();
-    if (chaos.joinable()) {
-        stop_chaos.store(true, std::memory_order_release);
-        chaos.join();
-    }
     const double sustained_secs =
         std::chrono::duration<double>(Clock::now() - sustained_start)
             .count();
 
     const auto final_stats = server.metricsSnapshot();
     server.shutdown();
-
-    // Injected read corruption must leave quarantine evidence, not
-    // wedge the cache: count the `.trace.bad` files before cleanup.
-    unsigned long long quarantined = 0;
-    if (opt.chaos) {
-        std::error_code ec;
-        for (const auto &entry : std::filesystem::directory_iterator(
-                 cache_dir, ec))
-            if (entry.path().filename().string().find(".trace.bad") !=
-                std::string::npos)
-                ++quarantined;
-    }
-    std::filesystem::remove_all(cache_dir);
 
     const unsigned cells_per_request =
         [&] {
@@ -519,13 +414,6 @@ main(int argc, char **argv)
                  sustained_secs,
                  static_cast<unsigned long long>(sustained_ok.load()),
                  cells_per_sec);
-    if (opt.chaos)
-        std::fprintf(stderr,
-                     "bench_serve_load: chaos %llu rotations, "
-                     "%llu failures, %llu body mismatches, "
-                     "%llu quarantined\n",
-                     chaos_rotations.load(), sustained_failed.load(),
-                     body_mismatches.load(), quarantined);
 
     std::printf(
         "{\n  \"schema\": \"mgx-servebench-v1\",\n"
@@ -535,26 +423,16 @@ main(int argc, char **argv)
         "\"cellsRun\": %llu, \"dedupCollapsed\": %llu},\n"
         "  \"sustained\": {\"seconds\": %.6f, \"requests\": %llu, "
         "\"cellsPerSecond\": %.3f},\n"
-        "  \"chaos\": {\"enabled\": %s, \"rotations\": %llu, "
-        "\"failures\": %llu, \"bodyMismatches\": %llu, "
-        "\"quarantined\": %llu},\n"
-        "  \"stats\": {\"served\": %llu, \"rejected\": %llu, "
-        "\"traceCacheHits\": %llu, \"traceCacheMisses\": %llu}\n}\n",
+        "  \"stats\": {\"served\": %llu, \"rejected\": %llu}\n}\n",
         opt.clients, opt.workload.c_str(), opt.schemes.c_str(),
         burst_secs, burst_ok.load(),
         static_cast<unsigned long long>(after_burst.cellsRun),
         static_cast<unsigned long long>(after_burst.dedupCollapsed),
         sustained_secs,
         static_cast<unsigned long long>(sustained_ok.load()),
-        cells_per_sec, opt.chaos ? "true" : "false",
-        chaos_rotations.load(), sustained_failed.load(),
-        body_mismatches.load(), quarantined,
+        cells_per_sec,
         static_cast<unsigned long long>(final_stats.served),
-        static_cast<unsigned long long>(final_stats.rejected),
-        static_cast<unsigned long long>(final_stats.traceCacheHits),
-        static_cast<unsigned long long>(final_stats.traceCacheMisses));
+        static_cast<unsigned long long>(final_stats.rejected));
 
-    const bool chaos_clean =
-        body_mismatches.load() == 0 && sustained_failed.load() == 0;
-    return burst_ok.load() == opt.clients && chaos_clean ? 0 : 1;
+    return burst_ok.load() == opt.clients ? 0 : 1;
 }

@@ -1,16 +1,15 @@
 /**
  * @file
  * mgx_fleet: front-end proxy + supervisor for a fleet of mgx_serve
- * workers. Forks N workers (each on its own unix socket, all sharing
- * one trace-cache dir), routes /run by consistent hash of the
- * request's cell set, probes /healthz, restarts dead workers with
+ * workers. Forks N workers (each on its own unix socket), routes
+ * /run by consistent hash of the request's cell set, probes
+ * /healthz, restarts dead workers with
  * capped backoff, and fails requests over so a SIGKILLed worker
  * never surfaces as a client error. See src/fleet/ and
  * docs/ARCHITECTURE.md ("The fleet layer").
  *
  * Usage:
- *   mgx_fleet --socket /tmp/mgx.sock --workers 3 \
- *             --trace-cache ~/.cache/mgx
+ *   mgx_fleet --socket /tmp/mgx.sock --workers 3
  *   mgx_fleet --port 0 --workers 3     # prints the bound port
  */
 
@@ -49,9 +48,6 @@ usage(std::FILE *out)
         "                         (default 3)\n"
         "  --socket-dir DIR       where worker sockets live (default:\n"
         "                         alongside --socket, else /tmp)\n"
-        "  --trace-cache DIR      shared trace cache for all workers\n"
-        "  --trace-cache-max-bytes N\n"
-        "                         LRU cap for the shared cache\n"
         "  --worker-threads N     handler threads per worker\n"
         "                         (default 2)\n"
         "  --serve-binary PATH    the mgx_serve executable (default:\n"
@@ -98,11 +94,6 @@ main(int argc, char **argv)
                 static_cast<int>(std::strtol(value(), nullptr, 10));
         } else if (arg == "--socket-dir") {
             socket_dir = value();
-        } else if (arg == "--trace-cache") {
-            opts.supervisor.traceCacheDir = value();
-        } else if (arg == "--trace-cache-max-bytes") {
-            opts.supervisor.traceCacheMaxBytes =
-                std::strtoull(value(), nullptr, 10);
         } else if (arg == "--worker-threads") {
             opts.supervisor.workerThreads =
                 static_cast<u32>(std::strtoul(value(), nullptr, 10));

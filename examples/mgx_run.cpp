@@ -13,8 +13,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -41,20 +41,7 @@ usage(std::FILE *out)
         "                         (default: each workload's paper platform)\n"
         "  --schemes S[,...]      NP, MGX, MGX_VN, MGX_MAC, BP\n"
         "                         (default: all five)\n"
-        "  --threads N            worker threads (default: all cores)\n"
-        "  --trace-cache DIR      reuse generated traces across runs:\n"
-        "                         serialize each trace into DIR and\n"
-        "                         replay from it instead of regenerating\n"
-        "  --trace-cache-max-bytes N\n"
-        "                         LRU size cap for the trace cache:\n"
-        "                         after the run, evict oldest-mtime\n"
-        "                         traces until DIR is back under N\n"
-        "  --materialize          build each trace in memory before\n"
-        "                         replaying (the pre-streaming path;\n"
-        "                         O(workload) memory). Default is the\n"
-        "                         streaming pipeline: phases are pulled\n"
-        "                         off the kernel or cache file and\n"
-        "                         memory stays bounded by one phase\n"
+        "  --threads N            worker threads (default 0: all cores)\n"
         "  --pipeline             split every cell's trace generation\n"
         "                         and replay onto two threads over a\n"
         "                         bounded SPSC phase ring — bitwise-\n"
@@ -103,6 +90,28 @@ splitCommas(const std::string &arg)
     return parts;
 }
 
+/**
+ * Parse a thread-count flag value: decimal digits only (no sign, no
+ * whitespace), no larger than a u32 holds. Rejects what strtoul
+ * would silently wrap, such as "-1" becoming 4294967295.
+ */
+bool
+parseThreadCount(const char *text, unsigned &out)
+{
+    if (*text == '\0')
+        return false;
+    unsigned long long value = 0;
+    for (const char *c = text; *c != '\0'; ++c) {
+        if (*c < '0' || *c > '9')
+            return false;
+        value = value * 10 + static_cast<unsigned>(*c - '0');
+        if (value > std::numeric_limits<u32>::max())
+            return false;
+    }
+    out = static_cast<unsigned>(value);
+    return true;
+}
+
 bool
 platformByName(const std::string &name, sim::Platform &out)
 {
@@ -128,12 +137,9 @@ main(int argc, char **argv)
     std::vector<sim::Platform> platforms;
     std::vector<protection::Scheme> schemes;
     std::string json_path;
-    std::string trace_cache_dir;
-    unsigned long long trace_cache_max_bytes = 0;
     unsigned threads = 0;
     unsigned replay_threads = 1;
     bool quiet = false;
-    bool materialize = false;
     int pipeline = -1; // -1 auto, 0 forced off, 1 forced on
 
     for (int i = 1; i < argc; ++i) {
@@ -178,47 +184,25 @@ main(int argc, char **argv)
         } else if (arg == "--schemes" || arg == "--scheme") {
             for (auto &s : splitCommas(value()))
                 schemes.push_back(sim::schemeByName(s));
-        } else if (arg == "--threads") {
+        } else if (arg == "--threads" || arg == "--replay-threads") {
+            const bool replay = arg == "--replay-threads";
             const char *v = value();
-            char *end = nullptr;
-            threads =
-                static_cast<unsigned>(std::strtoul(v, &end, 10));
-            if (end == v || *end != '\0') {
+            unsigned n = 0;
+            if (!parseThreadCount(v, n) || (replay && n == 0)) {
                 std::fprintf(stderr,
-                             "mgx_run: --threads needs a number, "
-                             "got '%s'\n",
-                             v);
+                             "mgx_run: %s needs a %s integer no larger "
+                             "than %u, got '%s'\n",
+                             arg.c_str(),
+                             replay ? "positive" : "non-negative",
+                             std::numeric_limits<u32>::max(), v);
                 return usage(stderr);
             }
-        } else if (arg == "--replay-threads") {
-            const char *v = value();
-            char *end = nullptr;
-            replay_threads =
-                static_cast<unsigned>(std::strtoul(v, &end, 10));
-            if (end == v || *end != '\0' || replay_threads == 0) {
-                std::fprintf(stderr,
-                             "mgx_run: --replay-threads needs a "
-                             "positive number, got '%s'\n",
-                             v);
-                return usage(stderr);
-            }
+            if (replay)
+                replay_threads = n;
+            else
+                threads = n;
         } else if (arg == "--json") {
             json_path = value();
-        } else if (arg == "--trace-cache") {
-            trace_cache_dir = value();
-        } else if (arg == "--trace-cache-max-bytes") {
-            const char *v = value();
-            char *end = nullptr;
-            trace_cache_max_bytes = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0') {
-                std::fprintf(stderr,
-                             "mgx_run: --trace-cache-max-bytes needs "
-                             "a byte count, got '%s'\n",
-                             v);
-                return usage(stderr);
-            }
-        } else if (arg == "--materialize") {
-            materialize = true;
         } else if (arg == "--pipeline") {
             pipeline = 1;
         } else if (arg == "--no-pipeline") {
@@ -237,77 +221,33 @@ main(int argc, char **argv)
         return usage(stderr);
     }
 
-    if (trace_cache_max_bytes != 0 && trace_cache_dir.empty()) {
-        std::fprintf(stderr, "mgx_run: --trace-cache-max-bytes needs "
-                             "--trace-cache\n");
-        return usage(stderr);
-    }
-
-    if (pipeline == 1 && materialize) {
-        std::fprintf(stderr, "mgx_run: --pipeline needs the streaming "
-                             "path (drop --materialize)\n");
-        return usage(stderr);
-    }
-
-    if (replay_threads > 1 && materialize) {
-        std::fprintf(stderr,
-                     "mgx_run: --replay-threads needs the streaming "
-                     "path (drop --materialize)\n");
-        return usage(stderr);
-    }
-
     sim::Experiment experiment;
-    experiment.workloads(workloads)
-        .threads(threads)
-        .replayThreads(replay_threads)
-        .streaming(!materialize);
+    experiment.workloads(workloads).threads(threads).replayThreads(
+        replay_threads);
     if (pipeline != -1)
         experiment.pipelined(pipeline == 1);
     if (!platforms.empty())
         experiment.platforms(platforms);
     if (!schemes.empty())
         experiment.schemes(schemes);
-    if (!trace_cache_dir.empty())
-        experiment.traceCacheDir(trace_cache_dir);
-    if (trace_cache_max_bytes != 0)
-        experiment.traceCacheMaxBytes(trace_cache_max_bytes);
 
     sim::ResultSet rs = experiment.run();
-
-    if (!trace_cache_dir.empty()) {
-        // The "N hit(s), M miss(es)" prefix is a stable interface
-        // (smoke scripts grep it); health detail is only appended
-        // when something actually happened.
-        std::printf("trace-cache: %llu hit(s), %llu miss(es)",
-                    static_cast<unsigned long long>(rs.traceCacheHits()),
-                    static_cast<unsigned long long>(
-                        rs.traceCacheMisses()));
-        if (rs.traceCacheQuarantined() != 0)
-            std::printf(", %llu quarantined",
-                        static_cast<unsigned long long>(
-                            rs.traceCacheQuarantined()));
-        if (rs.traceCacheSwept() != 0)
-            std::printf(", %llu swept",
-                        static_cast<unsigned long long>(
-                            rs.traceCacheSwept()));
-        if (rs.cacheDegraded())
-            std::printf(", degraded (%llu fault(s))",
-                        static_cast<unsigned long long>(
-                            rs.traceCacheFaults()));
-        std::printf("\n");
-    }
 
     if (!quiet)
         sim::printTable(rs);
 
     if (!json_path.empty()) {
         std::ofstream out(json_path);
-        if (!out) {
+        if (out)
+            sim::writeJson(rs, out);
+        // The stream buffers: a full disk (or /dev/full) only surfaces
+        // when the bytes are flushed, so check after the flush, not
+        // just after the open.
+        if (!out || !out.flush()) {
             std::fprintf(stderr, "mgx_run: cannot write '%s'\n",
                          json_path.c_str());
             return 1;
         }
-        sim::writeJson(rs, out);
         if (!quiet)
             std::printf("\nwrote %zu records to %s\n",
                         rs.records().size(), json_path.c_str());

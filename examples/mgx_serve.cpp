@@ -1,12 +1,11 @@
 /**
  * @file
  * mgx_serve: the experiment service daemon. Listens on a unix socket
- * (or TCP loopback), serves /run, /stats and /shutdown, and shares
- * the trace cache with every other mgx process pointed at the same
- * directory. See src/serve/server.h for semantics.
+ * (or TCP loopback) and serves /run, /stats, /healthz and /shutdown.
+ * See src/serve/server.h for semantics.
  *
  * Usage:
- *   mgx_serve --socket /tmp/mgx.sock --trace-cache ~/.cache/mgx
+ *   mgx_serve --socket /tmp/mgx.sock
  *   mgx_serve --port 0 --workers 4          # prints the bound port
  */
 
@@ -42,10 +41,6 @@ usage(std::FILE *out)
         "  --workers N            request handler threads (default 2)\n"
         "  --queue N              admission queue capacity before\n"
         "                         connections get 429 (default 16)\n"
-        "  --trace-cache DIR      share generated traces on disk with\n"
-        "                         other daemons and mgx_run\n"
-        "  --trace-cache-max-bytes N\n"
-        "                         LRU size cap for the trace cache\n"
         "  --deadline-ms N        wall-clock budget per /run request;\n"
         "                         503 on expiry (default 0 = none)\n"
         "  --result-memo N        finished cells memoized in memory\n"
@@ -97,11 +92,6 @@ main(int argc, char **argv)
                 static_cast<u32>(std::strtoul(value(), nullptr, 10));
         } else if (arg == "--queue") {
             opts.admissionCapacity = std::strtoul(value(), nullptr, 10);
-        } else if (arg == "--trace-cache") {
-            opts.traceCacheDir = value();
-        } else if (arg == "--trace-cache-max-bytes") {
-            opts.traceCacheMaxBytes =
-                std::strtoull(value(), nullptr, 10);
         } else if (arg == "--deadline-ms") {
             opts.requestDeadlineMs =
                 static_cast<int>(std::strtol(value(), nullptr, 10));

@@ -1,7 +1,7 @@
 /**
  * @file
  * Failpoint registry: deterministic fault injection for tests and
- * chaos benches.
+ * fault drills against a live daemon.
  *
  * A failpoint is a named site in production code where a failure can
  * be simulated on demand — a syscall boundary in trace_io, an accept
@@ -11,7 +11,7 @@
  * `MGX_FAILPOINTS` environment variable, which is parsed once when
  * the registry first initializes:
  *
- *   MGX_FAILPOINTS="trace_io.write.enospc=once,trace_io.lock.eintr=times:5"
+ *   MGX_FAILPOINTS="trace_io.write.enospc=once,serve.recv.fail=times:5"
  *
  * Arm specs:
  *   off          never fires (default)

@@ -116,9 +116,7 @@ class PhaseRing
 /**
  * Producer-side adapter: a PhaseSink that pushes every consumed phase
  * into a ring — plug a Kernel::stream() or FilePhaseSource drain
- * straight into it. An optional tee sink sees each phase first, on
- * the producer thread (e.g. a TraceFileWriteSink populating the trace
- * cache while the consumer replays concurrently).
+ * straight into it.
  *
  * When the consumer closes the ring early, consume() throws
  * ConsumerClosed to unwind the producer's drain loop; the producer
@@ -132,23 +130,17 @@ class RingPushSink final : public PhaseSink
     {
     };
 
-    explicit RingPushSink(PhaseRing &ring, PhaseSink *tee = nullptr)
-        : ring_(&ring), tee_(tee)
-    {
-    }
+    explicit RingPushSink(PhaseRing &ring) : ring_(&ring) {}
 
     void
     consume(const Phase &phase) override
     {
-        if (tee_ != nullptr)
-            tee_->consume(phase);
         if (!ring_->push(phase))
             throw ConsumerClosed{};
     }
 
   private:
     PhaseRing *ring_;
-    PhaseSink *tee_;
 };
 
 /**

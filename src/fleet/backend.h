@@ -38,16 +38,6 @@ class BackendDirectory
      *  probe state lags reality in both directions. */
     virtual bool inRotation(const std::string &name) const = 0;
 
-    /** True while @p name last reported its trace cache degraded
-     *  (the /healthz body's cacheDegraded flag). A degraded worker
-     *  still serves correct answers — it just re-generates traces —
-     *  so routing demotes it below healthy peers rather than
-     *  skipping it. Default: never degraded (test fakes). */
-    virtual bool cacheDegraded(const std::string & /*name*/) const
-    {
-        return false;
-    }
-
     /** One JSON object describing per-backend state, embedded into
      *  the proxy's /stats document. */
     virtual std::string statusJson() const = 0;
@@ -64,7 +54,6 @@ class StaticDirectory : public BackendDirectory
         names_.push_back(name);
         addrs_.push_back(addr);
         rotation_.push_back(true);
-        degraded_.push_back(false);
     }
 
     void setInRotation(const std::string &name, bool in)
@@ -73,14 +62,6 @@ class StaticDirectory : public BackendDirectory
         for (std::size_t i = 0; i < names_.size(); ++i)
             if (names_[i] == name)
                 rotation_[i] = in;
-    }
-
-    void setCacheDegraded(const std::string &name, bool degraded)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (std::size_t i = 0; i < names_.size(); ++i)
-            if (names_[i] == name)
-                degraded_[i] = degraded;
     }
 
     std::vector<std::string> backendNames() const override
@@ -108,15 +89,6 @@ class StaticDirectory : public BackendDirectory
         return false;
     }
 
-    bool cacheDegraded(const std::string &name) const override
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (std::size_t i = 0; i < names_.size(); ++i)
-            if (names_[i] == name)
-                return degraded_[i];
-        return false;
-    }
-
     std::string statusJson() const override
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -125,9 +97,7 @@ class StaticDirectory : public BackendDirectory
             if (i)
                 out += ", ";
             out += "\"" + names_[i] + "\": {\"inRotation\": " +
-                   (rotation_[i] ? "true" : "false") +
-                   ", \"cacheDegraded\": " +
-                   (degraded_[i] ? "true" : "false") + "}";
+                   (rotation_[i] ? "true" : "false") + "}";
         }
         return out + "}";
     }
@@ -137,7 +107,6 @@ class StaticDirectory : public BackendDirectory
     std::vector<std::string> names_;
     std::vector<serve::SocketAddress> addrs_;
     std::vector<bool> rotation_;
-    std::vector<bool> degraded_;
 };
 
 } // namespace mgx::fleet

@@ -1,7 +1,7 @@
 /**
  * @file
  * The fleet facade: one object that owns the Supervisor (N forked
- * mgx_serve workers on unix sockets, shared trace cache) and the
+ * mgx_serve workers on unix sockets) and the
  * Proxy (consistent-hash routing + failover front end), wired
  * together. mgx_fleet and bench_serve_load --fleet drive this.
  */

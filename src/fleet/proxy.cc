@@ -398,30 +398,16 @@ std::vector<std::string>
 Proxy::candidateOrder(const std::string &key) const
 {
     std::vector<std::string> order = ring_.route(key);
-    // Three preference classes, stable within each (ring order is
-    // preserved so ownership stays deterministic):
-    //   0  in rotation, cache healthy
-    //   1  in rotation, cache degraded — correct but re-generates
-    //      traces, so only take it when every healthy peer is gone
-    //   2  out of rotation — last resort; probe state lags reality,
-    //      and a "down" worker that is actually up beats a 503.
-    // Snapshot each rank once — the directory is concurrently
-    // updated by probes, and a rank that changed mid-sort would
-    // break the comparator's strict weak ordering.
-    std::vector<std::pair<int, std::string>> ranked;
-    ranked.reserve(order.size());
-    for (auto &name : order) {
-        int rank = 2;
-        if (directory_->inRotation(name))
-            rank = directory_->cacheDegraded(name) ? 1 : 0;
-        ranked.emplace_back(rank, std::move(name));
-    }
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first < b.first;
-                     });
-    for (std::size_t i = 0; i < ranked.size(); ++i)
-        order[i] = std::move(ranked[i].second);
+    // In-rotation workers first, out-of-rotation ones as a last
+    // resort (probe state lags reality, and a "down" worker that is
+    // actually up beats a 503). The partition is stable, so ring
+    // order — and with it ownership — stays deterministic within
+    // each class, and it asks the concurrently updated directory
+    // exactly once per backend.
+    std::stable_partition(order.begin(), order.end(),
+                          [this](const std::string &name) {
+                              return directory_->inRotation(name);
+                          });
     return order;
 }
 

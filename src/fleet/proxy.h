@@ -4,7 +4,7 @@
  * that routes /run requests across the worker fleet by consistent
  * hash of the request's cell set — the same cells always land on the
  * same worker, so that worker's SingleFlight coalesces concurrent
- * identical requests and its warm caches stay warm.
+ * identical requests and its result memo stays warm.
  *
  * Robustness model: the proxy buffers a backend's entire response
  * before relaying one byte to the client, so a worker SIGKILLed

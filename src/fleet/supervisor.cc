@@ -130,15 +130,6 @@ Supervisor::spawnLocked(Worker &w)
                 "--workers", std::to_string(opts_.workerThreads),
                 "--queue", std::to_string(opts_.workerQueue),
                 "--quiet"};
-            if (!opts_.traceCacheDir.empty()) {
-                args.push_back("--trace-cache");
-                args.push_back(opts_.traceCacheDir);
-            }
-            if (opts_.traceCacheMaxBytes != 0) {
-                args.push_back("--trace-cache-max-bytes");
-                args.push_back(
-                    std::to_string(opts_.traceCacheMaxBytes));
-            }
             if (opts_.workerDeadlineMs > 0) {
                 args.push_back("--deadline-ms");
                 args.push_back(
@@ -202,7 +193,6 @@ Supervisor::reapLocked(Worker &w, Clock::time_point now)
         std::chrono::milliseconds(opts_.flapWindowMs);
     w.pid = -1;
     w.healthy = false;
-    w.cacheDegraded = false; // a fresh process starts undegraded
     if (rapid)
         ++w.rapidDeaths;
     else
@@ -276,7 +266,6 @@ Supervisor::probeOne(int index)
     }
 
     bool ok = false;
-    bool degraded = false;
     if (fpProbeTimeout.fire()) {
         // Simulated probe timeout: the worker is fine but the probe
         // never lands — exercises spurious-out-of-rotation handling.
@@ -287,13 +276,6 @@ Supervisor::probeOne(int index)
         ok = serve::httpGet(addr, "/healthz", &resp, &error,
                             opts_.probeTimeoutMs) &&
              resp.status == 200;
-        // The liveness body also carries cache health; a degraded
-        // worker stays in rotation but the proxy demotes it in
-        // routing order (it re-generates traces instead of sharing
-        // the cache — correct, just slower).
-        if (ok)
-            degraded = resp.body.find("\"cacheDegraded\": true") !=
-                       std::string::npos;
     }
 
     std::lock_guard<std::mutex> lock(mu_);
@@ -303,7 +285,6 @@ Supervisor::probeOne(int index)
     if (ok) {
         w.consecProbeMisses = 0;
         w.healthy = true;
-        w.cacheDegraded = degraded;
         if (w.state == WorkerState::Starting ||
             w.state == WorkerState::Broken)
             w.state = WorkerState::Up;
@@ -417,16 +398,6 @@ Supervisor::inRotation(const std::string &name) const
     return false;
 }
 
-bool
-Supervisor::cacheDegraded(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Worker &w : workers_)
-        if (w.name == name)
-            return w.cacheDegraded;
-    return false;
-}
-
 std::vector<WorkerStatus>
 Supervisor::status() const
 {
@@ -441,7 +412,6 @@ Supervisor::status() const
         s.pid = w.pid;
         s.state = w.state;
         s.inRotation = w.healthy && w.pid > 0;
-        s.cacheDegraded = w.cacheDegraded;
         s.restarts = w.restarts;
         s.rapidDeaths = w.rapidDeaths;
         s.probeFailures = w.probeFailures;
@@ -470,8 +440,6 @@ Supervisor::statusJson() const
                workerStateName(w.state) + "\", \"pid\": " +
                std::to_string(w.pid) + ", \"inRotation\": " +
                (w.inRotation ? "true" : "false") +
-               ", \"cacheDegraded\": " +
-               (w.cacheDegraded ? "true" : "false") +
                ", \"restarts\": " + std::to_string(w.restarts) +
                ", \"rapidDeaths\": " +
                std::to_string(w.rapidDeaths) +

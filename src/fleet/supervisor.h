@@ -1,7 +1,7 @@
 /**
  * @file
  * Worker supervision for the fleet: fork+exec N mgx_serve processes
- * (one unix socket each, one shared trace-cache dir), detect death
+ * (one unix socket each), detect death
  * with waitpid, probe liveness over /healthz, restart with capped
  * exponential backoff, and take a flapping worker out of rotation
  * behind a cool-off (the flap breaker).
@@ -20,10 +20,10 @@
  *                 Broken --- coolOff elapsed ---> (respawn, probation)
  *
  * A death within flapWindowMs of the last spawn counts as "rapid";
- * surviving the window resets the count. Because every worker shares
- * the trace cache dir (TraceCacheLock makes that safe, and flock
- * auto-releases when a process dies), a worker's in-memory state is
- * disposable: killing and restarting one loses nothing but warmth.
+ * surviving the window resets the count. A worker's in-memory state
+ * (its result memo) is disposable: every cell it answers is
+ * deterministic, so killing and restarting one loses nothing but
+ * warmth.
  */
 
 #ifndef MGX_FLEET_SUPERVISOR_H
@@ -51,8 +51,6 @@ struct SupervisorOptions
 {
     int workers = 3;
     std::string socketDir;     ///< worker sockets live here
-    std::string traceCacheDir; ///< shared; "" = workers run uncached
-    u64 traceCacheMaxBytes = 0;
     u32 workerThreads = 2;       ///< --workers for each mgx_serve
     std::size_t workerQueue = 16; ///< --queue for each mgx_serve
     int workerDeadlineMs = 0;    ///< --deadline-ms for each mgx_serve
@@ -78,7 +76,6 @@ struct WorkerStatus
     pid_t pid = -1; ///< -1 while not running
     WorkerState state = WorkerState::Starting;
     bool inRotation = false;
-    bool cacheDegraded = false; ///< from the last /healthz body
     u64 restarts = 0;    ///< respawns after the initial spawn
     u64 rapidDeaths = 0; ///< current flap streak
     u64 probeFailures = 0;
@@ -113,7 +110,6 @@ class Supervisor : public BackendDirectory
     serve::SocketAddress address(
         const std::string &name) const override;
     bool inRotation(const std::string &name) const override;
-    bool cacheDegraded(const std::string &name) const override;
     std::string statusJson() const override;
 
     std::vector<WorkerStatus> status() const;
@@ -135,7 +131,6 @@ class Supervisor : public BackendDirectory
         pid_t pid = -1;
         WorkerState state = WorkerState::Starting;
         bool healthy = false; ///< passing probes (=> in rotation)
-        bool cacheDegraded = false; ///< last /healthz body said so
         u64 restarts = 0;
         u64 rapidDeaths = 0;
         u64 probeFailures = 0;   ///< lifetime count (stats)

@@ -16,9 +16,6 @@ ServeMetrics::snapshot() const
     s.dedupCollapsed = dedupCollapsed.load(std::memory_order_relaxed);
     s.cellsRun = cellsRun.load(std::memory_order_relaxed);
     s.resultMemoHits = resultMemoHits.load(std::memory_order_relaxed);
-    s.traceCacheHits = traceCacheHits.load(std::memory_order_relaxed);
-    s.traceCacheMisses =
-        traceCacheMisses.load(std::memory_order_relaxed);
     s.inFlight = inFlight.load(std::memory_order_relaxed);
     s.queueDepth = queueDepth.load(std::memory_order_relaxed);
     s.maxQueueDepth = maxQueueDepth.load(std::memory_order_relaxed);
@@ -27,7 +24,6 @@ ServeMetrics::snapshot() const
     s.oversized = oversized.load(std::memory_order_relaxed);
     s.keepAliveReused =
         keepAliveReused.load(std::memory_order_relaxed);
-    s.cacheDegraded = cacheDegraded.load(std::memory_order_relaxed);
     s.draining = draining.load(std::memory_order_relaxed);
     return s;
 }
@@ -45,16 +41,12 @@ statsJson(const ServeMetrics::Snapshot &s)
         << ",\n  \"dedupCollapsed\": " << s.dedupCollapsed
         << ",\n  \"cellsRun\": " << s.cellsRun
         << ",\n  \"resultMemoHits\": " << s.resultMemoHits
-        << ",\n  \"traceCache\": {\"hits\": " << s.traceCacheHits
-        << ", \"misses\": " << s.traceCacheMisses << "}"
         << ",\n  \"inFlight\": " << s.inFlight
         << ",\n  \"queueDepth\": " << s.queueDepth
         << ",\n  \"maxQueueDepth\": " << s.maxQueueDepth
         << ",\n  \"deadlineExceeded\": " << s.deadlineExceeded
         << ",\n  \"oversized\": " << s.oversized
         << ",\n  \"keepAliveReused\": " << s.keepAliveReused
-        << ",\n  \"cacheDegraded\": "
-        << (s.cacheDegraded ? "true" : "false")
         << ",\n  \"draining\": " << (s.draining ? "true" : "false")
         << "\n}\n";
     return out.str();

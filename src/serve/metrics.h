@@ -30,15 +30,12 @@ class ServeMetrics
         u64 dedupCollapsed = 0; ///< cell requests served as followers
         u64 cellsRun = 0;       ///< cells actually simulated (leaders)
         u64 resultMemoHits = 0; ///< cells answered from the result memo
-        u64 traceCacheHits = 0;
-        u64 traceCacheMisses = 0;
         u64 inFlight = 0;       ///< requests being handled right now
         u64 queueDepth = 0;     ///< connections waiting for a worker
         u64 maxQueueDepth = 0;  ///< high-water mark of queueDepth
         u64 deadlineExceeded = 0; ///< 503s: request deadline expired
         u64 oversized = 0;      ///< 431s: request exceeded the 1 MiB cap
         u64 keepAliveReused = 0; ///< requests served on a reused connection
-        bool cacheDegraded = false; ///< trace cache bypassed (see Server)
         bool draining = false;  ///< shutdown requested
     };
 
@@ -50,15 +47,12 @@ class ServeMetrics
     std::atomic<u64> dedupCollapsed{0};
     std::atomic<u64> cellsRun{0};
     std::atomic<u64> resultMemoHits{0};
-    std::atomic<u64> traceCacheHits{0};
-    std::atomic<u64> traceCacheMisses{0};
     std::atomic<u64> inFlight{0};
     std::atomic<u64> queueDepth{0};
     std::atomic<u64> maxQueueDepth{0};
     std::atomic<u64> deadlineExceeded{0};
     std::atomic<u64> oversized{0};
     std::atomic<u64> keepAliveReused{0};
-    std::atomic<bool> cacheDegraded{false};
     std::atomic<bool> draining{false};
 
     /** Raise maxQueueDepth to at least @p depth. */

@@ -481,15 +481,10 @@ Server::handleRequest(const HttpRequest &req, int *status_out)
     }
     if (req.path == "/healthz") {
         // Liveness, not readiness: 200 whenever the daemon can answer
-        // at all. Degraded states are reported, not treated as death.
+        // at all. Draining is reported, not treated as death.
         *status_out = 200;
-        std::string body = "{\"ok\": true";
-        body += std::string(", \"draining\": ") +
-                (stopping() ? "true" : "false");
-        body += std::string(", \"cacheDegraded\": ") +
-                (cacheDegraded() ? "true" : "false");
-        body += "}\n";
-        return body;
+        return std::string("{\"ok\": true, \"draining\": ") +
+               (stopping() ? "true" : "false") + "}\n";
     }
     if (req.path == "/shutdown") {
         *status_out = 200;
@@ -607,7 +602,6 @@ Server::handleRun(const HttpRequest &req, int *status_out)
     // platform per workload when the axis is unset) so the assembled
     // ResultSet — and its JSON — matches the CLI byte for byte.
     sim::ResultSet rs;
-    u64 hits = 0, misses = 0;
     for (const auto &w : workloads) {
         std::vector<sim::Platform> cell_platforms = platforms;
         if (cell_platforms.empty())
@@ -628,12 +622,12 @@ Server::handleRun(const HttpRequest &req, int *status_out)
                 // The cell (not &: runFor's leader lambda outlives
                 // this frame when the deadline expires first).
                 const auto body = [this, cell,
-                                   budget]() -> CellOutcome {
+                                   budget]() -> sim::RunRecord {
                     metrics_.cellsRun.fetch_add(
                         1, std::memory_order_relaxed);
                     return runner_(cell, budget);
                 };
-                SingleFlight<CellOutcome>::Outcome outcome;
+                SingleFlight<sim::RunRecord>::Outcome outcome;
                 if (deadlined) {
                     const auto left =
                         std::chrono::duration_cast<
@@ -664,69 +658,17 @@ Server::handleRun(const HttpRequest &req, int *status_out)
                 if (!outcome.leader)
                     metrics_.dedupCollapsed.fetch_add(
                         1, std::memory_order_relaxed);
-                rs.add(outcome.value->record);
-                memo_.put(cell.key(), outcome.value->record);
-                hits += outcome.value->cacheHits;
-                misses += outcome.value->cacheMisses;
+                rs.add(*outcome.value);
+                memo_.put(cell.key(), *outcome.value);
             }
         }
     }
-    rs.setTraceCacheStats(hits, misses);
-    metrics_.traceCacheHits.fetch_add(hits,
-                                      std::memory_order_relaxed);
-    metrics_.traceCacheMisses.fetch_add(misses,
-                                        std::memory_order_relaxed);
 
     *status_out = 200;
     return sim::toJson(rs);
 }
 
-bool
-Server::cacheUsableNow()
-{
-    if (opts_.traceCacheDir.empty())
-        return false;
-    if (!cacheDegraded_.load(std::memory_order_relaxed))
-        return true;
-    // Degraded: bypass the cache until the re-probe window opens,
-    // then let exactly this cell probe it (the window is pushed
-    // forward so concurrent cells keep bypassing meanwhile).
-    std::lock_guard<std::mutex> lock(cachemu_);
-    const auto now = std::chrono::steady_clock::now();
-    if (now < cacheRetryAt_)
-        return false;
-    cacheRetryAt_ =
-        now + std::chrono::milliseconds(opts_.cacheRetryMs);
-    return true;
-}
-
-void
-Server::noteCacheHealth(bool degraded)
-{
-    if (degraded) {
-        {
-            std::lock_guard<std::mutex> lock(cachemu_);
-            cacheRetryAt_ =
-                std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(opts_.cacheRetryMs);
-        }
-        if (!cacheDegraded_.exchange(true,
-                                     std::memory_order_relaxed))
-            MGX_WARN(
-                "mgx_serve: trace cache degraded ('%s'); serving "
-                "uncached, re-probing every %d ms",
-                opts_.traceCacheDir.c_str(), opts_.cacheRetryMs);
-    } else if (cacheDegraded_.exchange(false,
-                                       std::memory_order_relaxed)) {
-        MGX_WARN("mgx_serve: trace cache recovered ('%s')",
-                 opts_.traceCacheDir.c_str());
-    }
-    metrics_.cacheDegraded.store(
-        cacheDegraded_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-}
-
-CellOutcome
+sim::RunRecord
 Server::runCellWithEngine(const CellKey &cell, const RunBudget &budget)
 {
     // One cell per run. The request's replay budget selects the
@@ -744,32 +686,21 @@ Server::runCellWithEngine(const CellKey &cell, const RunBudget &budget)
         .threads(std::max(1u, opts_.maxRequestThreads))
         .pipelined(budget.pipelined)
         .replayThreads(budget.replayThreads);
-    const bool with_cache = cacheUsableNow();
-    if (with_cache) {
-        experiment.traceCacheDir(opts_.traceCacheDir);
-        if (opts_.traceCacheMaxBytes != 0)
-            experiment.traceCacheMaxBytes(opts_.traceCacheMaxBytes);
-    }
     sim::ResultSet rs = experiment.run();
     if (rs.records().size() != 1)
         fatal("mgx_serve: single-cell experiment produced %zu records",
               rs.records().size());
-    // Only a run that actually touched the cache votes on its
-    // health; bypassing cells would otherwise "recover" it blindly.
-    if (with_cache)
-        noteCacheHealth(rs.cacheDegraded());
-    CellOutcome out{rs.records()[0], rs.traceCacheHits(),
-                    rs.traceCacheMisses()};
+    sim::RunRecord out = rs.records()[0];
     // Scrub the replay-mode diagnostics: they are the only fields
     // that vary with the budget (or with scheduling), and removing
     // them keeps responses — and the memo — byte-identical across
     // modes.
-    out.record.result.pipelineProducerWaits = 0;
-    out.record.result.pipelineConsumerWaits = 0;
-    out.record.result.pipelineMaxOccupancy = 0;
-    out.record.result.shardReplayThreads = 0;
-    out.record.result.shardMergeWaits = 0;
-    out.record.result.shardChannels.clear();
+    out.result.pipelineProducerWaits = 0;
+    out.result.pipelineConsumerWaits = 0;
+    out.result.pipelineMaxOccupancy = 0;
+    out.result.shardReplayThreads = 0;
+    out.result.shardMergeWaits = 0;
+    out.result.shardChannels.clear();
     return out;
 }
 

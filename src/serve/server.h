@@ -19,8 +19,8 @@
  *       Operational counters as `mgx-servestats-v1` JSON.
  *   GET /healthz
  *       Liveness: 200 with {"ok": true, ...} whenever the daemon can
- *       answer at all — draining and cache-degraded states are
- *       reported in the body, not as failures.
+ *       answer at all — a draining daemon reports it in the body, not
+ *       as a failure.
  *   GET /shutdown
  *       Acknowledge, then begin graceful shutdown.
  *
@@ -40,9 +40,6 @@
  *               workload|platform|scheme: concurrent requests that
  *               resolve to the same cell cost one engine run, the
  *               rest are followers (metrics.dedupCollapsed).
- *   cache       Cells share the on-disk trace cache; the per-key
- *               flock (sim::TraceCacheLock) extends "generate once"
- *               across processes sharing the directory.
  *
  * Per-request replay budgets: /run accepts `pipeline=0|1` and
  * `replayThreads=N` to pipeline and/or channel-shard each cell's
@@ -97,17 +94,12 @@ struct ServerOptions
     SocketAddress listen;
     u32 workers = 2;                  ///< request handler threads
     std::size_t admissionCapacity = 16; ///< queued connections before 429
-    std::string traceCacheDir;        ///< "" = no trace cache
-    u64 traceCacheMaxBytes = 0;       ///< LRU cap (needs traceCacheDir)
     int ioTimeoutMs = 30000;          ///< per-connection read/write timeout
     /// Wall-clock budget for one /run request, 0 = none. On expiry
     /// the request answers 503 immediately; the cell that was running
     /// finishes on a background thread (engine runs cannot be
     /// cancelled) so a retry joins it instead of duplicating work.
     int requestDeadlineMs = 0;
-    /// How long to bypass the trace cache after a run reports it
-    /// degraded before probing it again (see cacheDegraded()).
-    int cacheRetryMs = 5000;
     /// Honor `Connection: keep-alive` requests by keeping the
     /// connection open for the next request (false restores the old
     /// one-request-per-connection behavior for every peer).
@@ -143,20 +135,12 @@ struct CellKey
     std::string key() const;
 };
 
-/** What one cell's run produced. */
-struct CellOutcome
-{
-    sim::RunRecord record;
-    u64 cacheHits = 0;
-    u64 cacheMisses = 0;
-};
-
 /**
  * How a cell is simulated; injectable so tests can substitute a
  * deterministic (or deliberately blocking) runner. The injected form
  * ignores the request's replay budget — tests run synthetic cells.
  */
-using CellRunner = std::function<CellOutcome(const CellKey &)>;
+using CellRunner = std::function<sim::RunRecord(const CellKey &)>;
 
 /**
  * Bounded, thread-safe LRU memo from a string key to a value, shared
@@ -259,19 +243,13 @@ class Server
 
     bool stopping() const;
 
-    /** True while the trace cache is being bypassed after a fault. */
-    bool cacheDegraded() const
-    {
-        return cacheDegraded_.load(std::memory_order_relaxed);
-    }
-
     ServeMetrics::Snapshot metricsSnapshot() const;
 
     /** Replace the engine-backed cell runner (tests only). */
     void setCellRunnerForTest(CellRunner runner);
 
     /** The per-cell flight table (tests observe waiters()). */
-    SingleFlight<CellOutcome> &cellFlights() { return flights_; }
+    SingleFlight<sim::RunRecord> &cellFlights() { return flights_; }
 
     /** The finished-cell memo (tests observe size()). */
     ResultMemo &resultMemo() { return memo_; }
@@ -289,25 +267,18 @@ class Server
     bool serveOneRequest(int fd, std::string *carry, bool first);
     std::string handleRequest(const HttpRequest &req, int *status_out);
     std::string handleRun(const HttpRequest &req, int *status_out);
-    CellOutcome runCellWithEngine(const CellKey &cell,
+    sim::RunRecord runCellWithEngine(const CellKey &cell,
                                   const RunBudget &budget);
     bool validateWorkload(const std::string &name, std::string *error);
     void sendAll(int fd, const std::string &data) const;
-    /// Fold one run's cache health into the degraded state: a
-    /// degraded run opens (or extends) the bypass window with one
-    /// warning log; a healthy run while degraded logs recovery.
-    void noteCacheHealth(bool degraded);
-    /// Whether runCellWithEngine should pass the cache dir right now
-    /// (false while degraded and the re-probe window has not opened).
-    bool cacheUsableNow();
 
     ServerOptions opts_;
     ServeMetrics metrics_;
-    SingleFlight<CellOutcome> flights_;
+    SingleFlight<sim::RunRecord> flights_;
     ResultMemo memo_; ///< capacity from opts_ (ctor init order)
     /// Engine-backed by default (honors the request budget); test
     /// runners installed via setCellRunnerForTest ignore the budget.
-    std::function<CellOutcome(const CellKey &, const RunBudget &)>
+    std::function<sim::RunRecord(const CellKey &, const RunBudget &)>
         runner_;
 
     int listenFd_ = -1;
@@ -328,12 +299,6 @@ class Server
     /// Bounded: names come from clients, and a stream of distinct ones
     /// (a seed sweep) must not grow a long-running daemon's memory.
     LruMemo<std::string> validation_{1024};
-
-    std::atomic<bool> cacheDegraded_{false};
-    std::mutex cachemu_;
-    /// When degraded: the next moment a cell may probe the cache
-    /// again (guarded by cachemu_).
-    std::chrono::steady_clock::time_point cacheRetryAt_{};
 };
 
 } // namespace mgx::serve

@@ -3,10 +3,8 @@
  * In-process request coalescing: concurrent run(key, fn) calls with
  * equal keys execute fn exactly once — the first caller (the leader)
  * computes while the rest (followers) block on the shared entry and
- * wake with the same result. The cross-process layer of the same idea
- * is sim::TraceCacheLock; mgx_serve stacks the two, so N clients on
- * one key cost one engine run in this process and concurrent daemons
- * sharing a cache directory still generate each trace once.
+ * wake with the same result, so N clients on one key cost one engine
+ * run in mgx_serve.
  */
 
 #ifndef MGX_SERVE_SINGLEFLIGHT_H

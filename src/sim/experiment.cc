@@ -2,71 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <filesystem>
-#include <map>
 #include <memory>
+#include <set>
 #include <thread>
 
 #include "common/log.h"
 #include "pipeline.h"
 #include "shard.h"
-#include "trace_io.h"
 #include "workload_registry.h"
 
 namespace mgx::sim {
 namespace {
-
-/**
- * Trace-generation version, folded into every cache file name so a
- * directory kept across code changes never serves stale traces. Bump
- * it whenever kernels generate different traces for the same
- * workload name or the trace_io format changes — equal keys only
- * guarantee equal traces within one generator version.
- *
- * v2: trace files carry the integrity envelope (magic header +
- * CRC32 footer); v1 files are unverifiable and simply never match.
- */
-constexpr unsigned kTraceCacheVersion = 2;
-
-/** Age below which sweepTraceCacheDebris leaves debris alone — far
- *  above any real trace write, so a live writer's temporary always
- *  survives the sweep. */
-constexpr std::chrono::seconds kSweepGrace = std::chrono::minutes(15);
-
-/**
- * File name a cached trace is stored under: the cache key with
- * filesystem-hostile characters flattened, plus an FNV-1a hash of the
- * unflattened key and generator version so distinct keys — or the
- * same key across trace-generation changes — never collide.
- */
-std::string
-traceCacheFileName(const std::string &key)
-{
-    u64 h = 14695981039346656037ull;
-    const auto fold = [&h](char c) {
-        h ^= static_cast<u8>(c);
-        h *= 1099511628211ull;
-    };
-    fold(static_cast<char>('0' + kTraceCacheVersion));
-    fold('|');
-    for (char c : key)
-        fold(c);
-    std::string name;
-    name.reserve(key.size() + 24);
-    for (char c : key) {
-        const bool keep = (c >= 'a' && c <= 'z') ||
-                          (c >= 'A' && c <= 'Z') ||
-                          (c >= '0' && c <= '9') || c == '-' ||
-                          c == '.' || c == '=';
-        name += keep ? c : '_';
-    }
-    char hash[32];
-    std::snprintf(hash, sizeof hash, "-v%u-%016llx", kTraceCacheVersion,
-                  static_cast<unsigned long long>(h));
-    return name + hash + ".trace";
-}
 
 /**
  * Run body(0..n-1) on up to @p threads workers. Work is claimed from
@@ -99,59 +45,6 @@ parallelFor(std::size_t n, u32 threads, const Body &body)
     for (auto &t : pool)
         t.join();
 }
-
-/**
- * TraceFileWriteSink that never lets a cache-write failure disturb
- * the replay consuming the same phase stream: any TraceIoError from
- * the inner sink flips it into a black hole (the abandoned temporary
- * is cleaned up immediately), and finish() reports whether the file
- * was actually published. Results stay exact under ENOSPC; only
- * cache reuse is lost.
- */
-class GuardedCacheSink final : public core::PhaseSink
-{
-  public:
-    explicit GuardedCacheSink(const std::string &path)
-    {
-        try {
-            inner_ = std::make_unique<TraceFileWriteSink>(path);
-        } catch (const TraceIoError &) {
-            failed_ = true;
-        }
-    }
-
-    void
-    consume(const core::Phase &phase) override
-    {
-        if (failed_)
-            return;
-        try {
-            inner_->consume(phase);
-        } catch (const TraceIoError &) {
-            failed_ = true;
-            inner_.reset();
-        }
-    }
-
-    /** True when the cache file was published. */
-    bool
-    finish()
-    {
-        if (failed_)
-            return false;
-        try {
-            inner_->finish();
-            return true;
-        } catch (const TraceIoError &) {
-            failed_ = true;
-            return false;
-        }
-    }
-
-  private:
-    std::unique_ptr<TraceFileWriteSink> inner_;
-    bool failed_ = false;
-};
 
 } // namespace
 
@@ -307,27 +200,6 @@ Experiment::threads(u32 n)
 }
 
 Experiment &
-Experiment::traceCacheDir(const std::string &dir)
-{
-    traceCacheDir_ = dir;
-    return *this;
-}
-
-Experiment &
-Experiment::traceCacheMaxBytes(u64 bytes)
-{
-    traceCacheMaxBytes_ = bytes;
-    return *this;
-}
-
-Experiment &
-Experiment::streaming(bool on)
-{
-    streaming_ = on;
-    return *this;
-}
-
-Experiment &
 Experiment::pipelined(bool on)
 {
     pipelined_ = on;
@@ -348,84 +220,6 @@ Experiment::replayThreads(u32 n)
     return *this;
 }
 
-u64
-enforceTraceCacheLimit(const std::string &dir, u64 max_bytes)
-{
-    namespace fs = std::filesystem;
-    struct CacheFile
-    {
-        fs::path path;
-        fs::file_time_type mtime;
-        u64 bytes = 0;
-    };
-    std::vector<CacheFile> files;
-    u64 total = 0;
-    std::error_code ec;
-    for (const auto &entry : fs::directory_iterator(dir, ec)) {
-        if (ec)
-            break;
-        if (!entry.is_regular_file(ec) || ec)
-            continue;
-        if (entry.path().extension() != ".trace")
-            continue; // never delete anything the cache did not write
-        std::error_code fec;
-        const u64 bytes = entry.file_size(fec);
-        if (fec)
-            continue;
-        const auto mtime = fs::last_write_time(entry.path(), fec);
-        if (fec)
-            continue;
-        files.push_back({entry.path(), mtime, bytes});
-        total += bytes;
-    }
-    std::sort(files.begin(), files.end(),
-              [](const CacheFile &a, const CacheFile &b) {
-                  return a.mtime != b.mtime ? a.mtime < b.mtime
-                                            : a.path < b.path;
-              });
-    u64 evicted = 0;
-    for (const auto &file : files) {
-        if (total <= max_bytes)
-            break;
-        std::error_code rec;
-        fs::remove(file.path, rec); // racing deleters are fine
-        total -= file.bytes;
-        ++evicted;
-    }
-    return evicted;
-}
-
-u64
-sweepTraceCacheDebris(const std::string &dir,
-                      std::chrono::seconds grace)
-{
-    namespace fs = std::filesystem;
-    u64 removed = 0;
-    std::error_code ec;
-    const auto now = fs::file_time_type::clock::now();
-    for (const auto &entry : fs::directory_iterator(dir, ec)) {
-        if (ec)
-            break;
-        if (!entry.is_regular_file(ec) || ec)
-            continue;
-        const std::string name = entry.path().filename().string();
-        const bool tmp = name.find(".trace.tmp.") != std::string::npos;
-        const bool bad =
-            name.size() > 10 &&
-            name.compare(name.size() - 10, 10, ".trace.bad") == 0;
-        if (!tmp && !bad)
-            continue;
-        std::error_code fec;
-        const auto mtime = fs::last_write_time(entry.path(), fec);
-        if (fec || now - mtime < grace)
-            continue; // young debris may still have a live writer
-        std::error_code rec;
-        if (fs::remove(entry.path(), rec) && !rec)
-            ++removed;
-    }
-    return removed;
-}
-
 ResultSet
 Experiment::run() const
 {
@@ -440,23 +234,9 @@ Experiment::run() const
         const Entry *entry;
         Platform platform;
         protection::Scheme scheme;
-        std::size_t traceJob; ///< index into jobs / traces
     };
-
-    struct TraceJob
-    {
-        std::string name;     ///< registry name (generated jobs)
-        Platform platform;    ///< platform it is generated for
-        std::string cacheKey; ///< traceCacheKey (generated jobs)
-        const core::Trace *explicitTrace = nullptr;
-        u32 cellCount = 0;    ///< grid cells consuming this trace
-        bool deferred = false; ///< cache fill happens in phase 2 (tee)
-    };
-
     std::vector<Cell> cells;
-    std::vector<TraceJob> jobs;
-    std::map<std::string, std::size_t> jobByKey;
-
+    std::set<std::string> traceLabels;
     for (const auto &entry : entries_) {
         std::vector<Platform> entry_platforms = platforms_;
         if (entry_platforms.empty()) {
@@ -466,33 +246,15 @@ Experiment::run() const
                       entry.label.c_str());
             entry_platforms.push_back(defaultPlatform(entry.label));
         }
-        for (const auto &platform : entry_platforms) {
-            const std::string key =
-                entry.isExplicitTrace
-                    ? "trace:" + entry.label
-                    : traceCacheKey(entry.label, platform);
-            auto [it, inserted] =
-                jobByKey.try_emplace(key, jobs.size());
-            if (inserted)
-                jobs.push_back({entry.label, platform,
-                                entry.isExplicitTrace ? std::string{}
-                                                      : key,
-                                entry.isExplicitTrace
-                                    ? &entry.explicitTrace
-                                    : nullptr});
-            else if (entry.isExplicitTrace &&
-                     jobs[it->second].explicitTrace !=
-                         &entry.explicitTrace)
-                fatal("experiment has two different traces under the "
-                      "label '%s'",
-                      entry.label.c_str());
+        if (entry.isExplicitTrace &&
+            !traceLabels.insert(entry.label).second)
+            fatal("experiment has two different traces under the "
+                  "label '%s'",
+                  entry.label.c_str());
+        for (const auto &platform : entry_platforms)
             for (protection::Scheme scheme : schemes)
-                cells.push_back(
-                    {&entry, platform, scheme, it->second});
-        }
+                cells.push_back({&entry, platform, scheme});
     }
-    for (const Cell &cell : cells)
-        ++jobs[cell.traceJob].cellCount;
 
     // Resolve the pipelining decision and the thread budget it must
     // respect. A pipelined cell occupies two threads (producer +
@@ -508,315 +270,58 @@ Experiment::run() const
             ? threads_
             : std::max(1u, std::thread::hardware_concurrency());
     const bool pipelined =
-        streaming_ && budget >= 2 &&
+        budget >= 2 &&
         (pipelined_.has_value() ? *pipelined_ : cells.size() == 1);
-    // Channel-sharded replay width per streamed cell (sim/shard.h),
-    // clamped so one cell's thread cost — the replay pool plus a
-    // producer when pipelined — never exceeds the budget. The cell
-    // pool shrinks by the same cost, keeping `threads` a true cap.
+    // Channel-sharded replay width per cell (sim/shard.h), clamped so
+    // one cell's thread cost — the replay pool plus a producer when
+    // pipelined — never exceeds the budget. The cell pool shrinks by
+    // the same cost, keeping `threads` a true cap.
     const u32 shardWidth =
-        streaming_ ? std::min(std::max(1u, replayThreads_),
-                              std::max(1u, pipelined ? budget - 1
-                                                     : budget))
-                   : 1u;
+        std::min(std::max(1u, replayThreads_),
+                 std::max(1u, pipelined ? budget - 1 : budget));
     const u32 cellCost = (pipelined ? 1u : 0u) + shardWidth;
     const u32 replayWorkers = std::max(1u, budget / cellCost);
 
-    // A cache-missing trace consumed by exactly one pipelined cell
-    // skips phase 1: the cell's producer thread tees phases into the
-    // cache file while the replay consumes them, so the kernel runs
-    // once instead of twice.
-    if (pipelined && !traceCacheDir_.empty())
-        for (TraceJob &job : jobs)
-            job.deferred =
-                job.explicitTrace == nullptr && job.cellCount == 1;
-
-    // Phase 1: make each distinct trace available once, in parallel.
-    // A fresh kernel per job keeps generation deterministic regardless
-    // of scheduling. With a trace-cache directory set, a key that was
-    // serialized by an earlier run (any process) is reused — its
-    // mtime is touched so LRU eviction sees the use — and a missing
-    // key is produced exactly once; distinct jobs write distinct
-    // files, so the parallel writers never collide. On the streaming
-    // path the kernel is serialized phase by phase (TraceFileWriteSink)
-    // and nothing is materialized; without a cache directory the
-    // streaming path needs no phase 1 at all — every cell streams its
-    // own fresh kernel.
-    // The cache directory is treated as unreliable: if it cannot be
-    // created (or later misbehaves), the run degrades to streaming
-    // kernels directly — results are exact either way, only reuse is
-    // lost — and the fault is reported through the ResultSet's
-    // cache-health stats instead of killing the process (the serving
-    // daemon must outlive a broken disk; the CLI prints a warning).
-    std::string cacheDir = traceCacheDir_;
-    u64 cache_swept = 0;
-    std::atomic<u64> cache_faults{0};
-    if (!cacheDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(cacheDir, ec);
-        if (ec) {
-            MGX_WARN("cannot create trace-cache dir '%s' (%s); "
-                     "running uncached",
-                     cacheDir.c_str(), ec.message().c_str());
-            cache_faults.fetch_add(1, std::memory_order_relaxed);
-            cacheDir.clear();
-        } else {
-            // Startup sweep: crashed writers leak `*.trace.tmp.*`
-            // forever, quarantined files pile up; both go once aged.
-            cache_swept = sweepTraceCacheDebris(cacheDir, kSweepGrace);
-        }
-    }
-    const auto cacheFilePath = [&cacheDir](const TraceJob &job) {
-        return (std::filesystem::path(cacheDir) /
-                traceCacheFileName(job.cacheKey))
-            .string();
-    };
-    std::vector<core::Trace> traces(jobs.size());
-    std::atomic<u64> cache_hits{0};
-    std::atomic<u64> cache_misses{0};
-    std::atomic<u64> cache_quarantined{0};
-    parallelFor(jobs.size(), budget, [&](std::size_t i) {
-        if (jobs[i].explicitTrace != nullptr)
-            return;
-        if (jobs[i].deferred)
-            return; // phase 2 fills the cache through the tee
-        if (cacheDir.empty()) {
-            if (!streaming_)
-                traces[i] = makeKernel(jobs[i].name, jobs[i].platform)
-                                ->generate();
-            return;
-        }
-        const std::string file = cacheFilePath(jobs[i]);
-        // Hit probe, shared by the fast path and the post-lock
-        // re-check. The cache is shared across processes, so a foreign
-        // evictor may delete the file at any instant: the materialized
-        // path opens first and only counts a hit when the open
-        // succeeded, the streaming path leaves the open to phase 2,
-        // which already falls back to the kernel. A file that opens
-        // but fails integrity verification is quarantined here so the
-        // miss path below regenerates it.
-        const auto tryHit = [&]() -> bool {
-            if (!streaming_) {
-                std::optional<core::Trace> trace;
-                try {
-                    trace = readTraceFileIfReadable(
-                        file, /*require_checksum=*/true);
-                } catch (const TraceIoError &) {
-                    quarantineTraceFile(file);
-                    cache_quarantined.fetch_add(
-                        1, std::memory_order_relaxed);
-                    return false;
-                }
-                if (!trace)
-                    return false;
-                traces[i] = std::move(*trace);
-            } else {
-                std::error_code ec;
-                if (!std::filesystem::exists(file, ec) || ec)
-                    return false;
-            }
-            std::error_code ec;
-            std::filesystem::last_write_time(
-                file, std::filesystem::file_time_type::clock::now(),
-                ec); // touch-on-hit keeps mtime order = LRU order
-            return true;
-        };
-        if (tryHit()) {
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        // Miss: take the per-key cross-process lock so two processes
-        // missing on the same key generate once between them — the
-        // loser of the race waits here, then finds the winner's file
-        // on the re-check. (In-process, distinct jobs have distinct
-        // keys, so the lock never self-serializes a grid.) Any cache
-        // I/O failure inside the boundary — lock, write, publish —
-        // degrades this job to uncached: the trace the cells need is
-        // (re)generated from the kernel, which never touches disk.
-        try {
-            TraceCacheLock lock(file);
-            if (tryHit()) {
-                cache_hits.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-            if (streaming_) {
-                auto kernel =
-                    makeKernel(jobs[i].name, jobs[i].platform);
-                TraceFileWriteSink sink(file);
-                kernel->stream()->drainTo(sink);
-                sink.finish();
-            } else {
-                traces[i] = makeKernel(jobs[i].name, jobs[i].platform)
-                                ->generate();
-                writeTraceFile(traces[i], file);
-            }
-            cache_misses.fetch_add(1, std::memory_order_relaxed);
-        } catch (const TraceIoError &) {
-            cache_faults.fetch_add(1, std::memory_order_relaxed);
-            if (!streaming_ && traces[i].empty())
-                traces[i] = makeKernel(jobs[i].name, jobs[i].platform)
-                                ->generate();
-            // Streaming cells find no file in phase 2 and stream
-            // their own fresh kernel.
-        }
-    });
-
-    // Phase 2: simulate every cell on fresh per-cell state. Streamed
-    // cells pull phases from the cache file (when caching) or from
-    // their own fresh kernel — deterministic either way, so the two
-    // are bitwise-identical on every model output. Pipelined runs
-    // consume the identical stream through the SPSC ring and differ
-    // only in the scheduling-dependent pipeline counters.
+    // Simulate every cell on fresh per-cell state, pulling phases from
+    // its own fresh kernel (or the caller's explicit trace), so a cell
+    // is deterministic whatever the scheduling. Pipelined and sharded
+    // cells consume the identical stream and differ only in their
+    // scheduling-dependent pipeline/shard diagnostics.
     std::vector<RunResult> results(cells.size());
     parallelFor(cells.size(), replayWorkers, [&](std::size_t i) {
         const Cell &cell = cells[i];
-        const TraceJob &job = jobs[cell.traceJob];
-        // Model state is built fresh per simulation attempt: when a
-        // cached replay dies mid-stream on a corrupt file, the retry
-        // from the kernel must not inherit half-replayed DRAM or
-        // metadata state.
-        const auto simulateTrace =
-            [&](const core::Trace &trace) -> RunResult {
-            dram::DramSystem dram(cell.platform.dram);
-            protection::ProtectionConfig cfg = config_;
-            cfg.scheme = cell.scheme;
-            protection::ProtectionEngine engine(cfg, &dram);
-            PerfModel model(&engine, cell.platform.clockMhz);
-            return model.run(trace);
-        };
-        const auto simulateStream =
-            [&](core::PhaseSource &source,
-                core::PhaseSink *tee) -> RunResult {
-            dram::DramSystem dram(cell.platform.dram);
-            protection::ProtectionConfig cfg = config_;
-            cfg.scheme = cell.scheme;
-            protection::ProtectionEngine engine(cfg, &dram);
-            PerfModel model(&engine, cell.platform.clockMhz);
-            // The pool lives for the whole replay (all phases plus
-            // the final flush share its workers) and dies with the
-            // attempt's DramSystem: a retry on fresh state gets a
-            // fresh pool.
-            std::optional<ShardPool> shard;
-            if (shardWidth >= 2)
-                shard.emplace(dram, shardWidth);
-            if (!pipelined)
-                return shard ? model.run(source, *shard)
-                             : model.run(source);
+        std::unique_ptr<core::Kernel> kernel;
+        std::unique_ptr<core::PhaseSource> source;
+        if (cell.entry->isExplicitTrace) {
+            source = std::make_unique<core::TracePhaseSource>(
+                cell.entry->explicitTrace);
+        } else {
+            kernel = makeKernel(cell.entry->label, cell.platform);
+            source = kernel->stream();
+        }
+
+        dram::DramSystem dram(cell.platform.dram);
+        protection::ProtectionConfig cfg = config_;
+        cfg.scheme = cell.scheme;
+        protection::ProtectionEngine engine(cfg, &dram);
+        PerfModel model(&engine, cell.platform.clockMhz);
+        // The pool lives for the whole replay: all phases plus the
+        // final flush share its workers.
+        std::optional<ShardPool> shard;
+        if (shardWidth >= 2)
+            shard.emplace(dram, shardWidth);
+        if (pipelined) {
             PipelineOptions options;
             options.ringCapacity = pipelineRingCapacity_;
-            options.tee = tee;
             options.shard = shard ? &*shard : nullptr;
-            return runPipelined(model, source, options);
-        };
-        if (job.explicitTrace != nullptr) {
-            results[i] = simulateTrace(*job.explicitTrace);
-            return;
+            results[i] = runPipelined(model, *source, options);
+        } else {
+            results[i] = shard ? model.run(*source, *shard)
+                               : model.run(*source);
         }
-        if (!streaming_) {
-            results[i] = simulateTrace(traces[cell.traceJob]);
-            return;
-        }
-        if (!cacheDir.empty()) {
-            const std::string file = cacheFilePath(job);
-            // The cache is shared across processes, so another run's
-            // eviction may have deleted the file since phase 1
-            // touched it; fall back to streaming the kernel directly
-            // (equal keys guarantee the identical phase stream). A
-            // file that opens but fails verification — the checksum
-            // footer is only reached at the end of the replay — is
-            // quarantined, and the cell restarts on fresh state from
-            // the kernel.
-            if (auto source = FilePhaseSource::openIfReadable(
-                    file, /*require_checksum=*/true)) {
-                try {
-                    RunResult r = simulateStream(*source, nullptr);
-                    if (job.deferred) {
-                        // Phase 1 never probed this key: account the
-                        // hit and refresh the mtime for LRU order.
-                        std::error_code ec;
-                        std::filesystem::last_write_time(
-                            file,
-                            std::filesystem::file_time_type::clock::
-                                now(),
-                            ec);
-                        cache_hits.fetch_add(
-                            1, std::memory_order_relaxed);
-                    }
-                    results[i] = r;
-                    return;
-                } catch (const TraceIoError &) {
-                    quarantineTraceFile(file);
-                    cache_quarantined.fetch_add(
-                        1, std::memory_order_relaxed);
-                }
-            }
-            if (job.deferred) {
-                // Single-cell cache miss: take the per-key
-                // cross-process lock (another process may be
-                // generating this very key right now), re-check, and
-                // only then stream the kernel once, teeing each phase
-                // into the cache file on the producer thread while
-                // this thread replays it. The guarded tee absorbs
-                // cache-write failures (ENOSPC mid-tee must not kill
-                // the replay sharing its phase stream); lock failures
-                // degrade the cell to plain uncached streaming below.
-                try {
-                    auto lock = std::make_unique<TraceCacheLock>(file);
-                    if (auto raced = FilePhaseSource::openIfReadable(
-                            file, /*require_checksum=*/true)) {
-                        bool replayed = false;
-                        try {
-                            RunResult r =
-                                simulateStream(*raced, nullptr);
-                            std::error_code ec;
-                            std::filesystem::last_write_time(
-                                file,
-                                std::filesystem::file_time_type::
-                                    clock::now(),
-                                ec);
-                            cache_hits.fetch_add(
-                                1, std::memory_order_relaxed);
-                            results[i] = r;
-                            replayed = true;
-                        } catch (const TraceIoError &) {
-                            quarantineTraceFile(file);
-                            cache_quarantined.fetch_add(
-                                1, std::memory_order_relaxed);
-                        }
-                        if (replayed)
-                            return;
-                        // fall through: regenerate under the lock
-                    }
-                    auto kernel = makeKernel(job.name, job.platform);
-                    auto source = kernel->stream();
-                    GuardedCacheSink sink(file);
-                    results[i] = simulateStream(*source, &sink);
-                    if (sink.finish())
-                        cache_misses.fetch_add(
-                            1, std::memory_order_relaxed);
-                    else
-                        cache_faults.fetch_add(
-                            1, std::memory_order_relaxed);
-                    lock.reset(); // published; waiters can hit now
-                    return;
-                } catch (const TraceIoError &) {
-                    cache_faults.fetch_add(1,
-                                           std::memory_order_relaxed);
-                }
-            }
-        }
-        auto kernel = makeKernel(job.name, job.platform);
-        auto source = kernel->stream();
-        results[i] = simulateStream(*source, nullptr);
     });
 
-    if (!cacheDir.empty() && traceCacheMaxBytes_ > 0)
-        enforceTraceCacheLimit(cacheDir, traceCacheMaxBytes_);
-
     ResultSet rs;
-    rs.setTraceCacheStats(cache_hits.load(), cache_misses.load());
-    rs.setTraceCacheHealth(cache_quarantined.load(), cache_swept,
-                           cache_faults.load());
     for (std::size_t i = 0; i < cells.size(); ++i)
         rs.add({{cells[i].entry->label, cells[i].platform.name,
                  cells[i].scheme},

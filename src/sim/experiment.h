@@ -15,25 +15,18 @@
  * Each grid cell simulates on a fresh DramSystem/ProtectionEngine, so
  * cells are independent and run embarrassingly parallel.
  *
- * Registry workloads run through the streaming phase pipeline by
- * default: each cell pulls phases straight off a fresh kernel (or off
- * the on-disk trace cache, which phase 1 populates by streaming the
- * kernel once per traceCacheKey() without materializing), so memory
- * stays bounded by one phase regardless of workload size —
- * RunResult::peakPhaseBytes reports the high-water mark. streaming
- * (false) restores the materialize-then-replay path: each distinct
- * trace is generated once and shared read-only by every cell that
- * consumes it. Both paths are bitwise-identical on every model output
- * (cycles, traffic, access counts); only the trace-footprint fields
- * (traceBytes, peakPhaseBytes) depend on the path, since they
- * describe the replay's memory behaviour itself. Results are
- * deterministic and independent of the thread count.
+ * Every cell streams its phases: a registry workload pulls them
+ * straight off a fresh kernel, an explicit trace() entry through a
+ * core::TracePhaseSource over the caller's trace. Memory stays
+ * bounded by one phase regardless of workload size —
+ * RunResult::peakPhaseBytes reports the high-water mark. Results are
+ * deterministic and independent of the thread count and of the
+ * replay mode (serial, pipelined or channel-sharded).
  */
 
 #ifndef MGX_SIM_EXPERIMENT_H
 #define MGX_SIM_EXPERIMENT_H
 
-#include <chrono>
 #include <cstddef>
 #include <optional>
 #include <string>
@@ -73,44 +66,6 @@ class ResultSet
     const std::vector<RunRecord> &records() const { return records_; }
     bool empty() const { return records_.empty(); }
 
-    /** Trace-cache outcome of the run (0/0 when caching was off). */
-    u64 traceCacheHits() const { return traceCacheHits_; }
-    u64 traceCacheMisses() const { return traceCacheMisses_; }
-
-    /** Cache files that failed integrity verification this run and
-     *  were renamed to `*.trace.bad` (the cell regenerated from the
-     *  kernel instead). */
-    u64 traceCacheQuarantined() const { return traceCacheQuarantined_; }
-
-    /** Abandoned `*.trace.tmp.*` / stale `*.trace.bad` files removed
-     *  by the startup sweep. */
-    u64 traceCacheSwept() const { return traceCacheSwept_; }
-
-    /** Cache-machinery failures (unwritable dir, failed lock, failed
-     *  publish) the run absorbed by streaming kernels directly. */
-    u64 traceCacheFaults() const { return traceCacheFaults_; }
-
-    /** True when any cell ran uncached because the cache misbehaved —
-     *  results are still exact, only reuse was lost. */
-    bool cacheDegraded() const { return traceCacheFaults_ > 0; }
-
-    /** Record the trace-cache outcome (set by Experiment::run). */
-    void
-    setTraceCacheStats(u64 hits, u64 misses)
-    {
-        traceCacheHits_ = hits;
-        traceCacheMisses_ = misses;
-    }
-
-    /** Record the cache-health outcome (set by Experiment::run). */
-    void
-    setTraceCacheHealth(u64 quarantined, u64 swept, u64 faults)
-    {
-        traceCacheQuarantined_ = quarantined;
-        traceCacheSwept_ = swept;
-        traceCacheFaults_ = faults;
-    }
-
     /** The cell at @p key, or nullptr if it was never run. */
     const RunResult *find(const std::string &workload,
                           const std::string &platform,
@@ -148,11 +103,6 @@ class ResultSet
 
   private:
     std::vector<RunRecord> records_;
-    u64 traceCacheHits_ = 0;
-    u64 traceCacheMisses_ = 0;
-    u64 traceCacheQuarantined_ = 0;
-    u64 traceCacheSwept_ = 0;
-    u64 traceCacheFaults_ = 0;
 };
 
 /** Builder for one workload x platform x scheme run grid. */
@@ -168,7 +118,9 @@ class Experiment
     /**
      * Add an explicit pre-generated trace under @p label — for
      * schedules the registry cannot name (edited traces, replayed
-     * files). Requires platforms() to be set.
+     * files). Requires platforms() to be set. Its cells stream the
+     * trace phase by phase (core::TracePhaseSource), like a kernel,
+     * so they report the same footprint fields a registry cell would.
      */
     Experiment &trace(const std::string &label, core::Trace trace);
 
@@ -191,47 +143,8 @@ class Experiment
     Experiment &threads(u32 n);
 
     /**
-     * Cache generated traces on disk under @p dir (created if
-     * missing), keyed by traceCacheKey(): a later run — including a
-     * separate process — that needs the same trace deserializes it
-     * instead of re-running the kernel. Equal keys guarantee equal
-     * traces, so a cached cell is bit-identical to a generated one on
-     * every model output (cycles, traffic, access counts); only the
-     * trace-footprint fields (RunResult::traceBytes, peakPhaseBytes) —
-     * which describe how the trace was held in memory — may differ.
-     * Explicit traces added with trace() are never cached. Cache hits
-     * refresh the file's mtime, so the LRU size cap (see
-     * traceCacheMaxBytes) evicts the least recently *used* trace.
-     *
-     * The directory is safe to share between concurrent processes
-     * (several experiments, a serving daemon plus mgx_run, ...):
-     * publishes are atomic tmp+rename, a per-key flock
-     * (TraceCacheLock) makes concurrent misses on one key generate
-     * exactly once between all processes, and a reader racing a
-     * foreign eviction falls back to streaming the kernel directly.
-     */
-    Experiment &traceCacheDir(const std::string &dir);
-
-    /**
-     * LRU size cap for the trace-cache directory: after the run,
-     * evict the oldest-mtime *.trace files until the directory's
-     * total is back under @p bytes (0 = unbounded, the default).
-     * Requires traceCacheDir(). A long-lived checkout can leave the
-     * cache on without it growing without bound.
-     */
-    Experiment &traceCacheMaxBytes(u64 bytes);
-
-    /**
-     * Select the replay path for registry workloads: true (default)
-     * streams phases straight off the kernel / cache file; false
-     * materializes each distinct trace first and shares it across
-     * cells. Model outputs are identical either way.
-     */
-    Experiment &streaming(bool on);
-
-    /**
-     * Pipeline each streamed cell's trace generation and replay onto
-     * two threads over a bounded SPSC phase ring (see sim/pipeline.h)
+     * Pipeline each cell's trace generation and replay onto two
+     * threads over a bounded SPSC phase ring (see sim/pipeline.h)
      * — bitwise-identical results, but a long single cell is no
      * longer bound by one core. When never called the choice is
      * automatic: on when the grid has exactly one cell (the pool
@@ -241,13 +154,7 @@ class Experiment
      * The thread budget stays a true cap either way: a pipelined cell
      * costs two threads (producer + replay), so the pool runs at most
      * floor(threads / 2) cells at once, and pipelining is disabled
-     * when the budget is a single thread. Requires streaming();
-     * materialized and explicit-trace cells always replay serially.
-     *
-     * On a trace-cache miss whose trace only one cell consumes, the
-     * producer tees phases into the cache file while the replay
-     * consumes them — the cache is populated without a separate
-     * generation pass.
+     * when the budget is a single thread.
      */
     Experiment &pipelined(bool on);
 
@@ -259,18 +166,16 @@ class Experiment
     Experiment &pipelineRingCapacity(std::size_t phases);
 
     /**
-     * Channel-sharded replay width per streamed cell (see
-     * sim/shard.h): n >= 2 replays each phase's per-channel DRAM
-     * lanes on a persistent pool of n threads (clamped to the
-     * platform's channel count) with a deterministic merge pass —
+     * Channel-sharded replay width per cell (see sim/shard.h): n >= 2
+     * replays each phase's per-channel DRAM lanes on a persistent
+     * pool of n threads (clamped to the platform's channel count)
+     * with a deterministic merge pass —
      * bitwise-identical to serial replay on every field except the
      * RunResult::shard* diagnostics, for every n. 0 or 1 (default)
      * replays serially. Composes with pipelined(): such a cell
      * budgets 1 + n threads against threads(), and the pool size
      * shrinks so the cap stays true; a budget too small for the
      * requested width clamps the width rather than oversubscribing.
-     * Requires streaming(); materialized and explicit-trace cells
-     * always replay serially.
      */
     Experiment &replayThreads(u32 n);
 
@@ -290,35 +195,10 @@ class Experiment
     std::vector<protection::Scheme> schemes_;
     protection::ProtectionConfig config_;
     u32 threads_ = 0;
-    std::string traceCacheDir_;
-    u64 traceCacheMaxBytes_ = 0;
-    bool streaming_ = true;
     std::optional<bool> pipelined_; ///< unset = automatic (see pipelined())
     std::size_t pipelineRingCapacity_ = 8;
     u32 replayThreads_ = 1;
 };
-
-/**
- * Enforce the trace-cache LRU size cap on @p dir: while the total
- * size of its *.trace files exceeds @p max_bytes, delete the one with
- * the oldest mtime (reads touch their file, so mtime order is LRU
- * order). Other files are never touched. Returns the number of files
- * evicted. Missing directories and racing deleters are tolerated —
- * the cache is shared across processes.
- */
-u64 enforceTraceCacheLimit(const std::string &dir, u64 max_bytes);
-
-/**
- * Remove trace-cache debris from @p dir: abandoned `*.trace.tmp.*`
- * temporaries (a writer that crashed between open and publish leaks
- * one forever) and stale `*.trace.bad` quarantine files, both only
- * when older than @p grace — a live writer's temporary is never
- * touched. Returns the number of files removed. Experiment::run
- * performs this sweep on its cache directory at startup; racing
- * sweepers across processes are tolerated.
- */
-u64 sweepTraceCacheDebris(const std::string &dir,
-                          std::chrono::seconds grace);
 
 } // namespace mgx::sim
 

@@ -10,14 +10,14 @@ runPipelined(PerfModel &model, core::PhaseSource &source,
 {
     core::PhaseRing ring(options.ringCapacity);
 
-    // Producer: drain the source into the ring (through the tee, if
-    // any). Every exit path closes the ring so the consumer can never
-    // block forever: a clean drain and a consumer-initiated stop both
-    // end the stream, and a throwing producer hands its exception to
-    // the consumer via fail().
-    std::thread producer([&ring, &source, tee = options.tee] {
+    // Producer: drain the source into the ring. Every exit path
+    // closes the ring so the consumer can never block forever: a
+    // clean drain and a consumer-initiated stop both end the stream,
+    // and a throwing producer hands its exception to the consumer via
+    // fail().
+    std::thread producer([&ring, &source] {
         try {
-            core::RingPushSink sink(ring, tee);
+            core::RingPushSink sink(ring);
             source.drainTo(sink);
             ring.closeProducer();
         } catch (const core::RingPushSink::ConsumerClosed &) {

@@ -2,7 +2,7 @@
  * @file
  * Pipelined intra-cell replay: one workload x scheme cell split onto
  * two threads — a producer draining a PhaseSource (a streaming
- * kernel, a trace-cache file, ...) into a bounded SPSC PhaseRing, and
+ * kernel, a trace file, ...) into a bounded SPSC PhaseRing, and
  * the calling thread replaying phases off the ring through the
  * unchanged PerfModel::run(PhaseSource&) path.
  *
@@ -38,14 +38,6 @@ struct PipelineOptions
      * run ahead of the replay.
      */
     std::size_t ringCapacity = 8;
-
-    /**
-     * Optional producer-side tee: sees every phase (on the producer
-     * thread) before it enters the ring. Used to populate the on-disk
-     * trace cache while a cache-miss cell replays concurrently. The
-     * caller must not touch the tee until runPipelined() returns.
-     */
-    core::PhaseSink *tee = nullptr;
 
     /**
      * Optional channel-shard pool (see sim/shard.h): the consumer

@@ -1,17 +1,13 @@
 #include "trace_io.h"
 
-#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
-#include <fcntl.h>
-#include <sys/file.h>
 #include <unistd.h>
 
 #include "common/checksum.h"
@@ -34,10 +30,6 @@ failpoint::Point &fpWriteShort =
     failpoint::Point::get("trace_io.write.short");
 failpoint::Point &fpWriteTorn =
     failpoint::Point::get("trace_io.write.torn");
-failpoint::Point &fpLockOpen =
-    failpoint::Point::get("trace_io.lock.open");
-failpoint::Point &fpLockEintr =
-    failpoint::Point::get("trace_io.lock.eintr");
 
 [[noreturn]] void
 raise(const char *fmt, ...)
@@ -102,17 +94,11 @@ writeAccessLine(std::ostream &out, const core::LogicalAccess &acc)
  * line arms CRC32 accumulation over every subsequent payload line,
  * and the `C <crc-hex> <payloadBytes>` footer is verified against
  * it. Once a header was seen, a missing footer at end of input is a
- * truncation error. In `require_checksum` mode, input without the
- * envelope is rejected outright.
+ * truncation error.
  */
 class TraceParser
 {
   public:
-    explicit TraceParser(bool require_checksum = false)
-        : requireChecksum_(require_checksum)
-    {
-    }
-
     /**
      * Parse one line. Returns true when a phase was completed by
      * this line, in which case it is available via completed() until
@@ -150,10 +136,6 @@ class TraceParser
             checksummed_ = true;
             return false;
         }
-        if (requireChecksum_ && !checksummed_)
-            raise("trace line %u: missing integrity header "
-                  "(not a checksummed trace file)",
-                  lineNo_);
         if (tag == "P") {
             // The incoming header closes the previous phase: move it
             // to the completed slot and start accumulating the new one.
@@ -222,7 +204,7 @@ class TraceParser
     /**
      * End of input: returns true if a final phase is available.
      * Throws if a checksummed stream ended without its footer
-     * (truncation) or a required envelope never appeared.
+     * (truncation).
      */
     bool
     finish()
@@ -231,9 +213,6 @@ class TraceParser
             raise("truncated trace (missing checksum footer after "
                   "line %u)",
                   lineNo_);
-        if (requireChecksum_ && !checksummed_)
-            raise("missing integrity header "
-                  "(not a checksummed trace file)");
         if (!open_)
             return false;
         std::swap(scratch_, completed_);
@@ -247,7 +226,6 @@ class TraceParser
     core::Phase scratch_;   ///< the phase currently being accumulated
     core::Phase completed_; ///< the last fully parsed phase
     bool open_ = false;
-    bool requireChecksum_ = false;
     bool checksummed_ = false; ///< saw the v2 header; verifying CRC
     bool sawFooter_ = false;
     u32 crc_ = 0;
@@ -276,10 +254,10 @@ traceToString(const core::Trace &trace)
 }
 
 core::Trace
-readTrace(std::istream &in, bool require_checksum)
+readTrace(std::istream &in)
 {
     core::Trace trace;
-    TraceParser parser(require_checksum);
+    TraceParser parser;
     std::string line;
     while (std::getline(in, line))
         if (parser.feed(line))
@@ -303,68 +281,6 @@ readTraceFile(const std::string &path)
     if (fpReadOpen.fire() || !in)
         raise("cannot read trace file '%s'", path.c_str());
     return readTrace(in);
-}
-
-std::optional<core::Trace>
-readTraceFileIfReadable(const std::string &path, bool require_checksum)
-{
-    std::ifstream in(path);
-    if (fpReadOpen.fire() || !in)
-        return std::nullopt;
-    return readTrace(in, require_checksum);
-}
-
-bool
-quarantineTraceFile(const std::string &path) noexcept
-{
-    std::error_code ec;
-    std::filesystem::rename(path, path + ".bad", ec);
-    if (!ec)
-        return true;
-    // Rename across a broken directory can itself fail; removing the
-    // corrupt file still unblocks regeneration.
-    std::filesystem::remove(path, ec);
-    return false;
-}
-
-// ---------------------------------------------------------------------------
-// Cross-process cache-key lock
-// ---------------------------------------------------------------------------
-
-TraceCacheLock::TraceCacheLock(const std::string &trace_path)
-    : lockPath_(trace_path + ".lock")
-{
-    fd_ = ::open(lockPath_.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-    if (fpLockOpen.fire() && fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-        errno = EACCES;
-    }
-    if (fd_ < 0)
-        raise("cannot open trace-cache lock '%s': %s",
-              lockPath_.c_str(), std::strerror(errno));
-    while (true) {
-        if (fpLockEintr.fire())
-            continue; // injected EINTR: retry like the real signal
-        if (::flock(fd_, LOCK_EX) == 0)
-            break;
-        if (errno == EINTR)
-            continue;
-        const int err = errno;
-        ::close(fd_);
-        fd_ = -1;
-        raise("cannot lock trace-cache lock '%s': %s",
-              lockPath_.c_str(), std::strerror(err));
-    }
-}
-
-TraceCacheLock::~TraceCacheLock()
-{
-    if (fd_ < 0)
-        return;
-    // close() releases the flock; the .lock file stays (see header).
-    ::flock(fd_, LOCK_UN);
-    ::close(fd_);
 }
 
 // ---------------------------------------------------------------------------
@@ -398,10 +314,10 @@ struct TraceFileWriteSink::Impl
 TraceFileWriteSink::TraceFileWriteSink(const std::string &path)
     : impl_(std::make_unique<Impl>())
 {
-    // The pid makes the temporary unique across processes sharing a
-    // cache directory; rename() at finish() then publishes the
-    // complete file atomically, so readers see either nothing or a
-    // whole trace.
+    // The pid makes the temporary unique across processes writing the
+    // same path; rename() at finish() then publishes the complete
+    // file atomically, so readers see either nothing or a whole
+    // trace.
     impl_->path = path;
     impl_->tmp = path + ".tmp." + std::to_string(::getpid());
     impl_->out.open(impl_->tmp);
@@ -420,8 +336,8 @@ TraceFileWriteSink::~TraceFileWriteSink()
 {
     if (impl_->finished)
         return;
-    // Abandoned (or failed) write: never leave partial temporaries
-    // behind in a shared cache directory.
+    // Abandoned (or failed) write: never leave a partial temporary
+    // behind.
     impl_->out.close();
     std::error_code ignored;
     std::filesystem::remove(impl_->tmp, ignored);
@@ -488,8 +404,7 @@ TraceFileWriteSink::finish()
     impl_->out.close();
     if (fpWriteTorn.fire()) {
         // Simulate a crash between the write and the publish: the
-        // temporary stays behind (the startup sweep's job), the
-        // destination never appears.
+        // temporary stays behind, the destination never appears.
         impl_->finished = true;
         raise("cannot publish trace file '%s': injected torn rename",
               impl_->path.c_str());
@@ -519,38 +434,18 @@ writeTraceFile(const core::Trace &trace, const std::string &path)
 
 struct FilePhaseSource::Impl
 {
-    explicit Impl(bool require_checksum) : parser(require_checksum) {}
-
     std::ifstream in;
     TraceParser parser;
     std::string line;
     bool eof = false;
 };
 
-FilePhaseSource::FilePhaseSource(const std::string &path,
-                                 bool require_checksum)
-    : impl_(std::make_unique<Impl>(require_checksum))
+FilePhaseSource::FilePhaseSource(const std::string &path)
+    : impl_(std::make_unique<Impl>())
 {
     impl_->in.open(path);
     if (fpReadOpen.fire() || !impl_->in)
         raise("cannot read trace file '%s'", path.c_str());
-}
-
-FilePhaseSource::FilePhaseSource(std::unique_ptr<Impl> impl)
-    : impl_(std::move(impl))
-{
-}
-
-std::unique_ptr<FilePhaseSource>
-FilePhaseSource::openIfReadable(const std::string &path,
-                                bool require_checksum)
-{
-    auto impl = std::make_unique<Impl>(require_checksum);
-    impl->in.open(path);
-    if (fpReadOpen.fire() || !impl->in)
-        return nullptr;
-    return std::unique_ptr<FilePhaseSource>(
-        new FilePhaseSource(std::move(impl)));
 }
 
 FilePhaseSource::~FilePhaseSource() = default;

@@ -20,15 +20,11 @@
  *
  * Readers verify the envelope when present: a CRC or byte-count
  * mismatch, a missing footer (truncation), or any malformed line
- * raises TraceIoError instead of killing the process, so a daemon
- * sharing a trace-cache directory with unreliable disks and peer
- * processes can quarantine the file (quarantineTraceFile) and
- * regenerate from the kernel. Headerless legacy streams still parse
- * in lenient mode — writeTrace/traceToString stay envelope-free so
- * dumps remain diffable and content comparisons format-agnostic —
- * while `requireChecksum` rejects any file without a verified
- * envelope (what Experiment uses for cache files, where v2 names
- * guarantee one).
+ * raises TraceIoError instead of killing the process, so a caller
+ * holding a corrupt or truncated file learns so before trusting a
+ * replay of it. Headerless streams still parse —
+ * writeTrace/traceToString stay envelope-free so dumps remain
+ * diffable and content comparisons format-agnostic.
  *
  * Both directions stream: TraceWriteSink / TraceFileWriteSink are
  * PhaseSinks that serialize phases as a producer emits them (so a
@@ -39,9 +35,9 @@
  * line format, so the two paths cannot drift.
  *
  * Every filesystem boundary in this file is a named failpoint (see
- * common/failpoint.h, `trace_io.*`), so tests and chaos benches can
- * deterministically inject ENOSPC, torn renames, corrupt reads, and
- * EINTR storms.
+ * common/failpoint.h, `trace_io.*`), so tests can deterministically
+ * inject failed opens, ENOSPC, short writes, torn renames, and
+ * corrupt reads.
  */
 
 #ifndef MGX_SIM_TRACE_IO_H
@@ -49,7 +45,6 @@
 
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -64,8 +59,7 @@ inline constexpr unsigned kTraceFormatVersion = 2;
 /**
  * Any trace I/O failure: open/write/rename errors, malformed lines
  * (with the line number), checksum mismatches, truncation. CLIs let
- * it propagate to a fatal top-level handler; the Experiment cache
- * paths and the serve daemon catch it and degrade.
+ * it propagate to a fatal top-level handler.
  */
 class TraceIoError : public std::runtime_error
 {
@@ -83,11 +77,11 @@ void writeTrace(const core::Trace &trace, std::ostream &out);
 std::string traceToString(const core::Trace &trace);
 
 /**
- * Parse a serialized trace. Throws TraceIoError on malformed input
- * with the offending line number. @p require_checksum additionally
- * rejects input without a verified integrity envelope.
+ * Parse a serialized trace, verifying its integrity envelope when it
+ * has one. Throws TraceIoError on malformed or corrupt input with the
+ * offending line number.
  */
-core::Trace readTrace(std::istream &in, bool require_checksum = false);
+core::Trace readTrace(std::istream &in);
 
 /** Parse from a string. */
 core::Trace traceFromString(const std::string &text);
@@ -97,60 +91,9 @@ core::Trace traceFromString(const std::string &text);
 core::Trace readTraceFile(const std::string &path);
 
 /**
- * Non-fatal-open variant of readTraceFile: nullopt when @p path
- * cannot be opened — for callers racing a concurrent evictor in a
- * shared trace cache. Parse/checksum errors on a file that *did*
- * open still throw TraceIoError (the caller quarantines).
- */
-std::optional<core::Trace>
-readTraceFileIfReadable(const std::string &path,
-                        bool require_checksum = false);
-
-/**
- * Move a failed-verification trace file out of the cache's way:
- * rename `<path>` to `<path>.bad` (replacing any previous quarantine
- * of the same key) so the next miss regenerates while the corrupt
- * bytes stay inspectable. Returns false if the rename failed (the
- * file is then removed outright as a last resort). Never throws.
- */
-bool quarantineTraceFile(const std::string &path) noexcept;
-
-/**
- * Cross-process mutual exclusion around one trace-cache key: an
- * exclusive advisory flock(2) on `<path>.lock`, held for the object's
- * lifetime. Two processes (or two threads — each acquisition opens
- * its own descriptor) missing on the same key serialize here, so only
- * the first generates the trace; the second re-checks after acquiring
- * and finds the published file. The kernel drops the lock when the
- * holder dies, so a crashed generator never wedges the key. The
- * `.lock` file itself is left behind (unlinking it would race new
- * acquirers); LRU eviction only ever deletes `*.trace` files, so the
- * locks never collide with it. EINTR during the wait is retried.
- */
-class TraceCacheLock
-{
-  public:
-    /** Blocks until the lock on `<trace_path>.lock` is held. Throws
-     *  TraceIoError on IO errors (e.g. the cache directory
-     *  vanished). */
-    explicit TraceCacheLock(const std::string &trace_path);
-    ~TraceCacheLock();
-
-    TraceCacheLock(const TraceCacheLock &) = delete;
-    TraceCacheLock &operator=(const TraceCacheLock &) = delete;
-
-    const std::string &lockPath() const { return lockPath_; }
-
-  private:
-    std::string lockPath_;
-    int fd_ = -1;
-};
-
-/**
  * Atomically publish @p trace at @p path: serialize into a
  * process-unique temporary sibling, then rename it into place, so a
- * concurrent reader (another experiment process sharing a trace
- * cache) never observes a partially written trace. Throws
+ * concurrent reader never observes a partially written trace. Throws
  * TraceIoError on IO errors.
  */
 void writeTraceFile(const core::Trace &trace, const std::string &path);
@@ -210,33 +153,19 @@ class TraceFileWriteSink final : public core::PhaseSink
  * TraceIoError on open failure and on malformed/corrupt input (with
  * the line number), like readTraceFile; note the checksum footer is
  * only reached by the *last* nextChunk(), so a corrupt tail
- * surfaces near the end of a replay — callers that recover must
- * discard the partial run and restart from the kernel.
+ * surfaces near the end of a replay — the partial run must be
+ * discarded.
  */
 class FilePhaseSource final : public core::PhaseSource
 {
   public:
-    explicit FilePhaseSource(const std::string &path,
-                             bool require_checksum = false);
+    explicit FilePhaseSource(const std::string &path);
     ~FilePhaseSource() override;
-
-    /**
-     * Non-fatal-open variant: nullptr when @p path cannot be opened —
-     * for callers with a fallback (e.g. a shared trace cache whose
-     * file a concurrent process may have evicted between the
-     * existence check and the replay).
-     */
-    static std::unique_ptr<FilePhaseSource>
-    openIfReadable(const std::string &path,
-                   bool require_checksum = false);
 
     bool nextChunk(core::PhaseSink &sink) override;
 
   private:
     struct Impl;
-
-    explicit FilePhaseSource(std::unique_ptr<Impl> impl);
-
     std::unique_ptr<Impl> impl_;
 };
 

@@ -392,26 +392,6 @@ tryMakeKernel(const std::string &name, const Platform &platform,
     }
 }
 
-std::string
-traceCacheKey(const std::string &name, const Platform &platform)
-{
-    ParsedName p = [&] {
-        try {
-            return parseName(name);
-        } catch (const BadWorkload &e) {
-            fatal("%s", e.message.c_str());
-        }
-    }();
-    if (p.domain != "dnn")
-        return name;
-    // DNN tiling follows the accelerator's SRAM, so the trace is
-    // per-accel; an explicit accel= pins it regardless of platform.
-    const std::string accel_str = toLower(p.query.str("accel"));
-    const bool edge = accel_str.empty() ? platform.name == "Edge"
-                                        : accel_str == "edge";
-    return name + (edge ? "@edge" : "@cloud");
-}
-
 Platform
 defaultPlatform(const std::string &name)
 {

@@ -72,16 +72,6 @@ std::unique_ptr<core::Kernel> tryMakeKernel(const std::string &name,
                                             const Platform &platform,
                                             std::string *error);
 
-/**
- * Key under which @p name's generated trace may be cached when run on
- * @p platform. Equal keys guarantee equal traces: platform-independent
- * workloads share one key across platforms (so a Cloud+Edge grid
- * generates their trace once), DNN workloads get one key per
- * accelerator config.
- */
-std::string traceCacheKey(const std::string &name,
-                          const Platform &platform);
-
 /** The platform a workload's domain is evaluated on in the paper. */
 Platform defaultPlatform(const std::string &name);
 

@@ -10,6 +10,7 @@
 
 #include "sim/experiment.h"
 #include "sim/report.h"
+#include "sim/trace_io.h"
 #include "sim/workload_registry.h"
 
 namespace mgx::sim {
@@ -56,16 +57,20 @@ TEST(Registry, AliasesAndParamsResolve)
 
 TEST(Registry, PlatformSelectsDnnAccel)
 {
+    const auto traceOn = [](const std::string &name,
+                            const Platform &platform) {
+        return traceToString(makeKernel(name, platform)->generate());
+    };
     // The same model tiles differently for the Edge accelerator's
-    // smaller SRAM, so the cache keys — and traces — must differ.
-    EXPECT_NE(traceCacheKey("dnn/ResNet", cloudPlatform()),
-              traceCacheKey("dnn/ResNet", edgePlatform()));
-    // Pinning accel= makes the key platform-independent again.
-    EXPECT_EQ(traceCacheKey("dnn/ResNet?accel=cloud", cloudPlatform()),
-              traceCacheKey("dnn/ResNet?accel=cloud", edgePlatform()));
+    // smaller SRAM, so its traces must differ.
+    EXPECT_NE(traceOn("dnn/ResNet", cloudPlatform()),
+              traceOn("dnn/ResNet", edgePlatform()));
+    // Pinning accel= makes the trace platform-independent again.
+    EXPECT_EQ(traceOn("dnn/ResNet?accel=cloud", cloudPlatform()),
+              traceOn("dnn/ResNet?accel=cloud", edgePlatform()));
     // Non-DNN workloads never depend on the platform.
-    EXPECT_EQ(traceCacheKey("genome/chr1PacBio", cloudPlatform()),
-              traceCacheKey("genome/chr1PacBio", edgePlatform()));
+    EXPECT_EQ(traceOn("genome/chr1PacBio", cloudPlatform()),
+              traceOn("genome/chr1PacBio", edgePlatform()));
 }
 
 TEST(RegistryDeathTest, UnknownNamesAreFatal)
@@ -173,9 +178,9 @@ TEST(Experiment, DeterministicAcrossThreadsAndPipeline)
 
 TEST(Experiment, TraceCacheSharesAcrossPlatforms)
 {
-    // A platform-independent workload on two platforms: 2x5 grid, one
-    // shared trace; the two platforms' NP results differ (different
-    // DRAM systems) — i.e. the cache keys collapsed, not the runs.
+    // A platform-independent workload on two platforms: both cells
+    // replay one and the same trace, so their data traffic matches,
+    // while their NP timing differs (different DRAM systems).
     ResultSet rs =
         Experiment()
             .workload("core/matmul?m=128&n=128&k=128")

@@ -176,8 +176,8 @@ TEST(TraceIo, CommentsAndBlankLinesIgnored)
 
 // Damaged trace text is an environment fault, not a programming
 // error: parse failures raise the catchable TraceIoError (see
-// sim/trace_io.h) so callers can quarantine and regenerate instead
-// of losing the process.
+// sim/trace_io.h) so callers can report the bad file instead of
+// losing the process.
 TEST(TraceIo, MalformedInputThrowsTraceIoError)
 {
     auto message = [](const char *text) -> std::string {

@@ -2,10 +2,9 @@
  * @file
  * Fault-injection tests: the failpoint registry's arming grammar and
  * counters, the checksummed trace envelope (CRC32 vector, round trip,
- * truncation, bit flips, legacy streams), Experiment's graceful
- * degradation under every trace_io fault (quarantine + regenerate,
- * ENOSPC publishing nothing, torn renames swept as debris, EINTR
- * storms on the cache lock), the serve layer's deadline and
+ * truncation, bit flips, legacy streams), trace-file writes that fail
+ * mid-way (a failed open, ENOSPC, a short write or a torn rename
+ * never publishes the target path), the serve layer's deadline and
  * stuck-client recovery, and a single self-contained sweep proving
  * every registered failpoint in the binary actually fires.
  */
@@ -33,7 +32,6 @@
 #include "fleet/supervisor.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "sim/experiment.h"
 #include "sim/trace_io.h"
 #include "sim/workload_registry.h"
 
@@ -68,60 +66,23 @@ struct FailpointGuard
     ~FailpointGuard() { failpoint::disarmAll(); }
 };
 
-/**
- * One-cell grid. Serial by default (cache fills in phase 1, before
- * the replay); @p pipelined switches to the deferred tee path, where
- * the cell's producer streams into the cache file while the replay
- * consumes the same phases — each mode exercises different fault
- * boundaries.
- */
-sim::ResultSet
-runGrid(const std::string &cache_dir, bool pipelined = false)
-{
-    sim::Experiment e;
-    e.workload(kWorkload).schemes({protection::Scheme::NP});
-    if (pipelined)
-        e.threads(2).pipelined(true);
-    else
-        e.threads(1).pipelined(false);
-    if (!cache_dir.empty())
-        e.traceCacheDir(cache_dir);
-    return e.run();
-}
-
-/** Model outputs must survive any cache fault bit for bit; only the
- *  trace-footprint fields may depend on how the replay was fed. */
+/** Stream kWorkload's trace into @p file (checksummed envelope). */
 void
-expectSameModelOutputs(const sim::RunResult &a, const sim::RunResult &b,
-                       const char *label)
+writeKernelTrace(const std::string &file)
 {
-    EXPECT_EQ(a.totalCycles, b.totalCycles) << label;
-    EXPECT_EQ(a.computeCycles, b.computeCycles) << label;
-    EXPECT_EQ(a.memoryCycles, b.memoryCycles) << label;
-    EXPECT_EQ(a.traffic.dataBytes, b.traffic.dataBytes) << label;
-    EXPECT_EQ(a.traffic.expandBytes, b.traffic.expandBytes) << label;
-    EXPECT_EQ(a.traffic.macBytes, b.traffic.macBytes) << label;
-    EXPECT_EQ(a.traffic.vnBytes, b.traffic.vnBytes) << label;
-    EXPECT_EQ(a.traffic.treeBytes, b.traffic.treeBytes) << label;
-    EXPECT_EQ(a.dramAccesses, b.dramAccesses) << label;
-    EXPECT_EQ(a.logicalAccesses, b.logicalAccesses) << label;
-    EXPECT_EQ(a.metaCacheHits, b.metaCacheHits) << label;
-    EXPECT_EQ(a.metaCacheMisses, b.metaCacheMisses) << label;
-    EXPECT_EQ(a.seconds, b.seconds) << label;
+    sim::TraceFileWriteSink sink(file);
+    sim::makeKernel(kWorkload)->stream()->drainTo(sink);
+    sink.finish();
 }
 
-std::vector<fs::path>
-filesWithSuffix(const fs::path &dir, const std::string &suffix)
+/** Pull @p file through FilePhaseSource, verifying its envelope. */
+core::Trace
+readVerified(const std::string &file)
 {
-    std::vector<fs::path> out;
-    for (const auto &entry : fs::directory_iterator(dir)) {
-        const std::string name = entry.path().filename().string();
-        if (name.size() >= suffix.size() &&
-            name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) == 0)
-            out.push_back(entry.path());
-    }
-    return out;
+    core::Trace trace;
+    core::TraceBuildSink sink(trace);
+    sim::FilePhaseSource(file).drainTo(sink);
+    return trace;
 }
 
 std::vector<fs::path>
@@ -267,12 +228,7 @@ TEST(TraceEnvelope, WriteSinkRoundTripsWithVerifiedChecksum)
     TempDir dir("roundtrip");
     const std::string file = (dir.path / "t.trace").string();
 
-    auto kernel = sim::makeKernel(kWorkload);
-    {
-        sim::TraceFileWriteSink sink(file);
-        kernel->stream()->drainTo(sink);
-        sink.finish();
-    }
+    writeKernelTrace(file);
 
     // Envelope shape: version header first, CRC footer last.
     const std::string raw = slurp(file);
@@ -280,12 +236,9 @@ TEST(TraceEnvelope, WriteSinkRoundTripsWithVerifiedChecksum)
     const std::size_t last_line = raw.rfind("\nC ");
     ASSERT_NE(last_line, std::string::npos);
 
-    // Strict read verifies and strips the envelope; the payload must
+    // Reading verifies and strips the envelope; the payload must
     // equal the materialized trace byte for byte.
-    const auto strict = sim::readTraceFileIfReadable(
-        file, /*require_checksum=*/true);
-    ASSERT_TRUE(strict.has_value());
-    EXPECT_EQ(sim::traceToString(*strict),
+    EXPECT_EQ(sim::traceToString(readVerified(file)),
               sim::traceToString(sim::makeKernel(kWorkload)->generate()));
 }
 
@@ -293,11 +246,7 @@ TEST(TraceEnvelope, TruncationIsDetected)
 {
     TempDir dir("truncate");
     const std::string file = (dir.path / "t.trace").string();
-    {
-        sim::TraceFileWriteSink sink(file);
-        sim::makeKernel(kWorkload)->stream()->drainTo(sink);
-        sink.finish();
-    }
+    writeKernelTrace(file);
     std::string raw = slurp(file);
     // Drop the footer line — the classic crash-mid-write shape.
     raw.erase(raw.rfind("C "));
@@ -306,24 +255,21 @@ TEST(TraceEnvelope, TruncationIsDetected)
         out << raw;
     }
     try {
-        sim::readTraceFileIfReadable(file, true);
+        readVerified(file);
         FAIL() << "truncated trace verified";
     } catch (const sim::TraceIoError &e) {
         EXPECT_NE(std::string(e.what()).find("truncated"),
                   std::string::npos)
             << e.what();
     }
+    EXPECT_THROW(sim::readTraceFile(file), sim::TraceIoError);
 }
 
-TEST(TraceEnvelope, BitFlipIsDetectedAndQuarantined)
+TEST(TraceEnvelope, BitFlipIsDetected)
 {
     TempDir dir("bitflip");
     const std::string file = (dir.path / "t.trace").string();
-    {
-        sim::TraceFileWriteSink sink(file);
-        sim::makeKernel(kWorkload)->stream()->drainTo(sink);
-        sink.finish();
-    }
+    writeKernelTrace(file);
     std::string raw = slurp(file);
     // Flip one hex digit in the middle of the payload: every line
     // still parses, only the CRC can notice.
@@ -334,12 +280,8 @@ TEST(TraceEnvelope, BitFlipIsDetectedAndQuarantined)
         std::ofstream out(file, std::ios::binary | std::ios::trunc);
         out << raw;
     }
-    EXPECT_THROW(sim::readTraceFileIfReadable(file, true),
-                 sim::TraceIoError);
-
-    EXPECT_TRUE(sim::quarantineTraceFile(file));
-    EXPECT_FALSE(fs::exists(file));
-    EXPECT_TRUE(fs::exists(file + ".bad"));
+    EXPECT_THROW(readVerified(file), sim::TraceIoError);
+    EXPECT_THROW(sim::readTraceFile(file), sim::TraceIoError);
 }
 
 TEST(TraceEnvelope, LegacyHeaderlessStreamsStillParse)
@@ -347,154 +289,55 @@ TEST(TraceEnvelope, LegacyHeaderlessStreamsStillParse)
     const core::Trace trace =
         sim::makeKernel(kWorkload)->generate();
     const std::string payload = sim::traceToString(trace);
-    // Envelope-free text (writeTrace / dumps) parses in lenient mode…
+    // Envelope-free text (writeTrace / dumps) still parses.
     const core::Trace again = sim::traceFromString(payload);
     EXPECT_EQ(sim::traceToString(again), payload);
-    // …but strict mode refuses anything without a verified envelope.
-    std::istringstream ss(payload);
-    EXPECT_THROW(sim::readTrace(ss, /*require_checksum=*/true),
-                 sim::TraceIoError);
 }
 
 // ---------------------------------------------------------------------
-// Experiment degradation under injected faults
+// Trace-file writes that fail never publish the target path
 // ---------------------------------------------------------------------
 
-TEST(ExperimentFault, CorruptCacheFileQuarantinedAndRegenerated)
-{
-    FailpointGuard guard;
-    TempDir dir("corrupt");
-    const sim::ResultSet baseline = runGrid("");
-
-    // Cold pipelined run publishes the cache file through the tee.
-    runGrid(dir.str(), /*pipelined=*/true);
-    auto traces = filesWithSuffix(dir.path, ".trace");
-    ASSERT_EQ(traces.size(), 1u);
-    const std::string pristine = slurp(traces[0]);
-
-    // Corrupt one payload digit on disk.
-    std::string raw = pristine;
-    const std::size_t pos = raw.find('7', raw.size() / 2);
-    ASSERT_NE(pos, std::string::npos);
-    raw[pos] = '8';
-    {
-        std::ofstream out(traces[0],
-                          std::ios::binary | std::ios::trunc);
-        out << raw;
-    }
-
-    // The warm run must detect it, quarantine, regenerate from the
-    // kernel (republishing within the same run), and still produce
-    // exact results.
-    const sim::ResultSet rs = runGrid(dir.str(), /*pipelined=*/true);
-    ASSERT_EQ(rs.records().size(), 1u);
-    expectSameModelOutputs(rs.records()[0].result,
-                           baseline.records()[0].result, "corrupt");
-    EXPECT_EQ(rs.traceCacheQuarantined(), 1u);
-    EXPECT_EQ(rs.traceCacheHits(), 0u);
-    EXPECT_EQ(rs.traceCacheMisses(), 1u);
-    EXPECT_FALSE(rs.cacheDegraded());
-    EXPECT_EQ(filesWithSuffix(dir.path, ".trace.bad").size(), 1u);
-
-    // The regenerated file is bitwise-identical to the pre-corruption
-    // original (equal keys guarantee equal traces, and the envelope
-    // is deterministic).
-    traces = filesWithSuffix(dir.path, ".trace");
-    ASSERT_EQ(traces.size(), 1u);
-    EXPECT_EQ(slurp(traces[0]), pristine);
-
-    // And a later run hits it cleanly.
-    const sim::ResultSet warm = runGrid(dir.str(), /*pipelined=*/true);
-    EXPECT_EQ(warm.traceCacheHits(), 1u);
-    EXPECT_EQ(warm.traceCacheQuarantined(), 0u);
-}
-
-TEST(ExperimentFault, EnospcPublishesNothingAndDegradesGracefully)
+TEST(TraceFileFault, EnospcPublishesNothing)
 {
     FailpointGuard guard;
     TempDir dir("enospc");
-    const sim::ResultSet baseline = runGrid("");
-
+    const std::string file = (dir.path / "t.trace").string();
     ASSERT_TRUE(
         failpoint::armSpecList("trace_io.write.enospc=once"));
-    const sim::ResultSet rs = runGrid(dir.str());
-    ASSERT_EQ(rs.records().size(), 1u);
-    expectSameModelOutputs(rs.records()[0].result,
-                           baseline.records()[0].result, "enospc");
-    // A failed write publishes nothing — no half-written trace, no
-    // leaked temporary (consume cleans up on ENOSPC).
-    EXPECT_TRUE(filesWithSuffix(dir.path, ".trace").empty());
-    EXPECT_TRUE(filesContaining(dir.path, ".trace.tmp.").empty());
-    EXPECT_TRUE(rs.cacheDegraded());
-    EXPECT_GE(rs.traceCacheFaults(), 1u);
-    EXPECT_EQ(rs.traceCacheMisses(), 0u);
+    EXPECT_THROW(writeKernelTrace(file), sim::TraceIoError);
+    // No half-written trace, no leaked temporary: consume() removes
+    // the temporary before it throws.
+    EXPECT_TRUE(fs::is_empty(dir.path));
 }
 
-TEST(ExperimentFault, TornRenameLeavesOnlyTmpAndSweepReclaimsIt)
+TEST(TraceFileFault, ShortWritePublishesNothing)
+{
+    FailpointGuard guard;
+    TempDir dir("short");
+    const std::string file = (dir.path / "t.trace").string();
+    ASSERT_TRUE(failpoint::armSpecList("trace_io.write.short=once"));
+    EXPECT_THROW(writeKernelTrace(file), sim::TraceIoError);
+    EXPECT_TRUE(fs::is_empty(dir.path));
+}
+
+TEST(TraceFileFault, TornRenameLeavesOnlyTmp)
 {
     FailpointGuard guard;
     TempDir dir("torn");
-    const sim::ResultSet baseline = runGrid("");
-
+    const std::string file = (dir.path / "t.trace").string();
     ASSERT_TRUE(failpoint::armSpecList("trace_io.write.torn=once"));
-    const sim::ResultSet rs = runGrid(dir.str());
-    expectSameModelOutputs(rs.records()[0].result,
-                           baseline.records()[0].result, "torn");
+    EXPECT_THROW(writeKernelTrace(file), sim::TraceIoError);
     // The crash-before-rename shape: the temporary exists, the
     // published name does not.
-    EXPECT_TRUE(filesWithSuffix(dir.path, ".trace").empty());
+    EXPECT_FALSE(fs::exists(file));
     EXPECT_EQ(filesContaining(dir.path, ".trace.tmp.").size(), 1u);
-    EXPECT_TRUE(rs.cacheDegraded());
 
-    // Debris sweep with no grace reclaims it (the in-run sweep uses a
-    // 15-minute grace so live writers are never raced).
-    EXPECT_EQ(sim::sweepTraceCacheDebris(dir.str(),
-                                         std::chrono::seconds(0)),
-              1u);
-    EXPECT_TRUE(filesContaining(dir.path, ".trace.tmp.").empty());
-}
-
-TEST(ExperimentFault, StartupSweepCountsReclaimedDebris)
-{
-    FailpointGuard guard;
-    TempDir dir("sweep");
-    // Plant aged debris: an abandoned temporary and a stale
-    // quarantine file, plus a fresh temporary a live writer could own.
-    const auto old_tmp = dir.path / "k.trace.tmp.999";
-    const auto old_bad = dir.path / "k.trace.bad";
-    const auto fresh_tmp = dir.path / "live.trace.tmp.1000";
-    for (const auto &p : {old_tmp, old_bad, fresh_tmp})
-        std::ofstream(p) << "debris\n";
-    const auto aged =
-        fs::file_time_type::clock::now() - std::chrono::hours(1);
-    fs::last_write_time(old_tmp, aged);
-    fs::last_write_time(old_bad, aged);
-
-    const sim::ResultSet rs = runGrid(dir.str());
-    EXPECT_EQ(rs.traceCacheSwept(), 2u);
-    EXPECT_FALSE(fs::exists(old_tmp));
-    EXPECT_FALSE(fs::exists(old_bad));
-    EXPECT_TRUE(fs::exists(fresh_tmp)) << "swept a live writer's tmp";
-}
-
-TEST(ExperimentFault, LockEintrStormIsRetried)
-{
-    FailpointGuard guard;
-    TempDir dir("eintr");
-    const sim::ResultSet baseline = runGrid("");
-
-    auto &eintr = failpoint::Point::get("trace_io.lock.eintr");
-    failpoint::resetCounters();
-    ASSERT_TRUE(failpoint::armSpecList("trace_io.lock.eintr=times:5"));
-    const sim::ResultSet rs = runGrid(dir.str());
-    expectSameModelOutputs(rs.records()[0].result,
-                           baseline.records()[0].result, "eintr");
-    // The storm was absorbed by retrying, not by giving up: the run
-    // published normally.
-    EXPECT_EQ(eintr.hits(), 5u);
-    EXPECT_EQ(rs.traceCacheMisses(), 1u);
-    EXPECT_FALSE(rs.cacheDegraded());
-    EXPECT_EQ(filesWithSuffix(dir.path, ".trace").size(), 1u);
+    // Nothing half-written ever sits at the target: the next write
+    // publishes normally, and the file verifies.
+    writeKernelTrace(file);
+    EXPECT_EQ(sim::traceToString(readVerified(file)),
+              sim::traceToString(sim::makeKernel(kWorkload)->generate()));
 }
 
 // ---------------------------------------------------------------------
@@ -522,12 +365,12 @@ eventually(Pred pred, int timeout_ms = 10000)
     return true;
 }
 
-serve::CellOutcome
+sim::RunRecord
 syntheticOutcome(const serve::CellKey &cell)
 {
-    serve::CellOutcome out;
-    out.record.key = {cell.workload, cell.platform.name, cell.scheme};
-    out.record.result.totalCycles = 1000;
+    sim::RunRecord out;
+    out.key = {cell.workload, cell.platform.name, cell.scheme};
+    out.result.totalCycles = 1000;
     return out;
 }
 
@@ -632,44 +475,32 @@ TEST(FailpointCoverage, EveryRegisteredFailpointFires)
     FailpointGuard guard;
     failpoint::resetCounters();
 
-    const sim::ResultSet baseline = runGrid("");
-    const auto degraded_run = [&](const char *specs) {
-        TempDir dir(specs);
-        ASSERT_TRUE(failpoint::armSpecList(specs));
-        const sim::ResultSet rs = runGrid(dir.str());
-        failpoint::disarmAll();
-        ASSERT_EQ(rs.records().size(), 1u);
-        expectSameModelOutputs(rs.records()[0].result,
-                               baseline.records()[0].result, specs);
-    };
-
-    // Write-side faults: each cold run absorbs one injected failure.
-    degraded_run("trace_io.write.open=once");
-    degraded_run("trace_io.write.enospc=once");
-    degraded_run("trace_io.write.short=once");
-    degraded_run("trace_io.write.torn=once");
-    degraded_run("trace_io.lock.open=once");
-    degraded_run("trace_io.lock.eintr=times:2");
-
-    // Read-side faults need a populated cache to read from.
+    // Trace-file faults, driven through trace_io directly: each armed
+    // point fails its write or read with TraceIoError.
     {
-        TempDir dir("reads");
-        runGrid(dir.str()); // cold, unarmed: publish the file
-        ASSERT_TRUE(
-            failpoint::armSpecList("trace_io.read.open=once"));
-        sim::ResultSet rs = runGrid(dir.str());
+        TempDir dir("coverage");
+        const std::string file = (dir.path / "t.trace").string();
+        for (const char *spec :
+             {"trace_io.write.open=once", "trace_io.write.enospc=once",
+              "trace_io.write.short=once", "trace_io.write.torn=once"}) {
+            ASSERT_TRUE(failpoint::armSpecList(spec));
+            EXPECT_THROW(writeKernelTrace(file), sim::TraceIoError)
+                << spec;
+            failpoint::disarmAll();
+            EXPECT_FALSE(fs::exists(file)) << spec;
+        }
+
+        writeKernelTrace(file); // unarmed: a valid file to read back
+        ASSERT_TRUE(failpoint::armSpecList("trace_io.read.open=once"));
+        EXPECT_THROW(sim::readTraceFile(file), sim::TraceIoError);
         failpoint::disarmAll();
-        expectSameModelOutputs(rs.records()[0].result,
-                               baseline.records()[0].result,
-                               "read.open");
         ASSERT_TRUE(
             failpoint::armSpecList("trace_io.read.corrupt=once"));
-        rs = runGrid(dir.str());
+        EXPECT_THROW(readVerified(file), sim::TraceIoError);
         failpoint::disarmAll();
-        expectSameModelOutputs(rs.records()[0].result,
-                               baseline.records()[0].result,
-                               "read.corrupt");
-        EXPECT_EQ(rs.traceCacheQuarantined(), 1u);
+        EXPECT_EQ(sim::traceToString(readVerified(file)),
+                  sim::traceToString(
+                      sim::makeKernel(kWorkload)->generate()));
     }
 
     // Serve-side faults: one dropped accept, one dead recv, one dead
@@ -813,8 +644,7 @@ TEST(FailpointCoverage, EveryRegisteredFailpointFires)
         "fleet.backend.connect", "fleet.backend.reset",
         "fleet.fork.fail",       "fleet.probe.timeout",
         "serve.accept.fail",     "serve.recv.fail",
-        "serve.send.fail",       "trace_io.lock.eintr",
-        "trace_io.lock.open",    "trace_io.read.corrupt",
+        "serve.send.fail",       "trace_io.read.corrupt",
         "trace_io.read.open",    "trace_io.write.enospc",
         "trace_io.write.open",   "trace_io.write.short",
         "trace_io.write.torn",

@@ -76,12 +76,12 @@ eventually(Pred pred, int timeout_ms = 10000)
     return true;
 }
 
-serve::CellOutcome
+sim::RunRecord
 syntheticOutcome(const serve::CellKey &cell)
 {
-    serve::CellOutcome out;
-    out.record.key = {cell.workload, cell.platform.name, cell.scheme};
-    out.record.result.totalCycles = 1000;
+    sim::RunRecord out;
+    out.key = {cell.workload, cell.platform.name, cell.scheme};
+    out.result.totalCycles = 1000;
     return out;
 }
 
@@ -347,52 +347,6 @@ TEST(ProxyTest, OutOfRotationOwnerIsSkippedWithoutAFailover)
     proxy.shutdown();
 }
 
-TEST(ProxyTest, CacheDegradedOwnerIsDemotedBelowHealthyPeers)
-{
-    MiniFleet mini(3, "degraded");
-    const std::size_t owner = ownerIndex(3);
-    // The owner's trace cache went degraded: it still answers
-    // correctly, but it re-generates traces, so routing should
-    // prefer any healthy peer over it.
-    mini.dir.setCacheDegraded("w" + std::to_string(owner), true);
-
-    ProxyOptions popts;
-    popts.listen.unixPath = testSocketPath("degraded-proxy");
-    Proxy proxy(popts, &mini.dir);
-    proxy.start();
-    const serve::SocketAddress addr{popts.listen.unixPath,
-                                    "127.0.0.1", 0};
-
-    serve::HttpResponse resp;
-    std::string error;
-    ASSERT_TRUE(serve::httpGet(addr, kTarget, &resp, &error)) << error;
-    ASSERT_EQ(resp.status, 200) << resp.body;
-
-    // Demoted, not skipped-and-failed-over: the first attempt went
-    // straight to a healthy peer.
-    EXPECT_EQ(mini.runs[owner]->load(), 0u);
-    EXPECT_EQ(proxy.metrics().failovers.load(), 0u);
-
-    // The degraded worker outranks out-of-rotation ones: with every
-    // peer out of rotation it is the first (and successful) attempt.
-    for (std::size_t i = 0; i < mini.runs.size(); ++i)
-        if (i != owner)
-            mini.dir.setInRotation("w" + std::to_string(i), false);
-    const u64 failovers_before = proxy.metrics().failovers.load();
-    ASSERT_TRUE(serve::httpGet(addr, kTarget, &resp, &error)) << error;
-    ASSERT_EQ(resp.status, 200) << resp.body;
-    EXPECT_GT(mini.runs[owner]->load(), 0u);
-    EXPECT_EQ(proxy.metrics().failovers.load(), failovers_before);
-
-    // Degradation is visible in the aggregated fleet stats.
-    serve::HttpResponse stats;
-    ASSERT_TRUE(serve::httpGet(addr, "/stats", &stats, &error))
-        << error;
-    EXPECT_NE(stats.body.find("\"cacheDegraded\": true"),
-              std::string::npos);
-    proxy.shutdown();
-}
-
 TEST(ProxyTest, StatsAggregateProxyCountersAndWorkerDocuments)
 {
     MiniFleet mini(2, "stats");
@@ -555,11 +509,6 @@ TEST(FleetIntegration, SigkillingOwnersNeverFailsOrDriftsARequest)
     opts.supervisor.serveBinary = binary;
     opts.supervisor.probeIntervalMs = 50;
     opts.supervisor.restartBackoffMs = 50;
-    // No shared trace cache here on purpose: every run regenerates
-    // its trace, so any worker's answer is bitwise-reproducible
-    // against the local reference (a deserialized cached trace may
-    // legitimately differ in traceBytes; the chaos bench covers the
-    // shared-cache configuration).
     opts.proxy.listen.unixPath = testSocketPath("integ-proxy");
     opts.proxy.failoverPauseMs = 50;
     Fleet fleet(opts);

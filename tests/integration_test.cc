@@ -6,6 +6,8 @@
  *  - DNN inference/training: MGX near-zero overhead, BP 1.2-1.5x,
  *    ablations ordered MGX < MGX_VN, MGX_MAC < BP.
  *  - Graph: same orderings on a scaled benchmark graph.
+ *  - The whole registry grid: the scheme ordering holds on every
+ *    workload, in time and in traffic.
  *  - A functional tiled MatMul over SecureMemory that computes the
  *    correct product while the kernel regenerates every VN.
  *  - Dynamic pruning (§VII-B): sparse features round-trip with the
@@ -15,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/matmul_kernel.h"
@@ -23,7 +27,9 @@
 #include "graph/graph_gen.h"
 #include "graph/graph_kernel.h"
 #include "protection/secure_memory.h"
+#include "sim/experiment.h"
 #include "sim/runner.h"
+#include "sim/workload_registry.h"
 
 namespace mgx {
 namespace {
@@ -117,6 +123,48 @@ TEST(IntegrationGraph, PageRankOverheadOrdering)
     EXPECT_GT(bp, mgx);
     EXPECT_LT(cmp.trafficIncrease(Scheme::MGX), 1.05);
     EXPECT_GT(cmp.trafficIncrease(Scheme::BP), 1.15);
+}
+
+// -- the paper's scheme ordering over the whole grid ------------------------------
+
+TEST(PaperShape, SchemeOrderingHoldsOnEveryWorkload)
+{
+    // Every registry workload x all five schemes on its paper
+    // platform: the `mgx_run --all` grid. Protection only adds work,
+    // MGX adds the least, and each ablation adds back one of the two
+    // metadata streams BP pays for in full:
+    //   NP <= MGX <= MGX_VN,  MGX <= MGX_MAC,  MGX_VN, MGX_MAC <= BP
+    // in normalized time and in traffic, on every workload. A wrong
+    // VN or MAC model breaks this ordering, not just a golden value.
+    const std::vector<std::string> workloads = sim::listWorkloads();
+    ASSERT_EQ(workloads.size(), 43u);
+    const sim::ResultSet rs =
+        sim::Experiment().workloads(workloads).run();
+    ASSERT_EQ(rs.records().size(),
+              workloads.size() * sim::allSchemes().size());
+
+    for (const auto &w : workloads) {
+        const std::string platform = sim::defaultPlatform(w).name;
+        const auto check = [&](const char *metric, const auto &value) {
+            const std::string label = w + " " + metric;
+            const auto at = [&](Scheme s) {
+                const std::optional<double> v = value(s);
+                EXPECT_TRUE(v.has_value()) << label;
+                return v.value_or(0.0);
+            };
+            EXPECT_LE(at(Scheme::NP), at(Scheme::MGX)) << label;
+            EXPECT_LE(at(Scheme::MGX), at(Scheme::MGX_VN)) << label;
+            EXPECT_LE(at(Scheme::MGX), at(Scheme::MGX_MAC)) << label;
+            EXPECT_LE(at(Scheme::MGX_VN), at(Scheme::BP)) << label;
+            EXPECT_LE(at(Scheme::MGX_MAC), at(Scheme::BP)) << label;
+        };
+        check("normalizedTime", [&](Scheme s) {
+            return rs.normalizedTime(w, platform, s);
+        });
+        check("trafficIncrease", [&](Scheme s) {
+            return rs.trafficIncrease(w, platform, s);
+        });
+    }
 }
 
 // -- functional MatMul over SecureMemory --------------------------------------------

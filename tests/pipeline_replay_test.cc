@@ -3,25 +3,19 @@
  * Pipelined-replay tests: the SPSC PhaseRing itself (FIFO order,
  * blocking back-pressure, both shutdown sides, error propagation),
  * streamed-vs-pipelined bitwise equivalence for one cell per domain,
- * ring-capacity invariance, the trace-cache tee, and race regression
- * tests for concurrent trace-cache eviction. This suite (plus
- * streaming_test and experiment_test) runs under ThreadSanitizer in
- * CI (-DMGX_SANITIZE=thread).
+ * ring-capacity invariance, and a trace file unlinked under its
+ * reader. This suite (plus streaming_test and experiment_test) runs
+ * under ThreadSanitizer in CI (-DMGX_SANITIZE=thread).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "core/phase_ring.h"
 #include "sim/experiment.h"
@@ -323,72 +317,15 @@ TEST(PipelineReplay, RingCapacityInvarianceThroughExperiment)
 }
 
 // ---------------------------------------------------------------------
-// Trace-cache tee
-// ---------------------------------------------------------------------
-
-TEST(PipelineTraceCache, TeePopulatesCacheWhileReplaying)
-{
-    const fs::path dir =
-        fs::temp_directory_path() / "mgx_pipeline_tee_test";
-    fs::remove_all(dir);
-
-    const std::string w = "core/matmul?m=128&n=128&k=128";
-    const RunResult baseline = runSerial(w, Scheme::BP);
-
-    // Single-cell grid + pipeline + cold cache: the producer tees the
-    // kernel stream into the cache file while this run replays it —
-    // one kernel execution, cache populated, result identical.
-    auto cached = [&] {
-        return Experiment()
-            .workload(w)
-            .schemes({Scheme::BP})
-            .threads(2)
-            .pipelined(true)
-            .traceCacheDir(dir.string())
-            .run();
-    };
-    const ResultSet cold = cached();
-    EXPECT_EQ(cold.traceCacheMisses(), 1u);
-    EXPECT_EQ(cold.traceCacheHits(), 0u);
-    ASSERT_EQ(cold.records().size(), 1u);
-    expectBitwiseEqual(baseline, cold.records()[0].result, "cold tee");
-
-    // Exactly one published trace file, byte-equivalent to the
-    // kernel's materialized trace (no half-written temporary left).
-    // The per-key .lock file stays behind on purpose: unlinking it
-    // would race other lockers onto a fresh inode.
-    std::vector<fs::path> files;
-    std::size_t locks = 0;
-    for (const auto &e : fs::directory_iterator(dir)) {
-        if (e.path().extension() == ".lock")
-            ++locks;
-        else
-            files.push_back(e.path());
-    }
-    ASSERT_EQ(files.size(), 1u);
-    EXPECT_EQ(locks, 1u);
-    EXPECT_EQ(files[0].extension(), ".trace");
-    core::Trace expected = makeKernel(w)->generate();
-    EXPECT_EQ(traceToString(readTraceFile(files[0].string())),
-              traceToString(expected));
-
-    // The warm run replays the teed file — a hit, same results.
-    const ResultSet warm = cached();
-    EXPECT_EQ(warm.traceCacheHits(), 1u);
-    EXPECT_EQ(warm.traceCacheMisses(), 0u);
-    expectBitwiseEqual(baseline, warm.records()[0].result, "warm tee");
-    fs::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
-// Trace-cache eviction races
+// Trace files under concurrent unlink
 // ---------------------------------------------------------------------
 
 TEST(EvictionRace, MidReadUnlinkStillDrainsTheWholeTrace)
 {
-    // A FilePhaseSource caught mid-phase by an eviction must finish
-    // its pass: on POSIX the open descriptor outlives the unlink, so
-    // the reader sees the complete, unmodified trace.
+    // A FilePhaseSource caught mid-phase by an unlink (another
+    // process deleting the file) must finish its pass: on POSIX the
+    // open descriptor outlives the unlink, so the reader sees the
+    // complete, unmodified trace.
     const fs::path dir =
         fs::temp_directory_path() / "mgx_midread_unlink_test";
     fs::remove_all(dir);
@@ -404,194 +341,10 @@ TEST(EvictionRace, MidReadUnlinkStillDrainsTheWholeTrace)
     FilePhaseSource source(file);
     for (int i = 0; i < 2; ++i)
         ASSERT_TRUE(source.nextChunk(sink)); // reader is mid-trace
-    EXPECT_EQ(enforceTraceCacheLimit(dir.string(), 0), 1u);
-    EXPECT_FALSE(fs::exists(file)); // evicted under the reader
+    ASSERT_TRUE(fs::remove(file)); // unlinked under the reader
     while (source.nextChunk(sink)) {
     }
     EXPECT_EQ(traceToString(rebuilt), traceToString(trace));
-    fs::remove_all(dir);
-}
-
-TEST(EvictionRace, ConcurrentEvictorStaysBitwiseIdentical)
-{
-    // Hammer the cache directory with an evictor thread while cells
-    // replay from it, serial and pipelined: whether a cell wins the
-    // race (replays the file) or loses it (openIfReadable fails and
-    // it falls back to streaming the kernel), every result must equal
-    // the uncached baseline.
-    const fs::path dir =
-        fs::temp_directory_path() / "mgx_evict_race_test";
-    fs::remove_all(dir);
-
-    const std::string w = "core/matmul?m=128&n=128&k=128";
-    const RunResult baseline = runSerial(w, Scheme::BP);
-
-    std::atomic<bool> stop{false};
-    std::thread evictor([&] {
-        while (!stop.load(std::memory_order_relaxed)) {
-            enforceTraceCacheLimit(dir.string(), 0);
-            std::this_thread::yield();
-        }
-    });
-    for (int i = 0; i < 12; ++i) {
-        const ResultSet rs = Experiment()
-                                 .workload(w)
-                                 .schemes({Scheme::BP})
-                                 .threads(2)
-                                 .pipelined(i % 2 == 1)
-                                 .traceCacheDir(dir.string())
-                                 .run();
-        ASSERT_EQ(rs.records().size(), 1u);
-        expectBitwiseEqual(baseline, rs.records()[0].result,
-                           "race iteration " + std::to_string(i));
-    }
-    stop.store(true, std::memory_order_relaxed);
-    evictor.join();
-    fs::remove_all(dir);
-}
-
-TEST(EvictionRace, ForeignProcessEvictorStaysBitwiseIdentical)
-{
-    // Same contract as above, but the evictor is another *process*
-    // (a shell rm-loop), so it exercises the cross-process story:
-    // atomic tmp+rename publishes, the per-key flock, and the
-    // open-then-probe fallbacks — a foreign unlink can land between
-    // any two filesystem calls here, which no in-process evictor
-    // interleaving guarantees.
-    const fs::path dir =
-        fs::temp_directory_path() / "mgx_foreign_evict_test";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string stop_flag = (dir / "stop.flag").string();
-
-    const std::string w = "core/matmul?m=128&n=128&k=128";
-    const RunResult baseline = runSerial(w, Scheme::BP);
-    // The materialized path's own baseline: its footprint fields
-    // (traceBytes, peakPhaseBytes) describe holding the whole trace,
-    // so they differ from the streamed run's by design.
-    const ResultSet materialized_rs = Experiment()
-                                          .workload(w)
-                                          .schemes({Scheme::BP})
-                                          .threads(1)
-                                          .streaming(false)
-                                          .run();
-    ASSERT_EQ(materialized_rs.records().size(), 1u);
-    const RunResult baseline_mat = materialized_rs.records()[0].result;
-
-    const std::string cmd = "while [ ! -e '" + stop_flag +
-                            "' ]; do rm -f '" + dir.string() +
-                            "'/*.trace 2>/dev/null; done";
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        // Exec immediately: nothing but the shell runs in the child,
-        // which keeps the fork safe under ThreadSanitizer.
-        ::execl("/bin/sh", "sh", "-c", cmd.c_str(),
-                static_cast<char *>(nullptr));
-        ::_exit(127);
-    }
-
-    for (int i = 0; i < 9; ++i) {
-        // Rotate the replay mode so the foreign unlink hits the
-        // streamed, pipelined and materialized cache paths in turn.
-        Experiment e;
-        e.workload(w)
-            .schemes({Scheme::BP})
-            .threads(2)
-            .traceCacheDir(dir.string());
-        if (i % 3 == 0)
-            e.pipelined(false);
-        else if (i % 3 == 1)
-            e.pipelined(true);
-        else
-            e.streaming(false);
-        const ResultSet rs = e.run();
-        ASSERT_EQ(rs.records().size(), 1u);
-        expectBitwiseEqual(i % 3 == 2 ? baseline_mat : baseline,
-                           rs.records()[0].result,
-                           "foreign-evictor iteration " +
-                               std::to_string(i));
-    }
-
-    std::ofstream(stop_flag) << "stop\n";
-    int status = 0;
-    EXPECT_EQ(::waitpid(pid, &status, 0), pid);
-    EXPECT_TRUE(WIFEXITED(status));
-    fs::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
-// Trace-cache key locks (cross-process generate-once)
-// ---------------------------------------------------------------------
-
-TEST(TraceCacheLockTest, ConcurrentMissesGenerateExactlyOnce)
-{
-    // The probe / lock / re-probe pattern Experiment::run uses around
-    // cache misses: whoever wins the flock generates; everyone else
-    // re-probes under the lock and finds the published file.
-    const fs::path dir =
-        fs::temp_directory_path() / "mgx_cachelock_once_test";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string file = (dir / "key.trace").string();
-
-    const core::Trace trace =
-        makeKernel("video/h264?frames=2")->generate();
-    std::atomic<int> generations{0};
-
-    std::vector<std::thread> threads;
-    for (int i = 0; i < 4; ++i) {
-        threads.emplace_back([&] {
-            if (readTraceFileIfReadable(file))
-                return;
-            TraceCacheLock lock(file);
-            if (readTraceFileIfReadable(file))
-                return; // someone generated while we waited
-            writeTraceFile(trace, file);
-            generations.fetch_add(1);
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-
-    EXPECT_EQ(generations.load(), 1);
-    const auto readback = readTraceFileIfReadable(file);
-    ASSERT_TRUE(readback.has_value());
-    EXPECT_EQ(traceToString(*readback), traceToString(trace));
-    // The lock file is deliberately left behind (unlink would race);
-    // eviction never touches it because it only deletes *.trace.
-    EXPECT_TRUE(fs::exists(file + ".lock"));
-    enforceTraceCacheLimit(dir.string(), 0);
-    EXPECT_FALSE(fs::exists(file));
-    EXPECT_TRUE(fs::exists(file + ".lock"));
-    fs::remove_all(dir);
-}
-
-TEST(TraceCacheLockTest, SecondLockerBlocksUntilRelease)
-{
-    const fs::path dir =
-        fs::temp_directory_path() / "mgx_cachelock_block_test";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string file = (dir / "key.trace").string();
-
-    std::atomic<bool> holding{false};
-    std::atomic<bool> released{false};
-
-    std::thread holder([&] {
-        TraceCacheLock lock(file);
-        holding.store(true, std::memory_order_release);
-        // Hold long enough that the contender is provably blocked in
-        // its constructor before we let go.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        released.store(true, std::memory_order_release);
-    });
-
-    while (!holding.load(std::memory_order_acquire))
-        std::this_thread::yield();
-    TraceCacheLock lock(file); // blocks until the holder's dtor
-    EXPECT_TRUE(released.load(std::memory_order_acquire));
-    holder.join();
     fs::remove_all(dir);
 }
 

@@ -263,16 +263,16 @@ eventually(Pred pred, int timeout_ms = 10000)
 }
 
 /** A cheap deterministic record for injected cell runners. */
-CellOutcome
+sim::RunRecord
 syntheticOutcome(const CellKey &cell)
 {
-    CellOutcome out;
-    out.record.key = {cell.workload, cell.platform.name, cell.scheme};
-    out.record.result.totalCycles = 1000;
-    out.record.result.computeCycles = 600;
-    out.record.result.memoryCycles = 400;
-    out.record.result.seconds = 0.001;
-    out.record.result.traffic.dataBytes = 4096;
+    sim::RunRecord out;
+    out.key = {cell.workload, cell.platform.name, cell.scheme};
+    out.result.totalCycles = 1000;
+    out.result.computeCycles = 600;
+    out.result.memoryCycles = 400;
+    out.result.seconds = 0.001;
+    out.result.traffic.dataBytes = 4096;
     return out;
 }
 
@@ -674,8 +674,6 @@ TEST(ServerTest, HealthzReportsLiveness)
     EXPECT_EQ(resp.status, 200);
     EXPECT_NE(resp.body.find("\"ok\": true"), std::string::npos);
     EXPECT_NE(resp.body.find("\"draining\": false"),
-              std::string::npos);
-    EXPECT_NE(resp.body.find("\"cacheDegraded\": false"),
               std::string::npos);
     server.shutdown();
 }

@@ -5,9 +5,8 @@
  * one cell per domain x NP/MGX/BP, determinism across pool widths
  * 1/2/4/8 (including per-channel load equality *across* widths),
  * clean shutdown when the phase source throws mid-stream (bare and
- * composed with the pipeline ring), the Experiment-level
- * threads/replayThreads composition, and the concurrent trace-cache
- * evictor hammer with sharding on. This suite runs under
+ * composed with the pipeline ring), and the Experiment-level
+ * threads/replayThreads composition. This suite runs under
  * ThreadSanitizer in CI (-DMGX_SANITIZE=thread).
  *
  * Every Experiment here sets threads() explicitly: the thread budget
@@ -18,11 +17,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <filesystem>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/experiment.h"
@@ -32,8 +28,6 @@
 
 namespace mgx::sim {
 namespace {
-
-namespace fs = std::filesystem;
 
 using protection::ProtectionConfig;
 using protection::ProtectionEngine;
@@ -472,49 +466,6 @@ TEST(ShardReplay, SingleThreadBudgetClampsShardingOff)
                              .run();
     ASSERT_EQ(rs.records().size(), 1u);
     EXPECT_EQ(rs.records()[0].result.shardReplayThreads, 0u);
-}
-
-// ---------------------------------------------------------------------
-// Trace-cache eviction hammer, sharded
-// ---------------------------------------------------------------------
-
-TEST(ShardEvictionRace, ConcurrentEvictorStaysBitwiseIdentical)
-{
-    // The pipeline suite's evictor hammer with channel sharding on:
-    // whether a cell replays the cached file or falls back to the
-    // kernel, and whether the ring is in the loop, the sharded result
-    // must equal the uncached serial baseline every iteration.
-    const fs::path dir =
-        fs::temp_directory_path() / "mgx_shard_evict_race_test";
-    fs::remove_all(dir);
-
-    const std::string w = "core/matmul?m=128&n=128&k=128";
-    const RunResult baseline = runSerial(w, Scheme::BP);
-
-    std::atomic<bool> stop{false};
-    std::thread evictor([&] {
-        while (!stop.load(std::memory_order_relaxed)) {
-            enforceTraceCacheLimit(dir.string(), 0);
-            std::this_thread::yield();
-        }
-    });
-    for (int i = 0; i < 10; ++i) {
-        const ResultSet rs = Experiment()
-                                 .workload(w)
-                                 .schemes({Scheme::BP})
-                                 .threads(4)
-                                 .replayThreads(2)
-                                 .pipelined(i % 2 == 1)
-                                 .traceCacheDir(dir.string())
-                                 .run();
-        ASSERT_EQ(rs.records().size(), 1u);
-        expectBitwiseEqual(baseline, rs.records()[0].result,
-                           "race iteration " + std::to_string(i));
-        EXPECT_GE(rs.records()[0].result.shardReplayThreads, 2u);
-    }
-    stop.store(true, std::memory_order_relaxed);
-    evictor.join();
-    fs::remove_all(dir);
 }
 
 } // namespace

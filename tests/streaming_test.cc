@@ -4,14 +4,12 @@
  * equivalence for all five domains (cycles, traffic, metaCache
  * counters), the PhaseSource chunk-boundary property (results
  * invariant under chunk size 1 / 64 / infinity), streaming trace-file
- * round trips, the trace-cache LRU eviction policy, and the scaled
- * streaming-only workload registry.
+ * round trips, and the scaled streaming-only workload registry.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -132,22 +130,41 @@ TEST(Streaming, StreamedReplayMatchesMaterializedAllDomains)
 
 TEST(Streaming, ExperimentStreamedAndMaterializedGridsMatch)
 {
+    // A registry cell streams its kernel; a trace() cell streams the
+    // materialized trace of the same kernel, serially or through the
+    // pipeline ring and the shard pool like any other cell. Both feed
+    // the replay the same phase stream, so every field matches — the
+    // footprint fields included.
     const std::string w = "core/matmul?m=256&n=256&k=256";
-    auto grid = [&](bool streaming) {
-        return Experiment()
-            .workload(w)
-            .platform(edgePlatform())
-            .schemes(allSchemes())
-            .streaming(streaming)
-            .run();
-    };
-    ResultSet streamed = grid(true);
-    ResultSet materialized = grid(false);
-    ASSERT_EQ(streamed.records().size(), materialized.records().size());
-    for (std::size_t i = 0; i < streamed.records().size(); ++i)
-        expectModelOutputsEqual(streamed.records()[i].result,
-                                materialized.records()[i].result,
-                                "grid cell " + std::to_string(i));
+    const core::Trace trace = makeKernel(w, edgePlatform())->generate();
+    const ResultSet streamed = Experiment()
+                                   .workload(w)
+                                   .platform(edgePlatform())
+                                   .schemes(allSchemes())
+                                   .threads(1)
+                                   .run();
+    for (const bool parallel : {false, true}) {
+        const ResultSet materialized = Experiment()
+                                           .trace(w, trace)
+                                           .platform(edgePlatform())
+                                           .schemes(allSchemes())
+                                           .threads(parallel ? 4 : 1)
+                                           .pipelined(parallel)
+                                           .replayThreads(parallel ? 2 : 1)
+                                           .run();
+        ASSERT_EQ(streamed.records().size(),
+                  materialized.records().size());
+        for (std::size_t i = 0; i < streamed.records().size(); ++i) {
+            const RunResult &a = streamed.records()[i].result;
+            const RunResult &b = materialized.records()[i].result;
+            const std::string label = "grid cell " + std::to_string(i) +
+                                      (parallel ? " pipelined" : "");
+            expectModelOutputsEqual(a, b, label);
+            EXPECT_EQ(a.traceBytes, b.traceBytes) << label;
+            EXPECT_EQ(a.peakPhaseBytes, b.peakPhaseBytes) << label;
+            EXPECT_EQ(b.pipelineMaxOccupancy > 0, parallel) << label;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -287,129 +304,6 @@ TEST(StreamingErrors, MalformedFilesThrowWithLineNumbers)
     }
     EXPECT_THROW(FilePhaseSource("/nonexistent/nope.trace"),
                  TraceIoError);
-    fs::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
-// Trace-cache LRU eviction
-// ---------------------------------------------------------------------
-
-/** Make a cache-like file of @p bytes with an mtime @p age_s ago. */
-void
-makeCacheFile(const fs::path &path, std::size_t bytes, int age_s)
-{
-    std::ofstream out(path);
-    out << std::string(bytes, 'x');
-    out.close();
-    fs::last_write_time(path, fs::file_time_type::clock::now() -
-                                  std::chrono::seconds(age_s));
-}
-
-TEST(TraceCacheEviction, OldestFilesGoFirstAndCapIsRespected)
-{
-    const fs::path dir =
-        fs::temp_directory_path() / "mgx_evict_order_test";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    makeCacheFile(dir / "old.trace", 100, 300);
-    makeCacheFile(dir / "mid.trace", 100, 200);
-    makeCacheFile(dir / "new.trace", 100, 100);
-    makeCacheFile(dir / "unrelated.json", 100, 400); // never touched
-
-    // Cap fits two trace files: only the oldest is evicted.
-    EXPECT_EQ(enforceTraceCacheLimit(dir.string(), 200), 1u);
-    EXPECT_FALSE(fs::exists(dir / "old.trace"));
-    EXPECT_TRUE(fs::exists(dir / "mid.trace"));
-    EXPECT_TRUE(fs::exists(dir / "new.trace"));
-    EXPECT_TRUE(fs::exists(dir / "unrelated.json"));
-
-    // Cap of zero clears every .trace file, nothing else.
-    EXPECT_EQ(enforceTraceCacheLimit(dir.string(), 0), 2u);
-    EXPECT_FALSE(fs::exists(dir / "mid.trace"));
-    EXPECT_FALSE(fs::exists(dir / "new.trace"));
-    EXPECT_TRUE(fs::exists(dir / "unrelated.json"));
-
-    // Under the cap: nothing to do. Missing dir: tolerated.
-    EXPECT_EQ(enforceTraceCacheLimit(dir.string(), 1 << 20), 0u);
-    fs::remove_all(dir);
-    EXPECT_EQ(enforceTraceCacheLimit(dir.string(), 0), 0u);
-}
-
-TEST(TraceCacheEviction, HitsTouchTheFileSoLruKeepsHotTraces)
-{
-    const fs::path dir =
-        fs::temp_directory_path() / "mgx_evict_touch_test";
-    fs::remove_all(dir);
-
-    const std::string hot = "core/matmul?m=64&n=64&k=64";
-    const std::string cold = "video/h264?frames=2";
-    auto runOne = [&](const std::string &w) {
-        Experiment()
-            .workload(w)
-            .schemes({Scheme::NP})
-            .traceCacheDir(dir.string())
-            .run();
-    };
-    runOne(hot);
-    runOne(cold);
-
-    // Age both files, then hit only the hot one: the hit must refresh
-    // its mtime so eviction prefers the cold file despite the cold
-    // file being written later.
-    // Count only the traces: the per-key .lock files stay behind on
-    // purpose (unlinking them would race other lockers).
-    std::vector<fs::path> files;
-    for (const auto &e : fs::directory_iterator(dir))
-        if (e.path().extension() == ".trace")
-            files.push_back(e.path());
-    ASSERT_EQ(files.size(), 2u);
-    for (const auto &f : files)
-        fs::last_write_time(f, fs::file_time_type::clock::now() -
-                                   std::chrono::hours(1));
-    ResultSet rs = Experiment()
-                       .workload(hot)
-                       .schemes({Scheme::NP})
-                       .traceCacheDir(dir.string())
-                       .run();
-    EXPECT_EQ(rs.traceCacheHits(), 1u);
-    EXPECT_EQ(rs.traceCacheMisses(), 0u);
-
-    // Cap that only fits one file: the untouched (cold) one goes.
-    u64 hot_bytes = 0;
-    for (const auto &e : fs::directory_iterator(dir))
-        hot_bytes = std::max<u64>(hot_bytes, fs::file_size(e));
-    EXPECT_EQ(enforceTraceCacheLimit(dir.string(), hot_bytes), 1u);
-    std::size_t traces = 0;
-    for (const auto &e : fs::directory_iterator(dir))
-        traces += e.path().extension() == ".trace";
-    ASSERT_EQ(traces, 1u);
-    // The survivor still replays the hot workload from cache.
-    ResultSet again = Experiment()
-                          .workload(hot)
-                          .schemes({Scheme::NP})
-                          .traceCacheDir(dir.string())
-                          .run();
-    EXPECT_EQ(again.traceCacheHits(), 1u);
-    fs::remove_all(dir);
-}
-
-TEST(TraceCacheEviction, ExperimentAppliesTheCapAfterTheRun)
-{
-    const fs::path dir =
-        fs::temp_directory_path() / "mgx_evict_cap_test";
-    fs::remove_all(dir);
-    ResultSet rs = Experiment()
-                       .workloads({"core/matmul?m=64&n=64&k=64",
-                                   "video/h264?frames=2"})
-                       .schemes({Scheme::NP})
-                       .traceCacheDir(dir.string())
-                       .traceCacheMaxBytes(1) // evicts everything
-                       .run();
-    EXPECT_EQ(rs.traceCacheMisses(), 2u);
-    std::size_t traces = 0;
-    for (const auto &e : fs::directory_iterator(dir))
-        traces += e.path().extension() == ".trace";
-    EXPECT_EQ(traces, 0u);
     fs::remove_all(dir);
 }
 
