@@ -26,7 +26,7 @@
  * JSON schema "mgx-bench-v1": {schema, bench, unit,
  *   calibration: {aesBlocksPerSecond, blocks, wallSeconds, checksum},
  *   results:[
- *   {workload, platform, scheme, mode (replay|stream|pipeline|shard),
+ *   {workload, platform, scheme, mode (replay|stream|pipeline),
  *    linesPerSecond, wallSeconds, replays, linesPerReplay,
  *    cyclesPerReplay, traceBytes, tracePhases}]}
  */
@@ -42,7 +42,6 @@
 #include "sim/experiment.h"
 #include "sim/pipeline.h"
 #include "sim/report.h"
-#include "sim/shard.h"
 #include "sim/workload_registry.h"
 
 namespace {
@@ -59,9 +58,7 @@ struct CellResult
      * Measurement axis: "replay" times the materialized hot path,
      * "stream" generates + replays serially per rep, "pipeline" runs
      * the same end-to-end stream with generation and replay on two
-     * threads over the SPSC phase ring (sim/pipeline.h), "shard"
-     * replays each rep's stream channel-sharded over a width-4
-     * ShardPool (sim/shard.h).
+     * threads over the SPSC phase ring (sim/pipeline.h).
      */
     const char *mode = "replay";
     double linesPerSecond = 0.0;
@@ -117,32 +114,26 @@ measureCalibration()
     return cal;
 }
 
-/** Which thread shape the streamed axis runs under. */
-enum class StreamAxis { Serial, Pipelined, Sharded };
-
 /**
  * Stream @p workload end to end (fresh kernel, pull-based replay, no
  * materialized trace) under @p scheme until the budget is spent — the
  * throughput of the streaming pipeline, generation included. With
- * StreamAxis::Pipelined, generation and replay run on two threads
- * over the SPSC phase ring instead of interleaving on one; with
- * StreamAxis::Sharded, replay is channel-sharded over a width-4
- * ShardPool. Same work, same results either way (the self-check still
- * compares cycle counts), different wall clock on a multi-core host.
+ * @p pipelined, generation and replay run on two threads over the
+ * SPSC phase ring instead of interleaving on one. Same work, same
+ * results either way (the self-check still compares cycle counts),
+ * different wall clock on a multi-core host.
  */
 CellResult
 measureStreamedCell(const std::string &workload,
                     const sim::Platform &platform,
                     protection::Scheme scheme, double min_seconds,
-                    StreamAxis axis = StreamAxis::Serial)
+                    bool pipelined = false)
 {
     CellResult cell;
     cell.workload = workload;
     cell.platform = platform.name;
     cell.scheme = scheme;
-    cell.mode = axis == StreamAxis::Pipelined ? "pipeline"
-                : axis == StreamAxis::Sharded ? "shard"
-                                              : "stream";
+    cell.mode = pipelined ? "pipeline" : "stream";
 
     protection::ProtectionConfig cfg;
     cfg.scheme = scheme;
@@ -157,20 +148,9 @@ measureStreamedCell(const std::string &workload,
         sim::PerfModel model(&engine, platform.clockMhz);
         auto kernel = sim::makeKernel(workload, platform);
         auto source = kernel->stream();
-        sim::RunResult r;
-        switch (axis) {
-        case StreamAxis::Pipelined:
-            r = sim::runPipelined(model, *source);
-            break;
-        case StreamAxis::Sharded: {
-            sim::ShardPool shard(dram, 4);
-            r = model.run(*source, shard);
-            break;
-        }
-        case StreamAxis::Serial:
-            r = model.run(*source);
-            break;
-        }
+        const sim::RunResult r = pipelined
+                                     ? sim::runPipelined(model, *source)
+                                     : model.run(*source);
         if (reps == 0) {
             cycles = r.totalCycles;
             lines = dram.accessCount();
@@ -294,10 +274,9 @@ usage(std::FILE *out)
         "usage: bench_perf_throughput [options]\n"
         "  --set micro|full    workload set (default micro)\n"
         "                      micro: the tiled-MatMul cells under\n"
-        "                             NP/MGX/BP on the replay, stream,\n"
-        "                             pipeline and shard axes, plus\n"
-        "                             genome and video BP cells (the\n"
-        "                             floor)\n"
+        "                             NP/MGX/BP on the replay, stream\n"
+        "                             and pipeline axes, plus genome\n"
+        "                             and video BP cells (the floor)\n"
         "                      full:  + dnn/resnet50 + graph/pokec\n"
         "  --min-seconds S     time budget per cell (default 0.5)\n"
         "  --json FILE         write the mgx-bench-v1 artifact\n"
@@ -312,7 +291,6 @@ struct WorkloadSpec
     std::vector<protection::Scheme> schemes;
     std::vector<protection::Scheme> streamedSchemes;
     std::vector<protection::Scheme> pipelinedSchemes;
-    std::vector<protection::Scheme> shardedSchemes;
 };
 
 /**
@@ -335,18 +313,16 @@ workloadSet(const std::string &set)
     // default mgx_run path, tracked next to the pure-replay numbers.
     // The pipeline axis repeats the streamed cells over the two-thread
     // phase ring, so stream-vs-pipeline is a direct wall-clock
-    // comparison of serial and pipelined single-cell replay; the
-    // shard axis repeats them with replay channel-sharded over a
-    // width-4 pool, the per-channel parallel path.
+    // comparison of serial and pipelined single-cell replay.
     std::vector<WorkloadSpec> specs = {
-        {"core/matmul?m=256&n=256&k=256", all, all, all, all},
-        {"genome/chr1PacBio?reads=2", bp, none, none, none},
-        {"video/h264?frames=2", bp, none, none, none},
+        {"core/matmul?m=256&n=256&k=256", all, all, all},
+        {"genome/chr1PacBio?reads=2", bp, none, none},
+        {"video/h264?frames=2", bp, none, none},
     };
     if (set == "full") {
         specs.push_back(
-            {"dnn/resnet50?task=inference", all, none, none, none});
-        specs.push_back({"graph/pokec/pagerank", all, all, bp, bp});
+            {"dnn/resnet50?task=inference", all, none, none});
+        specs.push_back({"graph/pokec/pagerank", all, all, bp});
     }
     return specs;
 }
@@ -435,15 +411,8 @@ main(int argc, char **argv)
             printCell(cells.back());
         }
         for (protection::Scheme s : spec.pipelinedSchemes) {
-            cells.push_back(
-                measureStreamedCell(w, platform, s, min_seconds,
-                                    StreamAxis::Pipelined));
-            printCell(cells.back());
-        }
-        for (protection::Scheme s : spec.shardedSchemes) {
-            cells.push_back(
-                measureStreamedCell(w, platform, s, min_seconds,
-                                    StreamAxis::Sharded));
+            cells.push_back(measureStreamedCell(w, platform, s,
+                                                min_seconds, true));
             printCell(cells.back());
         }
     }

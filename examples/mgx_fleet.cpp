@@ -13,15 +13,18 @@
  *   mgx_fleet --port 0 --workers 3     # prints the bound port
  */
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include <poll.h>
 #include <sys/stat.h>
 
+#include "common/parse.h"
 #include "fleet/fleet.h"
 
 namespace {
@@ -82,29 +85,40 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](u64 max) -> u64 {
+            const char *v = value();
+            u64 n = 0;
+            if (!parseDecimal(v, max, n)) {
+                std::fprintf(stderr,
+                             "mgx_fleet: %s needs a non-negative integer "
+                             "no larger than %llu, got '%s'\n",
+                             arg.c_str(),
+                             static_cast<unsigned long long>(max), v);
+                std::exit(usage(stderr));
+            }
+            return n;
+        };
         if (arg == "--help" || arg == "-h")
             return usage(stdout);
         if (arg == "--socket") {
             opts.proxy.listen.unixPath = value();
         } else if (arg == "--port") {
-            opts.proxy.listen.port =
-                static_cast<u16>(std::strtoul(value(), nullptr, 10));
+            opts.proxy.listen.port = static_cast<u16>(
+                number(std::numeric_limits<u16>::max()));
         } else if (arg == "--workers") {
-            opts.supervisor.workers =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+            opts.supervisor.workers = static_cast<int>(number(INT_MAX));
         } else if (arg == "--socket-dir") {
             socket_dir = value();
         } else if (arg == "--worker-threads") {
-            opts.supervisor.workerThreads =
-                static_cast<u32>(std::strtoul(value(), nullptr, 10));
+            opts.supervisor.workerThreads = static_cast<u32>(
+                number(std::numeric_limits<u32>::max()));
         } else if (arg == "--serve-binary") {
             opts.supervisor.serveBinary = value();
         } else if (arg == "--probe-interval-ms") {
             opts.supervisor.probeIntervalMs =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+                static_cast<int>(number(INT_MAX));
         } else if (arg == "--hedge-ms") {
-            opts.proxy.hedgeMs =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+            opts.proxy.hedgeMs = static_cast<int>(number(INT_MAX));
         } else if (arg == "--no-keep-alive") {
             opts.proxy.keepAlive = false;
         } else if (arg == "--quiet" || arg == "-q") {

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/workload_registry.h"
@@ -54,16 +55,6 @@ usage(std::FILE *out)
         "                         threads (producer + replay), so the\n"
         "                         pool runs floor(N/2) cells at once,\n"
         "                         and --threads 1 never pipelines\n"
-        "  --replay-threads N     channel-sharded replay: replay each\n"
-        "                         phase's per-DRAM-channel command\n"
-        "                         lanes on N threads (clamped to the\n"
-        "                         platform's channel count) and merge\n"
-        "                         deterministically — bitwise-identical\n"
-        "                         results for every N (only the shard\n"
-        "                         merge-wait counter varies). Composes\n"
-        "                         with --pipeline: such a cell budgets\n"
-        "                         1 + N threads against --threads.\n"
-        "                         Default 1 (serial replay)\n"
         "  --json FILE            write the mgx-resultset-v1 artifact\n"
         "  --quiet                suppress the table on stdout\n"
         "  --help                 this message\n"
@@ -88,28 +79,6 @@ splitCommas(const std::string &arg)
         start = pos + 1;
     }
     return parts;
-}
-
-/**
- * Parse a thread-count flag value: decimal digits only (no sign, no
- * whitespace), no larger than a u32 holds. Rejects what strtoul
- * would silently wrap, such as "-1" becoming 4294967295.
- */
-bool
-parseThreadCount(const char *text, unsigned &out)
-{
-    if (*text == '\0')
-        return false;
-    unsigned long long value = 0;
-    for (const char *c = text; *c != '\0'; ++c) {
-        if (*c < '0' || *c > '9')
-            return false;
-        value = value * 10 + static_cast<unsigned>(*c - '0');
-        if (value > std::numeric_limits<u32>::max())
-            return false;
-    }
-    out = static_cast<unsigned>(value);
-    return true;
 }
 
 bool
@@ -137,8 +106,7 @@ main(int argc, char **argv)
     std::vector<sim::Platform> platforms;
     std::vector<protection::Scheme> schemes;
     std::string json_path;
-    unsigned threads = 0;
-    unsigned replay_threads = 1;
+    u32 threads = 0;
     bool quiet = false;
     int pipeline = -1; // -1 auto, 0 forced off, 1 forced on
 
@@ -184,23 +152,18 @@ main(int argc, char **argv)
         } else if (arg == "--schemes" || arg == "--scheme") {
             for (auto &s : splitCommas(value()))
                 schemes.push_back(sim::schemeByName(s));
-        } else if (arg == "--threads" || arg == "--replay-threads") {
-            const bool replay = arg == "--replay-threads";
+        } else if (arg == "--threads") {
             const char *v = value();
-            unsigned n = 0;
-            if (!parseThreadCount(v, n) || (replay && n == 0)) {
+            u64 n = 0;
+            if (!parseDecimal(v, std::numeric_limits<u32>::max(), n)) {
                 std::fprintf(stderr,
-                             "mgx_run: %s needs a %s integer no larger "
-                             "than %u, got '%s'\n",
-                             arg.c_str(),
-                             replay ? "positive" : "non-negative",
-                             std::numeric_limits<u32>::max(), v);
+                             "mgx_run: %s needs a non-negative integer "
+                             "no larger than %u, got '%s'\n",
+                             arg.c_str(), std::numeric_limits<u32>::max(),
+                             v);
                 return usage(stderr);
             }
-            if (replay)
-                replay_threads = n;
-            else
-                threads = n;
+            threads = static_cast<u32>(n);
         } else if (arg == "--json") {
             json_path = value();
         } else if (arg == "--pipeline") {
@@ -222,8 +185,7 @@ main(int argc, char **argv)
     }
 
     sim::Experiment experiment;
-    experiment.workloads(workloads).threads(threads).replayThreads(
-        replay_threads);
+    experiment.workloads(workloads).threads(threads);
     if (pipeline != -1)
         experiment.pipelined(pipeline == 1);
     if (!platforms.empty())

@@ -9,13 +9,16 @@
  *   mgx_serve --port 0 --workers 4          # prints the bound port
  */
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include <poll.h>
 
+#include "common/parse.h"
 #include "serve/server.h"
 
 namespace {
@@ -46,10 +49,6 @@ usage(std::FILE *out)
         "  --result-memo N        finished cells memoized in memory\n"
         "                         (LRU; warm repeats skip the engine;\n"
         "                         default 64, 0 disables)\n"
-        "  --max-request-threads N\n"
-        "                         thread cap per cell for requests\n"
-        "                         asking pipeline=1/replayThreads=N\n"
-        "                         (default 1 = always serial)\n"
         "  --no-keep-alive        one request per connection even when\n"
         "                         the peer asks for keep-alive\n"
         "  --keep-alive-idle-ms N close a kept-alive connection after\n"
@@ -80,32 +79,41 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](u64 max) -> u64 {
+            const char *v = value();
+            u64 n = 0;
+            if (!parseDecimal(v, max, n)) {
+                std::fprintf(stderr,
+                             "mgx_serve: %s needs a non-negative integer "
+                             "no larger than %llu, got '%s'\n",
+                             arg.c_str(),
+                             static_cast<unsigned long long>(max), v);
+                std::exit(usage(stderr));
+            }
+            return n;
+        };
         if (arg == "--help" || arg == "-h")
             return usage(stdout);
         if (arg == "--socket") {
             opts.listen.unixPath = value();
         } else if (arg == "--port") {
-            opts.listen.port =
-                static_cast<u16>(std::strtoul(value(), nullptr, 10));
+            opts.listen.port = static_cast<u16>(
+                number(std::numeric_limits<u16>::max()));
         } else if (arg == "--workers") {
-            opts.workers =
-                static_cast<u32>(std::strtoul(value(), nullptr, 10));
+            opts.workers = static_cast<u32>(
+                number(std::numeric_limits<u32>::max()));
         } else if (arg == "--queue") {
-            opts.admissionCapacity = std::strtoul(value(), nullptr, 10);
+            opts.admissionCapacity =
+                number(std::numeric_limits<std::size_t>::max());
         } else if (arg == "--deadline-ms") {
-            opts.requestDeadlineMs =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+            opts.requestDeadlineMs = static_cast<int>(number(INT_MAX));
         } else if (arg == "--result-memo") {
             opts.resultMemoCapacity =
-                std::strtoul(value(), nullptr, 10);
-        } else if (arg == "--max-request-threads") {
-            opts.maxRequestThreads =
-                static_cast<u32>(std::strtoul(value(), nullptr, 10));
+                number(std::numeric_limits<std::size_t>::max());
         } else if (arg == "--no-keep-alive") {
             opts.keepAlive = false;
         } else if (arg == "--keep-alive-idle-ms") {
-            opts.keepAliveIdleMs =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+            opts.keepAliveIdleMs = static_cast<int>(number(INT_MAX));
         } else if (arg == "--quiet" || arg == "-q") {
             quiet = true;
         } else {

@@ -152,9 +152,11 @@ class Registry
 };
 
 Point::Point(std::string name)
-    : state_(new State), name_(std::move(name))
+    : state_(std::make_unique<State>()), name_(std::move(name))
 {
 }
+
+Point::~Point() = default;
 
 Point &
 Point::get(std::string_view name)

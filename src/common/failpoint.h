@@ -36,6 +36,7 @@
  */
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,6 +66,8 @@ class Point
     u64 evaluations() const;
     u64 hits() const;
 
+    ~Point(); // out of line: State is complete only in failpoint.cc
+
   private:
     explicit Point(std::string name);
     Point(const Point &) = delete;
@@ -72,7 +75,7 @@ class Point
 
     friend class Registry;
     struct State;
-    State *state_; // owned by the registry, lives forever
+    std::unique_ptr<State> state_;
     std::string name_;
 };
 

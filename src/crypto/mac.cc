@@ -54,7 +54,10 @@ CmacEngine::mac(std::span<const u8> message) const
     Block last{};
     const std::size_t tail_off = (nblocks - 1) * kAesBlockBytes;
     const std::size_t tail_len = len - tail_off;
-    std::memcpy(last.data(), message.data() + tail_off, tail_len);
+    // An empty message may have a null data(), which memcpy must
+    // never see, even for a zero length.
+    if (tail_len != 0)
+        std::memcpy(last.data(), message.data() + tail_off, tail_len);
     if (!complete)
         last[tail_len] = 0x80;
     const Block &subkey = complete ? k1_ : k2_;

@@ -21,10 +21,10 @@
  * costs O(1) instead of O(columns).
  *
  * A channel is entirely self-contained: banks, bus, activate windows,
- * refresh phase, and counters are all channel-local, so distinct
- * channels may be driven from distinct threads concurrently (the
- * channel-sharded replay in sim/shard.h does exactly that). One
- * channel must only ever be driven from one thread at a time.
+ * refresh phase, and counters are all channel-local, so its timing
+ * depends only on its own ordered command stream. That is what lets
+ * DramSystem::accessRange serve a range channel by channel instead of
+ * interleaving lines across channels.
  */
 
 #ifndef MGX_DRAM_DRAM_CHANNEL_H
@@ -38,9 +38,8 @@
 namespace mgx::dram {
 
 /**
- * Channel-local event counters. Plain integers rather than StatGroup
- * handles so concurrent shard workers never touch shared slots;
- * DramSystem sums them into its named "dram" StatGroup on demand.
+ * Channel-local event counters as plain integers. DramSystem sums them
+ * into its named "dram" StatGroup on demand.
  */
 struct ChannelCounters
 {

@@ -20,10 +20,6 @@ DramSystem::access(const Request &req)
 {
     Coord coord = map_.decode(req.addr);
     ++accessCount_;
-    if (capture_ != nullptr) {
-        capture_->emit(coord, req.isWrite);
-        return req.arrival;
-    }
     return channels_[coord.channel]->access(coord, req.isWrite,
                                             req.arrival);
 }
@@ -39,11 +35,6 @@ DramSystem::accessRange(Addr addr, u64 bytes, bool is_write, Cycles arrival)
         (alignDown(addr + bytes - 1, block) - first) / block + 1;
     AddressMap::LineWalker walker = map_.walkerAt(first);
     accessCount_ += blocks;
-    if (capture_ != nullptr) {
-        for (u64 i = 0; i < blocks; ++i, walker.next())
-            capture_->emit(walker.coord(), is_write);
-        return arrival;
-    }
     const u32 channels = channelCount();
     Cycles done = arrival;
     if (blocks <= channels) {
@@ -122,10 +113,6 @@ DramSystem::accessBatch(std::span<const Request> reqs)
         slots[0].prev = line;
         ++accessCount_;
         const Coord &coord = slots[0].walker.coord();
-        if (capture_ != nullptr) {
-            capture_->emit(coord, req.isWrite);
-            continue;
-        }
         const Cycles c = channels_[coord.channel]->access(
             coord, req.isWrite, req.arrival);
         done = std::max(done, c);

@@ -92,9 +92,7 @@ class ProtectionEngine
 
     /** The DRAM system behind this engine (real access counts). */
     const dram::DramSystem &dram() const { return *dram_; }
-    dram::DramSystem &dram() { return *dram_; }
 
-    const ProtectionConfig &config() const { return cfg_; }
     const MetadataLayout &layout() const { return layout_; }
 
   private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include <arpa/inet.h>
@@ -137,9 +136,8 @@ Server::start()
         return;
 
     if (!runner_) {
-        runner_ = [this](const CellKey &cell,
-                         const RunBudget &budget) {
-            return runCellWithEngine(cell, budget);
+        runner_ = [this](const CellKey &cell) {
+            return runCellWithEngine(cell);
         };
     }
 
@@ -249,10 +247,7 @@ Server::metricsSnapshot() const
 void
 Server::setCellRunnerForTest(CellRunner runner)
 {
-    runner_ = [runner = std::move(runner)](const CellKey &cell,
-                                           const RunBudget &) {
-        return runner(cell);
-    };
+    runner_ = std::move(runner);
 }
 
 void
@@ -566,31 +561,6 @@ Server::handleRun(const HttpRequest &req, int *status_out)
     if (schemes.empty())
         schemes = sim::allSchemes();
 
-    // Per-request replay budget: how each cell executes, never what
-    // it answers (diagnostics are scrubbed; see runCellWithEngine).
-    // The effective thread cost is clamped under maxRequestThreads by
-    // the Experiment budget machinery, so an oversized ask degrades
-    // to whatever the operator allowed instead of failing.
-    RunBudget budget;
-    if (auto p = req.queryValue("pipeline")) {
-        if (*p == "1")
-            budget.pipelined = true;
-        else if (*p != "0") {
-            *status_out = 400;
-            return jsonError("pipeline= must be 0 or 1");
-        }
-    }
-    if (auto r = req.queryValue("replayThreads")) {
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(r->c_str(), &end, 10);
-        if (r->empty() || end == nullptr || *end != '\0' || n == 0) {
-            *status_out = 400;
-            return jsonError(
-                "replayThreads= must be a positive integer");
-        }
-        budget.replayThreads = static_cast<u32>(n);
-    }
-
     // One wall-clock budget for the whole request, not per cell: the
     // client asked one question, so the question has one deadline.
     const bool deadlined = opts_.requestDeadlineMs > 0;
@@ -611,8 +581,6 @@ Server::handleRun(const HttpRequest &req, int *status_out)
                 CellKey cell{w, platform, scheme};
                 // Warm repeat: the memo'd record is bitwise what a
                 // re-run would produce, so skip the engine entirely.
-                // The memo key is budget-free — results don't depend
-                // on the replay mode.
                 if (auto memo = memo_.get(cell.key())) {
                     metrics_.resultMemoHits.fetch_add(
                         1, std::memory_order_relaxed);
@@ -621,11 +589,10 @@ Server::handleRun(const HttpRequest &req, int *status_out)
                 }
                 // The cell (not &: runFor's leader lambda outlives
                 // this frame when the deadline expires first).
-                const auto body = [this, cell,
-                                   budget]() -> sim::RunRecord {
+                const auto body = [this, cell]() -> sim::RunRecord {
                     metrics_.cellsRun.fetch_add(
                         1, std::memory_order_relaxed);
-                    return runner_(cell, budget);
+                    return runner_(cell);
                 };
                 SingleFlight<sim::RunRecord>::Outcome outcome;
                 if (deadlined) {
@@ -669,39 +636,20 @@ Server::handleRun(const HttpRequest &req, int *status_out)
 }
 
 sim::RunRecord
-Server::runCellWithEngine(const CellKey &cell, const RunBudget &budget)
+Server::runCellWithEngine(const CellKey &cell)
 {
-    // One cell per run. The request's replay budget selects the
-    // execution mode under the operator's thread cap — the Experiment
-    // budget machinery clamps an oversized ask rather than
-    // oversubscribing. Model outputs are bitwise-identical across
-    // modes (see sim/shard.h), and the scheduling-dependent
-    // pipeline/shard diagnostics are scrubbed below, so the response
-    // body stays byte-identical to `mgx_run --no-pipeline --json`
-    // whatever the client asked for.
-    sim::Experiment experiment;
-    experiment.workload(cell.workload)
-        .platform(cell.platform)
-        .schemes({cell.scheme})
-        .threads(std::max(1u, opts_.maxRequestThreads))
-        .pipelined(budget.pipelined)
-        .replayThreads(budget.replayThreads);
-    sim::ResultSet rs = experiment.run();
+    // One serial cell per run (threads(1) never pipelines), so the
+    // record is exactly what `mgx_run --no-pipeline` computes for it.
+    sim::ResultSet rs = sim::Experiment()
+                            .workload(cell.workload)
+                            .platform(cell.platform)
+                            .schemes({cell.scheme})
+                            .threads(1)
+                            .run();
     if (rs.records().size() != 1)
         fatal("mgx_serve: single-cell experiment produced %zu records",
               rs.records().size());
-    sim::RunRecord out = rs.records()[0];
-    // Scrub the replay-mode diagnostics: they are the only fields
-    // that vary with the budget (or with scheduling), and removing
-    // them keeps responses — and the memo — byte-identical across
-    // modes.
-    out.result.pipelineProducerWaits = 0;
-    out.result.pipelineConsumerWaits = 0;
-    out.result.pipelineMaxOccupancy = 0;
-    out.result.shardReplayThreads = 0;
-    out.result.shardMergeWaits = 0;
-    out.result.shardChannels.clear();
-    return out;
+    return rs.records()[0];
 }
 
 void

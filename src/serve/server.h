@@ -41,16 +41,8 @@
  *               resolve to the same cell cost one engine run, the
  *               rest are followers (metrics.dedupCollapsed).
  *
- * Per-request replay budgets: /run accepts `pipeline=0|1` and
- * `replayThreads=N` to pipeline and/or channel-shard each cell's
- * replay. The daemon-side cap ServerOptions::maxRequestThreads is the
- * Experiment thread budget each cell runs under, so a request can
- * never make a cell cost more threads than the operator allowed —
- * oversized asks clamp (the Experiment budget machinery), they do not
- * fail. Response bodies stay byte-identical to `mgx_run --no-pipeline
- * --json` for every mode: the scheduling-dependent pipeline/shard
- * diagnostics are scrubbed before serialization, which also keeps the
- * memo and singleflight keys budget-free.
+ * Each cell runs on one engine thread, never pipelined, so response
+ * bodies are byte-identical to `mgx_run --no-pipeline --json`.
  *
  * Graceful shutdown: stop accepting, drain the queued and in-flight
  * requests, join every thread. Connections arriving while draining
@@ -111,17 +103,6 @@ struct ServerOptions
     /// Finished-cell results memoized in memory (LRU, keyed like the
     /// singleflight); 0 disables the memo.
     std::size_t resultMemoCapacity = 64;
-    /// Experiment thread budget per cell — the ceiling a request's
-    /// pipeline=/replayThreads= ask is clamped under. 1 (default)
-    /// keeps every cell serial regardless of what clients request.
-    u32 maxRequestThreads = 1;
-};
-
-/** What a /run request asked for a cell's replay execution. */
-struct RunBudget
-{
-    bool pipelined = false;
-    u32 replayThreads = 1;
 };
 
 /** One grid cell: the unit of deduplication. */
@@ -137,8 +118,7 @@ struct CellKey
 
 /**
  * How a cell is simulated; injectable so tests can substitute a
- * deterministic (or deliberately blocking) runner. The injected form
- * ignores the request's replay budget — tests run synthetic cells.
+ * deterministic (or deliberately blocking) runner.
  */
 using CellRunner = std::function<sim::RunRecord(const CellKey &)>;
 
@@ -209,9 +189,8 @@ class LruMemo
 
 /**
  * The memo of finished cell records. A memo'd answer is bitwise the
- * answer a fresh engine run would give (cell results are
- * deterministic by construction — see sim/shard.h for why that holds
- * across replay modes).
+ * answer a fresh engine run would give: cell results are
+ * deterministic by construction (each cell simulates on fresh state).
  */
 using ResultMemo = LruMemo<sim::RunRecord>;
 
@@ -267,8 +246,7 @@ class Server
     bool serveOneRequest(int fd, std::string *carry, bool first);
     std::string handleRequest(const HttpRequest &req, int *status_out);
     std::string handleRun(const HttpRequest &req, int *status_out);
-    sim::RunRecord runCellWithEngine(const CellKey &cell,
-                                  const RunBudget &budget);
+    sim::RunRecord runCellWithEngine(const CellKey &cell);
     bool validateWorkload(const std::string &name, std::string *error);
     void sendAll(int fd, const std::string &data) const;
 
@@ -276,10 +254,8 @@ class Server
     ServeMetrics metrics_;
     SingleFlight<sim::RunRecord> flights_;
     ResultMemo memo_; ///< capacity from opts_ (ctor init order)
-    /// Engine-backed by default (honors the request budget); test
-    /// runners installed via setCellRunnerForTest ignore the budget.
-    std::function<sim::RunRecord(const CellKey &, const RunBudget &)>
-        runner_;
+    /// Engine-backed unless replaced via setCellRunnerForTest.
+    CellRunner runner_;
 
     int listenFd_ = -1;
     u16 boundPort_ = 0;

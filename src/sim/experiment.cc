@@ -8,7 +8,6 @@
 
 #include "common/log.h"
 #include "pipeline.h"
-#include "shard.h"
 #include "workload_registry.h"
 
 namespace mgx::sim {
@@ -206,20 +205,6 @@ Experiment::pipelined(bool on)
     return *this;
 }
 
-Experiment &
-Experiment::pipelineRingCapacity(std::size_t phases)
-{
-    pipelineRingCapacity_ = phases;
-    return *this;
-}
-
-Experiment &
-Experiment::replayThreads(u32 n)
-{
-    replayThreads_ = n;
-    return *this;
-}
-
 ResultSet
 Experiment::run() const
 {
@@ -272,21 +257,13 @@ Experiment::run() const
     const bool pipelined =
         budget >= 2 &&
         (pipelined_.has_value() ? *pipelined_ : cells.size() == 1);
-    // Channel-sharded replay width per cell (sim/shard.h), clamped so
-    // one cell's thread cost — the replay pool plus a producer when
-    // pipelined — never exceeds the budget. The cell pool shrinks by
-    // the same cost, keeping `threads` a true cap.
-    const u32 shardWidth =
-        std::min(std::max(1u, replayThreads_),
-                 std::max(1u, pipelined ? budget - 1 : budget));
-    const u32 cellCost = (pipelined ? 1u : 0u) + shardWidth;
-    const u32 replayWorkers = std::max(1u, budget / cellCost);
+    const u32 replayWorkers = pipelined ? budget / 2 : budget;
 
     // Simulate every cell on fresh per-cell state, pulling phases from
     // its own fresh kernel (or the caller's explicit trace), so a cell
-    // is deterministic whatever the scheduling. Pipelined and sharded
-    // cells consume the identical stream and differ only in their
-    // scheduling-dependent pipeline/shard diagnostics.
+    // is deterministic whatever the scheduling. Pipelined cells
+    // consume the identical stream and differ only in their
+    // scheduling-dependent pipeline diagnostics.
     std::vector<RunResult> results(cells.size());
     parallelFor(cells.size(), replayWorkers, [&](std::size_t i) {
         const Cell &cell = cells[i];
@@ -305,20 +282,8 @@ Experiment::run() const
         cfg.scheme = cell.scheme;
         protection::ProtectionEngine engine(cfg, &dram);
         PerfModel model(&engine, cell.platform.clockMhz);
-        // The pool lives for the whole replay: all phases plus the
-        // final flush share its workers.
-        std::optional<ShardPool> shard;
-        if (shardWidth >= 2)
-            shard.emplace(dram, shardWidth);
-        if (pipelined) {
-            PipelineOptions options;
-            options.ringCapacity = pipelineRingCapacity_;
-            options.shard = shard ? &*shard : nullptr;
-            results[i] = runPipelined(model, *source, options);
-        } else {
-            results[i] = shard ? model.run(*source, *shard)
+        results[i] = pipelined ? runPipelined(model, *source)
                                : model.run(*source);
-        }
     });
 
     ResultSet rs;

@@ -21,13 +21,12 @@
  * bounded by one phase regardless of workload size —
  * RunResult::peakPhaseBytes reports the high-water mark. Results are
  * deterministic and independent of the thread count and of the
- * replay mode (serial, pipelined or channel-sharded).
+ * replay mode (serial or pipelined).
  */
 
 #ifndef MGX_SIM_EXPERIMENT_H
 #define MGX_SIM_EXPERIMENT_H
 
-#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -158,27 +157,6 @@ class Experiment
      */
     Experiment &pipelined(bool on);
 
-    /**
-     * Slots in each pipelined cell's phase ring (default 8). Results
-     * are invariant under the capacity; it bounds how far generation
-     * runs ahead of replay.
-     */
-    Experiment &pipelineRingCapacity(std::size_t phases);
-
-    /**
-     * Channel-sharded replay width per cell (see sim/shard.h): n >= 2
-     * replays each phase's per-channel DRAM lanes on a persistent
-     * pool of n threads (clamped to the platform's channel count)
-     * with a deterministic merge pass —
-     * bitwise-identical to serial replay on every field except the
-     * RunResult::shard* diagnostics, for every n. 0 or 1 (default)
-     * replays serially. Composes with pipelined(): such a cell
-     * budgets 1 + n threads against threads(), and the pool size
-     * shrinks so the cap stays true; a budget too small for the
-     * requested width clamps the width rather than oversubscribing.
-     */
-    Experiment &replayThreads(u32 n);
-
     /** Expand the grid, simulate every cell, return the results. */
     ResultSet run() const;
 
@@ -196,8 +174,6 @@ class Experiment
     protection::ProtectionConfig config_;
     u32 threads_ = 0;
     std::optional<bool> pipelined_; ///< unset = automatic (see pipelined())
-    std::size_t pipelineRingCapacity_ = 8;
-    u32 replayThreads_ = 1;
 };
 
 } // namespace mgx::sim

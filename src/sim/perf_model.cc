@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "shard.h"
-
 namespace mgx::sim {
 
 PerfModel::PerfModel(protection::ProtectionEngine *engine,
@@ -38,47 +36,11 @@ PerfModel::step(Replay &rep, Cycles compute_cycles,
     rep.computeTotal += compute;
 }
 
-void
-PerfModel::stepSharded(Replay &rep, Cycles compute_cycles,
-                       std::span<const core::LogicalAccess> accesses,
-                       ShardPool &shard, dram::CaptureBuffer &capture)
-{
-    const Cycles issue = rep.memFree;
-    dram::DramSystem &dram = engine_->dram();
-    const protection::ProtectionConfig &cfg = engine_->config();
-    const bool protected_scheme =
-        cfg.scheme != protection::Scheme::NP;
-
-    // Expansion: the engine runs unchanged, in the serial access
-    // order, over the unchanged DramSystem entry points — its cache,
-    // walker, and traffic state cannot diverge from a serial replay.
-    // Only the decoded requests are diverted into per-channel lanes
-    // (their completions never feed back into the expansion, since
-    // every access of a phase shares one arrival).
-    capture.reset(dram.channelCount(), issue);
-    dram.beginCapture(&capture);
-    for (const auto &acc : accesses) {
-        capture.setCryptoTag(protected_scheme &&
-                             acc.type == AccessType::Read);
-        engine_->access(acc, issue);
-    }
-    dram.endCapture();
-
-    const Cycles data_ready =
-        shard.replay(capture, issue, cfg.cryptoLatency);
-    rep.memBusy += data_ready - issue;
-    rep.memFree = data_ready;
-
-    const Cycles compute = toCtrl(compute_cycles);
-    const Cycles start = std::max(data_ready, rep.computeDone);
-    rep.computeDone = start + compute;
-    rep.computeTotal += compute;
-}
-
 RunResult
-PerfModel::package(const Replay &rep, Cycles flushed, u64 trace_bytes,
-                   u64 peak_phase_bytes)
+PerfModel::finish(const Replay &rep, u64 trace_bytes,
+                  u64 peak_phase_bytes)
 {
+    const Cycles flushed = engine_->flush(rep.memFree);
     RunResult result;
     result.totalCycles = std::max(rep.computeDone, flushed);
     result.computeCycles = rep.computeTotal;
@@ -94,14 +56,6 @@ PerfModel::package(const Replay &rep, Cycles flushed, u64 trace_bytes,
     result.seconds =
         static_cast<double>(result.totalCycles) / (ctrlMhz_ * 1e6);
     return result;
-}
-
-RunResult
-PerfModel::finish(const Replay &rep, u64 trace_bytes,
-                  u64 peak_phase_bytes)
-{
-    return package(rep, engine_->flush(rep.memFree), trace_bytes,
-                   peak_phase_bytes);
 }
 
 RunResult
@@ -150,67 +104,6 @@ PerfModel::run(core::PhaseSource &source)
     StreamSink sink(*this, rep);
     source.drainTo(sink);
     return finish(rep, sink.streamedBytes(), sink.peakBytes());
-}
-
-/** StreamSink's sharded twin: each phase goes through stepSharded(). */
-class PerfModel::ShardSink final : public core::PhaseSink
-{
-  public:
-    ShardSink(PerfModel &model, Replay &rep, ShardPool &shard,
-              dram::CaptureBuffer &capture)
-        : model_(&model), rep_(&rep), shard_(&shard),
-          capture_(&capture)
-    {
-    }
-
-    void
-    consume(const core::Phase &phase) override
-    {
-        model_->stepSharded(*rep_, phase.computeCycles,
-                            {phase.accesses.data(),
-                             phase.accesses.size()},
-                            *shard_, *capture_);
-        const u64 bytes = core::phaseArenaBytes(phase);
-        streamedBytes_ += bytes;
-        peakBytes_ = std::max(peakBytes_, bytes);
-    }
-
-    u64 streamedBytes() const { return streamedBytes_; }
-    u64 peakBytes() const { return peakBytes_; }
-
-  private:
-    PerfModel *model_;
-    Replay *rep_;
-    ShardPool *shard_;
-    dram::CaptureBuffer *capture_;
-    u64 streamedBytes_ = 0;
-    u64 peakBytes_ = 0;
-};
-
-RunResult
-PerfModel::run(core::PhaseSource &source, ShardPool &shard)
-{
-    Replay rep;
-    dram::DramSystem &dram = engine_->dram();
-    dram::CaptureBuffer capture;
-    ShardSink sink(*this, rep, shard, capture);
-    source.drainTo(sink);
-
-    // End-of-run metadata flush, sharded the same way as a phase: the
-    // dirty-line drain order is engine state, so capturing it keeps
-    // the writeback stream (and its traffic accounting) serial.
-    capture.reset(dram.channelCount(), rep.memFree);
-    dram.beginCapture(&capture);
-    engine_->flush(rep.memFree);
-    dram.endCapture();
-    const Cycles flushed = shard.replay(capture, rep.memFree, 0);
-
-    RunResult result =
-        package(rep, flushed, sink.streamedBytes(), sink.peakBytes());
-    result.shardReplayThreads = shard.width();
-    result.shardMergeWaits = shard.mergeWaits();
-    result.shardChannels = shard.channelLoads();
-    return result;
 }
 
 } // namespace mgx::sim

@@ -27,28 +27,12 @@
 #define MGX_SIM_PERF_MODEL_H
 
 #include <span>
-#include <vector>
 
 #include "core/phase.h"
 #include "core/phase_stream.h"
 #include "protection/protection_engine.h"
 
 namespace mgx::sim {
-
-class ShardPool; // sim/shard.h
-
-/**
- * Deterministic per-channel load of one channel-sharded replay: how
- * many requests the channel served and the cycles its completions
- * extended past each phase's issue edge. Both depend only on the
- * captured lanes, not on how lanes were spread over worker threads,
- * so they are identical for every replay-thread count.
- */
-struct ShardChannelLoad
-{
-    u64 requests = 0;
-    Cycles busyCycles = 0;
-};
 
 /** Outcome of one simulated run. */
 struct RunResult
@@ -79,20 +63,6 @@ struct RunResult
     u64 pipelineProducerWaits = 0; ///< producer blocked: ring full
     u64 pipelineConsumerWaits = 0; ///< replay blocked: ring empty
     u64 pipelineMaxOccupancy = 0;  ///< ring high-water mark (0 = serial)
-
-    /**
-     * Channel-sharded replay diagnostics (see sim/shard.h). Zero /
-     * empty on a serial replay. shardReplayThreads (the pool's
-     * participant count, min(requested, channels)) and shardChannels
-     * are deterministic for a given pool width; shardChannels is
-     * furthermore identical across pool widths. shardMergeWaits —
-     * how often the merge barrier actually blocked on a worker — is
-     * thread-scheduling-dependent like the pipeline counters, so
-     * equivalence checks must mask it.
-     */
-    u64 shardReplayThreads = 0;
-    u64 shardMergeWaits = 0;
-    std::vector<ShardChannelLoad> shardChannels;
     double seconds = 0.0;
 
     /** Memory traffic relative to the pure data traffic (>= 1). */
@@ -129,20 +99,6 @@ class PerfModel
      */
     RunResult run(core::PhaseSource &source);
 
-    /**
-     * Channel-sharded variant of run(PhaseSource&): each phase's
-     * accesses expand through the engine in exactly the serial order
-     * (so every metadata stream, MetaCache transition, and traffic
-     * counter matches bit for bit) into per-channel pre-decoded
-     * request lanes, which @p shard replays concurrently against
-     * channel-local DramChannel state; data_ready merges as the max
-     * over channel completions before mem_free advances. Bitwise-
-     * identical to run(source) on every field except the shard
-     * diagnostics (see RunResult). @p shard must drive this model's
-     * engine's DramSystem.
-     */
-    RunResult run(core::PhaseSource &source, ShardPool &shard);
-
   private:
     /** Accumulator state of one replay (the recurrence above). */
     struct Replay
@@ -154,24 +110,14 @@ class PerfModel
     };
 
     class StreamSink; // PhaseSink feeding step() (perf_model.cc)
-    class ShardSink;  // PhaseSink feeding stepSharded() (perf_model.cc)
 
     /** Replay one phase: the serialized memory stream + overlap rule. */
     void step(Replay &rep, Cycles compute_cycles,
               std::span<const core::LogicalAccess> accesses);
 
-    /** step() with the DRAM half captured and replayed by @p shard. */
-    void stepSharded(Replay &rep, Cycles compute_cycles,
-                     std::span<const core::LogicalAccess> accesses,
-                     ShardPool &shard, dram::CaptureBuffer &capture);
-
     /** Flush the engine and package the aggregate result. */
     RunResult finish(const Replay &rep, u64 trace_bytes,
                      u64 peak_phase_bytes);
-
-    /** Package the aggregate result given the flush completion. */
-    RunResult package(const Replay &rep, Cycles flushed, u64 trace_bytes,
-                      u64 peak_phase_bytes);
 
     /** Convert accelerator cycles to controller cycles (rounding up). */
     Cycles toCtrl(Cycles accel_cycles) const;

@@ -6,9 +6,9 @@ namespace mgx::sim {
 
 RunResult
 runPipelined(PerfModel &model, core::PhaseSource &source,
-             const PipelineOptions &options)
+             std::size_t ring_capacity)
 {
-    core::PhaseRing ring(options.ringCapacity);
+    core::PhaseRing ring(ring_capacity);
 
     // Producer: drain the source into the ring. Every exit path
     // closes the ring so the consumer can never block forever: a
@@ -30,9 +30,7 @@ runPipelined(PerfModel &model, core::PhaseSource &source,
     RunResult result;
     try {
         core::PhaseRingSource ringSource(ring);
-        result = options.shard != nullptr
-                     ? model.run(ringSource, *options.shard)
-                     : model.run(ringSource);
+        result = model.run(ringSource);
     } catch (...) {
         // Replay failed (or the producer's exception resurfaced from
         // pop()): release and join the producer before rethrowing so

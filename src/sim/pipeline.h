@@ -27,35 +27,15 @@
 
 namespace mgx::sim {
 
-class ShardPool; // sim/shard.h
-
-/** Knobs for one pipelined replay. */
-struct PipelineOptions
-{
-    /**
-     * Ring slots. Results are invariant under the capacity (see
-     * pipeline_replay_test); it only tunes how far the producer may
-     * run ahead of the replay.
-     */
-    std::size_t ringCapacity = 8;
-
-    /**
-     * Optional channel-shard pool (see sim/shard.h): the consumer
-     * side replays each phase's DRAM lanes across the pool instead of
-     * inline, composing the producer/consumer split with channel
-     * sharding — still bitwise-identical on every deterministic
-     * field. The pool must outlive the call and drive the model's
-     * DramSystem.
-     */
-    ShardPool *shard = nullptr;
-};
-
 /**
  * Replay @p source through @p model with kernel streaming and replay
- * pipelined over a bounded SPSC ring. Blocks until both sides finish;
- * the producer thread is always joined on return, including when the
- * producer's drain throws (the exception resurfaces here, on the
- * calling thread, after the buffered prefix has been replayed).
+ * pipelined over a bounded SPSC ring of @p ring_capacity phases.
+ * Results are invariant under the capacity (see pipeline_replay_test);
+ * it only bounds how far the producer may run ahead of the replay.
+ * Blocks until both sides finish; the producer thread is always
+ * joined on return, including when the producer's drain throws (the
+ * exception resurfaces here, on the calling thread, after the
+ * buffered prefix has been replayed).
  *
  * The returned RunResult carries the ring's occupancy/stall counters
  * (pipelineProducerWaits / pipelineConsumerWaits /
@@ -63,7 +43,7 @@ struct PipelineOptions
  * model.run(source) on one thread.
  */
 RunResult runPipelined(PerfModel &model, core::PhaseSource &source,
-                       const PipelineOptions &options = {});
+                       std::size_t ring_capacity = 8);
 
 } // namespace mgx::sim
 

@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for the common substrate: bit utilities, the deterministic
- * RNG, and the stats counters.
+ * RNG, the stats counters, and strict command-line number parsing.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/bitops.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
@@ -190,6 +193,37 @@ TEST(Types, DataClassNames)
     EXPECT_STREQ(dataClassName(DataClass::Feature), "feature");
     EXPECT_STREQ(dataClassName(DataClass::GraphMatrix), "graph-matrix");
     EXPECT_STREQ(accessTypeName(AccessType::Read), "read");
+}
+
+TEST(Parse, DecimalAcceptsDigitsUpToTheBound)
+{
+    const u64 u64_max = std::numeric_limits<u64>::max();
+    u64 v = 7;
+    EXPECT_TRUE(parseDecimal("0", 0, v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseDecimal("00042", 100, v));
+    EXPECT_EQ(v, 42u);
+    EXPECT_TRUE(parseDecimal("65535", 65535, v));
+    EXPECT_EQ(v, 65535u);
+    EXPECT_TRUE(parseDecimal("18446744073709551615", u64_max, v));
+    EXPECT_EQ(v, u64_max);
+}
+
+TEST(Parse, DecimalRejectsSignsJunkAndOverflow)
+{
+    // What strtoul would wrap ("-1"), truncate at the first junk
+    // character ("2x") or let a narrowing cast wrap ("99999" as a u16
+    // port) all fail, and a failed parse leaves the output alone.
+    u64 v = 7;
+    for (const char *bad : {"", "-1", "-0", "+1", " 1", "1 ", "2x", "abc",
+                            "0x10", "65536", "99999"})
+        EXPECT_FALSE(parseDecimal(bad, 65535, v)) << "'" << bad << "'";
+    EXPECT_FALSE(parseDecimal("1", 0, v));
+    EXPECT_FALSE(parseDecimal("18446744073709551616",
+                              std::numeric_limits<u64>::max(), v));
+    EXPECT_FALSE(parseDecimal("99999999999999999999",
+                              std::numeric_limits<u64>::max(), v));
+    EXPECT_EQ(v, 7u);
 }
 
 } // namespace

@@ -297,9 +297,6 @@ TEST(Report, JsonGolden)
     mgx.metaCacheHits = 7;
     mgx.metaCacheMisses = 3;
     mgx.metaCacheWritebacks = 1;
-    mgx.shardReplayThreads = 2;
-    mgx.shardMergeWaits = 1;
-    mgx.shardChannels = {{40, 900}, {26, 850}};
 
     ResultSet rs;
     rs.add({{"core/matmul", "Edge", Scheme::NP}, np});
@@ -334,9 +331,8 @@ TEST(Report, JsonGolden)
         "\"writebacks\": 1},\n"
         "     \"pipeline\": {\"producerWaits\": 0, "
         "\"consumerWaits\": 0, \"maxOccupancy\": 0},\n"
-        "     \"shard\": {\"replayThreads\": 2, \"mergeWaits\": 1, "
-        "\"channels\": [{\"requests\": 40, \"busyCycles\": 900}, "
-        "{\"requests\": 26, \"busyCycles\": 850}]},\n"
+        "     \"shard\": {\"replayThreads\": 0, \"mergeWaits\": 0, "
+        "\"channels\": []},\n"
         "     \"traffic\": {\"data\": 4096, \"expand\": 64, "
         "\"mac\": 64, \"vn\": 0, \"tree\": 0, \"total\": 4224},\n"
         "     \"normalizedTime\": 1.03, \"trafficIncrease\": "

@@ -919,7 +919,7 @@ TEST(ClientFailure, ResetAfterPartialResponseIsClassified)
 }
 
 // ---------------------------------------------------------------------
-// Result memo and per-request replay budgets
+// Result memo
 // ---------------------------------------------------------------------
 
 TEST(ServerTest, ResultMemoWarmRepeatSkipsEngine)
@@ -1037,102 +1037,6 @@ TEST(ServerTest, ResultMemoDisabledRunsEveryTime)
     EXPECT_EQ(runs.load(), 2);
     EXPECT_EQ(server.metricsSnapshot().resultMemoHits, 0u);
     EXPECT_EQ(server.resultMemo().size(), 0u);
-    server.shutdown();
-}
-
-TEST(ServerTest, PerRequestBudgetKeepsBodyByteIdentical)
-{
-    // Real engine runs. The sharded/pipelined request must answer the
-    // exact bytes of the serial one — the replay-mode diagnostics are
-    // scrubbed, and the model outputs are bitwise-identical by the
-    // sharded-replay guarantee. Memo off so every request really runs.
-    ServerOptions opts;
-    opts.listen.unixPath = testSocketPath("budget");
-    opts.maxRequestThreads = 5;
-    opts.resultMemoCapacity = 0;
-    Server server(opts);
-    server.start();
-    const SocketAddress addr{opts.listen.unixPath, "127.0.0.1", 0};
-    const std::string grid =
-        "/run?workload=core%2Fmatmul&schemes=NP,BP";
-
-    HttpResponse serial, sharded, both;
-    std::string error;
-    ASSERT_TRUE(httpGet(addr, grid, &serial, &error)) << error;
-    ASSERT_EQ(serial.status, 200) << serial.body;
-    ASSERT_TRUE(httpGet(addr, grid + "&replayThreads=4", &sharded,
-                        &error))
-        << error;
-    ASSERT_EQ(sharded.status, 200) << sharded.body;
-    ASSERT_TRUE(httpGet(addr, grid + "&pipeline=1&replayThreads=4",
-                        &both, &error))
-        << error;
-    ASSERT_EQ(both.status, 200) << both.body;
-    EXPECT_EQ(sharded.body, serial.body);
-    EXPECT_EQ(both.body, serial.body);
-
-    // And all of them match the CLI-equivalent Experiment run.
-    sim::ResultSet rs = sim::Experiment()
-                            .workload("core/matmul")
-                            .schemes({protection::Scheme::NP,
-                                      protection::Scheme::BP})
-                            .threads(1)
-                            .pipelined(false)
-                            .run();
-    EXPECT_EQ(serial.body, sim::toJson(rs));
-    server.shutdown();
-}
-
-TEST(ServerTest, BudgetClampsUnderMaxRequestThreads)
-{
-    // Default maxRequestThreads = 1: a greedy ask degrades to serial
-    // (the Experiment budget is a true cap) and still answers the
-    // identical body.
-    ServerOptions opts;
-    opts.listen.unixPath = testSocketPath("clamp");
-    opts.resultMemoCapacity = 0;
-    Server server(opts);
-    server.start();
-    const SocketAddress addr{opts.listen.unixPath, "127.0.0.1", 0};
-    const std::string grid = "/run?workload=core%2Fmatmul&schemes=NP";
-
-    HttpResponse serial, greedy;
-    std::string error;
-    ASSERT_TRUE(httpGet(addr, grid, &serial, &error)) << error;
-    ASSERT_TRUE(httpGet(addr, grid + "&pipeline=1&replayThreads=8",
-                        &greedy, &error))
-        << error;
-    ASSERT_EQ(greedy.status, 200) << greedy.body;
-    EXPECT_EQ(greedy.body, serial.body);
-    server.shutdown();
-}
-
-TEST(ServerTest, BadBudgetParamsAnswer400)
-{
-    ServerOptions opts;
-    opts.listen.unixPath = testSocketPath("badbudget");
-    Server server(opts);
-    server.setCellRunnerForTest(syntheticOutcome);
-    server.start();
-    const SocketAddress addr{opts.listen.unixPath, "127.0.0.1", 0};
-    const std::string grid = "/run?workload=core%2Fmatmul&schemes=NP";
-
-    HttpResponse resp;
-    std::string error;
-    ASSERT_TRUE(httpGet(addr, grid + "&pipeline=2", &resp, &error))
-        << error;
-    EXPECT_EQ(resp.status, 400);
-    EXPECT_NE(resp.body.find("pipeline="), std::string::npos);
-    ASSERT_TRUE(
-        httpGet(addr, grid + "&replayThreads=0", &resp, &error))
-        << error;
-    EXPECT_EQ(resp.status, 400);
-    ASSERT_TRUE(
-        httpGet(addr, grid + "&replayThreads=abc", &resp, &error))
-        << error;
-    EXPECT_EQ(resp.status, 400);
-    EXPECT_NE(resp.body.find("replayThreads="), std::string::npos);
-    EXPECT_EQ(server.metricsSnapshot().cellsRun, 0u);
     server.shutdown();
 }
 

@@ -132,9 +132,9 @@ TEST(Streaming, ExperimentStreamedAndMaterializedGridsMatch)
 {
     // A registry cell streams its kernel; a trace() cell streams the
     // materialized trace of the same kernel, serially or through the
-    // pipeline ring and the shard pool like any other cell. Both feed
-    // the replay the same phase stream, so every field matches — the
-    // footprint fields included.
+    // pipeline ring like any other cell. Both feed the replay the same
+    // phase stream, so every field matches — the footprint fields
+    // included.
     const std::string w = "core/matmul?m=256&n=256&k=256";
     const core::Trace trace = makeKernel(w, edgePlatform())->generate();
     const ResultSet streamed = Experiment()
@@ -150,7 +150,6 @@ TEST(Streaming, ExperimentStreamedAndMaterializedGridsMatch)
                                            .schemes(allSchemes())
                                            .threads(parallel ? 4 : 1)
                                            .pipelined(parallel)
-                                           .replayThreads(parallel ? 2 : 1)
                                            .run();
         ASSERT_EQ(streamed.records().size(),
                   materialized.records().size());
