@@ -57,8 +57,9 @@ struct CellResult
     /**
      * Measurement axis: "replay" times the materialized hot path,
      * "stream" generates + replays serially per rep, "pipeline" runs
-     * the same end-to-end stream with generation and replay on two
-     * threads over the SPSC phase ring (sim/pipeline.h).
+     * the same end-to-end stream split at the engine/DRAM boundary:
+     * generation and engine expansion on one thread, DRAM timing on
+     * another (sim/pipeline.h).
      */
     const char *mode = "replay";
     double linesPerSecond = 0.0;
@@ -118,10 +119,11 @@ measureCalibration()
  * Stream @p workload end to end (fresh kernel, pull-based replay, no
  * materialized trace) under @p scheme until the budget is spent — the
  * throughput of the streaming pipeline, generation included. With
- * @p pipelined, generation and replay run on two threads over the
- * SPSC phase ring instead of interleaving on one. Same work, same
- * results either way (the self-check still compares cycle counts),
- * different wall clock on a multi-core host.
+ * @p pipelined, the cell is split at the engine/DRAM boundary
+ * (sim/pipeline.h): kernel streaming and protection-engine expansion
+ * on one thread, DRAM timing on another, over the command ring. Same
+ * work, same results either way (the self-check still compares cycle
+ * counts), different wall clock on a multi-core host.
  */
 CellResult
 measureStreamedCell(const std::string &workload,
@@ -143,21 +145,27 @@ measureStreamedCell(const std::string &workload,
     u64 lines = 0;
     u64 reps = 0;
     do {
-        dram::DramSystem dram(platform.dram);
-        protection::ProtectionEngine engine(cfg, &dram);
-        sim::PerfModel model(&engine, platform.clockMhz);
-        auto kernel = sim::makeKernel(workload, platform);
-        auto source = kernel->stream();
-        const sim::RunResult r = pipelined
-                                     ? sim::runPipelined(model, *source)
-                                     : model.run(*source);
+        std::unique_ptr<core::Kernel> kernel;
+        const auto makeSource = [&] {
+            kernel = sim::makeKernel(workload, platform);
+            return kernel->stream();
+        };
+        sim::RunResult r;
+        if (pipelined) {
+            r = sim::runPipelined(makeSource, cfg, platform);
+        } else {
+            auto source = makeSource();
+            dram::DramSystem dram(platform.dram);
+            protection::ProtectionEngine engine(cfg, &dram);
+            sim::PerfModel model(&engine, platform.clockMhz);
+            r = model.run(*source);
+        }
         if (reps == 0) {
             cycles = r.totalCycles;
-            lines = dram.accessCount();
+            lines = r.dramAccesses;
             cell.traceBytes = r.peakPhaseBytes; // stream high-water mark
             cell.tracePhases = 0; // never materialized
-        } else if (cycles != r.totalCycles ||
-                   lines != dram.accessCount()) {
+        } else if (cycles != r.totalCycles || lines != r.dramAccesses) {
             std::fprintf(stderr,
                          "bench_perf_throughput: %s rep %llu of "
                          "%s/%s diverged (nondeterministic stream!)\n",
@@ -311,9 +319,10 @@ workloadSet(const std::string &set)
     // The MatMul cells also run on the streamed axis (fresh kernel +
     // pull-based replay per rep): the end-to-end throughput of the
     // default mgx_run path, tracked next to the pure-replay numbers.
-    // The pipeline axis repeats the streamed cells over the two-thread
-    // phase ring, so stream-vs-pipeline is a direct wall-clock
-    // comparison of serial and pipelined single-cell replay.
+    // The pipeline axis repeats the streamed cells with engine
+    // expansion and DRAM timing on two threads, so stream-vs-pipeline
+    // is a direct wall-clock comparison of serial and pipelined
+    // single-cell replay.
     std::vector<WorkloadSpec> specs = {
         {"core/matmul?m=256&n=256&k=256", all, all, all},
         {"genome/chr1PacBio?reads=2", bp, none, none},

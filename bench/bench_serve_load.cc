@@ -25,10 +25,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -36,6 +38,7 @@
 
 #include <unistd.h>
 
+#include "common/parse.h"
 #include "fleet/fleet.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -289,9 +292,22 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](u64 max) -> u64 {
+            const char *v = value();
+            u64 n = 0;
+            if (!parseDecimal(v, max, n)) {
+                std::fprintf(stderr,
+                             "bench_serve_load: %s needs a non-negative "
+                             "integer no larger than %llu, got '%s'\n",
+                             arg.c_str(),
+                             static_cast<unsigned long long>(max), v);
+                std::exit(2);
+            }
+            return n;
+        };
         if (arg == "--clients")
             opt.clients = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+                number(std::numeric_limits<unsigned>::max()));
         else if (arg == "--seconds")
             opt.seconds = std::strtod(value(), nullptr);
         else if (arg == "--workload")
@@ -301,11 +317,9 @@ main(int argc, char **argv)
         else if (arg == "--fleet")
             opt.fleet = true;
         else if (arg == "--fleet-workers")
-            opt.fleetWorkers = static_cast<int>(
-                std::strtol(value(), nullptr, 10));
+            opt.fleetWorkers = static_cast<int>(number(INT_MAX));
         else if (arg == "--kill-every-ms")
-            opt.killEveryMs = static_cast<int>(
-                std::strtol(value(), nullptr, 10));
+            opt.killEveryMs = static_cast<int>(number(INT_MAX));
         else {
             std::fprintf(stderr,
                          "usage: bench_serve_load [--clients N] "

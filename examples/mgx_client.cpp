@@ -13,11 +13,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
+#include "common/parse.h"
 #include "serve/client.h"
 
 namespace {
@@ -80,13 +83,26 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](u64 max) -> u64 {
+            const char *v = value();
+            u64 n = 0;
+            if (!parseDecimal(v, max, n)) {
+                std::fprintf(stderr,
+                             "mgx_client: %s needs a non-negative integer "
+                             "no larger than %llu, got '%s'\n",
+                             arg.c_str(),
+                             static_cast<unsigned long long>(max), v);
+                std::exit(usage(stderr));
+            }
+            return n;
+        };
         if (arg == "--help" || arg == "-h")
             return usage(stdout);
         if (arg == "--socket") {
             addr.unixPath = value();
         } else if (arg == "--port") {
-            addr.port =
-                static_cast<u16>(std::strtoul(value(), nullptr, 10));
+            addr.port = static_cast<u16>(
+                number(std::numeric_limits<u16>::max()));
         } else if (arg == "--host") {
             addr.host = value();
         } else if (arg == "--run" || arg == "--workload" ||
@@ -101,18 +117,15 @@ main(int argc, char **argv)
         } else if (arg == "--shutdown") {
             shutdown = true;
         } else if (arg == "--timeout-ms") {
-            timeout_ms =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+            timeout_ms = static_cast<int>(number(INT_MAX));
         } else if (arg == "--retries") {
-            retry.retries =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+            retry.retries = static_cast<int>(number(INT_MAX));
         } else if (arg == "--backoff-ms") {
-            retry.backoffMs =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+            retry.backoffMs = static_cast<int>(number(INT_MAX));
         } else if (arg == "--client-stats") {
             client_stats = true;
         } else if (arg == "--repeat") {
-            repeat = static_cast<int>(std::strtol(value(), nullptr, 10));
+            repeat = static_cast<int>(number(INT_MAX));
         } else if (arg == "--no-keep-alive") {
             keep_alive = false;
         } else {

@@ -43,16 +43,19 @@ usage(std::FILE *out)
         "  --schemes S[,...]      NP, MGX, MGX_VN, MGX_MAC, BP\n"
         "                         (default: all five)\n"
         "  --threads N            worker threads (default 0: all cores)\n"
-        "  --pipeline             split every cell's trace generation\n"
-        "                         and replay onto two threads over a\n"
-        "                         bounded SPSC phase ring — bitwise-\n"
-        "                         identical results (only the pipeline\n"
-        "                         stall counters vary run to run)\n"
+        "  --pipeline             split every cell onto two threads at\n"
+        "                         the engine/DRAM boundary: kernel and\n"
+        "                         protection-engine expansion on one,\n"
+        "                         DRAM timing on the other, over a\n"
+        "                         ~1 MB ring of recorded DRAM commands\n"
+        "                         — bitwise-identical results (only the\n"
+        "                         pipeline stall counters vary run to\n"
+        "                         run)\n"
         "  --no-pipeline          force serial cells. Default: auto —\n"
         "                         pipeline only a single-cell grid.\n"
         "                         --threads N stays a true concurrency\n"
         "                         cap: a pipelined cell costs two\n"
-        "                         threads (producer + replay), so the\n"
+        "                         threads (engine + DRAM timer), so the\n"
         "                         pool runs floor(N/2) cells at once,\n"
         "                         and --threads 1 never pipelines\n"
         "  --json FILE            write the mgx-resultset-v1 artifact\n"

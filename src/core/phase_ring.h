@@ -1,8 +1,10 @@
 /**
  * @file
- * Bounded single-producer/single-consumer phase ring: the seam that
+ * Bounded single-producer/single-consumer phase ring: a seam that
  * lets one cell's kernel streaming and replay run on separate
- * threads.
+ * threads. The simulator pipelines at the engine/DRAM boundary
+ * instead (sim/pipeline.h), where the work divides evenly; this ring
+ * stays for the benchmark's traced replica (perfbench/).
  *
  * The ring owns a fixed number of `Phase` slots. push() copies the
  * producer's scratch phase into the next free slot (the slot's

@@ -21,6 +21,7 @@
 #ifndef MGX_CORE_PHASE_STREAM_H
 #define MGX_CORE_PHASE_STREAM_H
 
+#include <algorithm>
 #include <cstddef>
 
 #include "phase.h"
@@ -124,6 +125,21 @@ phaseArenaBytes(const Phase &phase)
     return phase.accesses.size() * sizeof(LogicalAccess) +
            phase.name.size() + 32; // 32 = sizeof(Trace::PhaseRec)
 }
+
+/** phaseArenaBytes() summed and maximized over a stream. */
+struct PhaseFootprint
+{
+    u64 streamedBytes = 0; ///< arena bytes a materialization would hold
+    u64 peakBytes = 0;     ///< largest phase buffer seen at once
+
+    void
+    add(const Phase &phase)
+    {
+        const u64 bytes = phaseArenaBytes(phase);
+        streamedBytes += bytes;
+        peakBytes = std::max(peakBytes, bytes);
+    }
+};
 
 } // namespace mgx::core
 

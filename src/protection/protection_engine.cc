@@ -13,10 +13,52 @@ constexpr u32 kLine = MetadataLayout::kLineBytes;
 
 ProtectionEngine::ProtectionEngine(const ProtectionConfig &cfg,
                                    dram::DramSystem *dram)
-    : cfg_(cfg), layout_(cfg), dram_(dram), stats_("protection"),
+    : cfg_(cfg), layout_(cfg), dram_(dram),
+      blockBytes_(dram->blockBytes()), stats_("protection"),
       cache_(cfg.metaCacheBytes, cfg.metaCacheWays, &stats_),
       statLogicalAccesses_(stats_.counter("logical_accesses"))
 {
+}
+
+ProtectionEngine::ProtectionEngine(const ProtectionConfig &cfg,
+                                   dram::CommandRecorder *recorder)
+    : cfg_(cfg), layout_(cfg), recorder_(recorder),
+      blockBytes_(recorder->blockBytes()), stats_("protection"),
+      cache_(cfg.metaCacheBytes, cfg.metaCacheWays, &stats_),
+      statLogicalAccesses_(stats_.counter("logical_accesses"))
+{
+}
+
+Cycles
+ProtectionEngine::issueRange(Addr addr, u64 bytes, bool is_write,
+                             Cycles arrival)
+{
+    if (recorder_ != nullptr) {
+        recorder_->range(addr, bytes, is_write);
+        return arrival;
+    }
+    return dram_->accessRange(addr, bytes, is_write, arrival);
+}
+
+Cycles
+ProtectionEngine::issueLine(Addr line, bool is_write, Cycles arrival)
+{
+    if (recorder_ != nullptr) {
+        recorder_->line(line, is_write);
+        return arrival;
+    }
+    return dram_->access({line, is_write, arrival});
+}
+
+Cycles
+ProtectionEngine::issueBatch(std::span<const dram::Request> reqs)
+{
+    if (recorder_ != nullptr) {
+        for (const dram::Request &req : reqs)
+            recorder_->line(req.addr, req.isWrite);
+        return 0; // accessBatch's value for "no completion"
+    }
+    return dram_->accessBatch(reqs);
 }
 
 u64 &
@@ -49,31 +91,29 @@ ProtectionEngine::mgxMacPath(const core::LogicalAccess &acc, u32 gran,
             // Partial edge blocks: fetch the untouched remainder first
             // so the new tags cover valid ciphertext (read-modify-write).
             if (begin < acc.addr) {
-                done = std::max(done, dram_->accessRange(
-                                          begin, acc.addr - begin, false,
-                                          arrival));
+                done = std::max(done, issueRange(begin, acc.addr - begin,
+                                                 false, arrival));
             }
             const Addr data_end = acc.addr + acc.bytes;
             if (end > data_end) {
-                done = std::max(done, dram_->accessRange(
-                                          data_end, end - data_end, false,
-                                          arrival));
+                done = std::max(done, issueRange(data_end, end - data_end,
+                                                 false, arrival));
             }
         }
-        done = std::max(done, dram_->accessRange(begin, end - begin,
-                                                 is_write, arrival));
+        done = std::max(done,
+                        issueRange(begin, end - begin, is_write, arrival));
     }
 
     // Tag lines covering [begin, end). tagsPerLine consecutive MAC
     // blocks share one 64 B tag line. Consecutive tag lines are
-    // contiguous, so they decode incrementally when they coincide with
-    // DRAM blocks (the ubiquitous 64 B case); otherwise each line is
-    // decoded from its address.
+    // contiguous, so when timed they decode incrementally when they
+    // coincide with DRAM blocks (the ubiquitous 64 B case); otherwise
+    // each line is decoded from its address.
     const u64 tags_per_line = kLine / cfg_.macBytes;
     const u64 line_span = tags_per_line * gran; // data bytes per tag line
     const Addr first_line = layout_.macLineAddr(begin, gran);
     const Addr last_line = layout_.macLineAddr(end - 1, gran);
-    const bool walk = dram_->blockBytes() == kLine;
+    const bool walk = recorder_ == nullptr && blockBytes_ == kLine;
     dram::AddressMap::LineWalker walker =
         walk ? dram_->map().walkerAt(first_line)
              : dram::AddressMap::LineWalker{};
@@ -82,7 +122,7 @@ ProtectionEngine::mgxMacPath(const core::LogicalAccess &acc, u32 gran,
             traffic_.macBytes += kLine;
             return walk ? dram_->accessCoord(walker.coord(), write,
                                              arrival)
-                        : dram_->access({line, write, arrival});
+                        : issueLine(line, write, arrival);
         };
         if (!is_write) {
             done = std::max(done, issueTag(false));
@@ -129,12 +169,11 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
     // When the protection block is not the DRAM block each protection
     // block is one request at its own address.
     Cycles done = arrival;
-    if (gran == dram_->blockBytes()) {
-        done = dram_->accessRange(begin, end - begin, is_write, arrival);
+    if (gran == blockBytes_) {
+        done = issueRange(begin, end - begin, is_write, arrival);
     } else {
         for (Addr block = begin; block < end; block += gran)
-            done = std::max(done,
-                            dram_->access({block, is_write, arrival}));
+            done = std::max(done, issueLine(block, is_write, arrival));
     }
 
     // Metadata addresses stream incrementally: one VN line covers
@@ -233,8 +272,8 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
             i += k;
         }
     }
-    done = std::max(done, dram_->accessBatch(metaReqs_));
-    done = std::max(done, dram_->accessBatch(macReqs_));
+    done = std::max(done, issueBatch(metaReqs_));
+    done = std::max(done, issueBatch(macReqs_));
     return done;
 }
 
@@ -244,13 +283,17 @@ ProtectionEngine::access(const core::LogicalAccess &acc, Cycles arrival)
     if (acc.bytes == 0)
         return arrival;
     statLogicalAccesses_.add();
+    const bool decrypts =
+        acc.type == AccessType::Read && cfg_.scheme != Scheme::NP;
+    if (recorder_ != nullptr)
+        recorder_->setCrypto(decrypts);
 
     Cycles done = arrival;
     switch (cfg_.scheme) {
       case Scheme::NP:
         traffic_.dataBytes += acc.bytes;
-        done = dram_->accessRange(acc.addr, acc.bytes,
-                                  acc.type == AccessType::Write, arrival);
+        done = issueRange(acc.addr, acc.bytes,
+                          acc.type == AccessType::Write, arrival);
         break;
       case Scheme::MGX:
       case Scheme::MGX_VN:
@@ -273,8 +316,10 @@ ProtectionEngine::access(const core::LogicalAccess &acc, Cycles arrival)
 
     // AES-CTR pipeline: decryption begins once ciphertext arrives; the
     // keystream was precomputed from (addr, VN), so only the final XOR
-    // and MAC check trail the last burst.
-    if (acc.type == AccessType::Read && cfg_.scheme != Scheme::NP)
+    // and MAC check trail the last burst. Every protected read issues
+    // its data blocks, so a recorded one always carries crypto-tagged
+    // commands for the timer to add this latency to.
+    if (decrypts)
         done += cfg_.cryptoLatency;
     return done;
 }
@@ -292,7 +337,9 @@ ProtectionEngine::flush(Cycles arrival)
             metaReqs_.push_back({line.addr, true, arrival});
             trafficFor(line.cls) += kLine;
         }
-        done = std::max(done, dram_->accessBatch(metaReqs_));
+        if (recorder_ != nullptr)
+            recorder_->setCrypto(false);
+        done = std::max(done, issueBatch(metaReqs_));
     }
     return done;
 }

@@ -19,15 +19,23 @@
  *
  * The engine never touches data bytes; functional security lives in
  * SecureMemory. Both consume the same kernel-generated VNs.
+ *
+ * Which metadata lines an access needs follows from on-chip state
+ * alone (the metadata cache and the layout); DRAM timing only decides
+ * when they arrive. So the engine can also run without a DramSystem,
+ * recording every DRAM call into a dram::CommandRecorder for another
+ * thread to time (the engine/DRAM split, sim/pipeline.h).
  */
 
 #ifndef MGX_PROTECTION_PROTECTION_ENGINE_H
 #define MGX_PROTECTION_PROTECTION_ENGINE_H
 
 #include <memory>
+#include <span>
 
 #include "common/stats.h"
 #include "core/access.h"
+#include "dram/command_log.h"
 #include "dram/dram_system.h"
 #include "meta_cache.h"
 #include "metadata_layout.h"
@@ -65,7 +73,17 @@ struct TrafficBreakdown
 class ProtectionEngine
 {
   public:
+    /** Time every DRAM request on @p dram. */
     ProtectionEngine(const ProtectionConfig &cfg, dram::DramSystem *dram);
+
+    /**
+     * Record every DRAM request into @p recorder instead of timing it.
+     * Every counter of the engine (traffic, metadata cache, logical
+     * accesses) is the same as on a DramSystem; access() and flush()
+     * time nothing, so their values are not completion times.
+     */
+    ProtectionEngine(const ProtectionConfig &cfg,
+                     dram::CommandRecorder *recorder);
 
     /**
      * Issue one logical access and all implied metadata traffic.
@@ -90,7 +108,10 @@ class ProtectionEngine
     /** Logical accesses served (the kernel-facing request count). */
     u64 logicalAccesses() const { return statLogicalAccesses_.value(); }
 
-    /** The DRAM system behind this engine (real access counts). */
+    /**
+     * The DRAM system behind this engine (real access counts). Not
+     * available on a recording engine.
+     */
     const dram::DramSystem &dram() const { return *dram_; }
 
     const MetadataLayout &layout() const { return layout_; }
@@ -107,9 +128,17 @@ class ProtectionEngine
     /** The traffic counter a @p cls metadata line is charged to. */
     u64 &trafficFor(MetaClass cls);
 
+    // The DRAM calls: timed on dram_, or recorded into recorder_ (then
+    // they return their arrival; see the recording constructor).
+    Cycles issueRange(Addr addr, u64 bytes, bool is_write, Cycles arrival);
+    Cycles issueLine(Addr line, bool is_write, Cycles arrival);
+    Cycles issueBatch(std::span<const dram::Request> reqs);
+
     ProtectionConfig cfg_;
     MetadataLayout layout_;
-    dram::DramSystem *dram_;
+    dram::DramSystem *dram_ = nullptr;
+    dram::CommandRecorder *recorder_ = nullptr;
+    u32 blockBytes_; ///< DRAM block (column access) size
     StatGroup stats_;
     MetaCache cache_;
     TrafficBreakdown traffic_;

@@ -242,8 +242,8 @@ Experiment::run() const
     }
 
     // Resolve the pipelining decision and the thread budget it must
-    // respect. A pipelined cell occupies two threads (producer +
-    // replay), so the pool shrinks to floor(budget / 2) workers —
+    // respect. A pipelined cell occupies two threads (engine + DRAM
+    // timer), so the pool shrinks to floor(budget / 2) workers —
     // `threads` stays a true concurrency cap either way — and a
     // one-thread budget cannot pipeline at all. The automatic default
     // pipelines only a single-cell grid: with several cells the pool
@@ -261,29 +261,34 @@ Experiment::run() const
 
     // Simulate every cell on fresh per-cell state, pulling phases from
     // its own fresh kernel (or the caller's explicit trace), so a cell
-    // is deterministic whatever the scheduling. Pipelined cells
-    // consume the identical stream and differ only in their
-    // scheduling-dependent pipeline diagnostics.
+    // is deterministic whatever the scheduling. Pipelined cells build
+    // the same source on their engine thread, consume the identical
+    // stream and differ only in their scheduling-dependent pipeline
+    // diagnostics.
     std::vector<RunResult> results(cells.size());
     parallelFor(cells.size(), replayWorkers, [&](std::size_t i) {
         const Cell &cell = cells[i];
         std::unique_ptr<core::Kernel> kernel;
-        std::unique_ptr<core::PhaseSource> source;
-        if (cell.entry->isExplicitTrace) {
-            source = std::make_unique<core::TracePhaseSource>(
-                cell.entry->explicitTrace);
-        } else {
+        const auto makeSource =
+            [&]() -> std::unique_ptr<core::PhaseSource> {
+            if (cell.entry->isExplicitTrace)
+                return std::make_unique<core::TracePhaseSource>(
+                    cell.entry->explicitTrace);
             kernel = makeKernel(cell.entry->label, cell.platform);
-            source = kernel->stream();
-        }
+            return kernel->stream();
+        };
 
-        dram::DramSystem dram(cell.platform.dram);
         protection::ProtectionConfig cfg = config_;
         cfg.scheme = cell.scheme;
+        if (pipelined) {
+            results[i] = runPipelined(makeSource, cfg, cell.platform);
+            return;
+        }
+        std::unique_ptr<core::PhaseSource> source = makeSource();
+        dram::DramSystem dram(cell.platform.dram);
         protection::ProtectionEngine engine(cfg, &dram);
         PerfModel model(&engine, cell.platform.clockMhz);
-        results[i] = pipelined ? runPipelined(model, *source)
-                               : model.run(*source);
+        results[i] = model.run(*source);
     });
 
     ResultSet rs;

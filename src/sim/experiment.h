@@ -142,16 +142,17 @@ class Experiment
     Experiment &threads(u32 n);
 
     /**
-     * Pipeline each cell's trace generation and replay onto two
-     * threads over a bounded SPSC phase ring (see sim/pipeline.h)
-     * — bitwise-identical results, but a long single cell is no
-     * longer bound by one core. When never called the choice is
-     * automatic: on when the grid has exactly one cell (the pool
-     * cannot help), off otherwise (cross-cell parallelism already
-     * fills the thread budget).
+     * Split each cell onto two threads at the engine/DRAM boundary
+     * (see sim/pipeline.h): kernel streaming and protection-engine
+     * expansion on one, DRAM timing on the other, over a bounded ring
+     * of recorded DRAM commands — bitwise-identical results, but a
+     * long single cell is no longer bound by one core. When never
+     * called the choice is automatic: on when the grid has exactly one
+     * cell (the pool cannot help), off otherwise (cross-cell
+     * parallelism already fills the thread budget).
      *
      * The thread budget stays a true cap either way: a pipelined cell
-     * costs two threads (producer + replay), so the pool runs at most
+     * costs two threads (engine + DRAM timer), so the pool runs at most
      * floor(threads / 2) cells at once, and pipelining is disabled
      * when the budget is a single thread.
      */

@@ -5,14 +5,13 @@
 
 namespace mgx::sim {
 
-PerfModel::PerfModel(protection::ProtectionEngine *engine,
-                     double accel_mhz, double ctrl_mhz)
-    : engine_(engine), accelMhz_(accel_mhz), ctrlMhz_(ctrl_mhz)
+PhaseClock::PhaseClock(double accel_mhz, double ctrl_mhz)
+    : accelMhz_(accel_mhz), ctrlMhz_(ctrl_mhz)
 {
 }
 
 Cycles
-PerfModel::toCtrl(Cycles accel_cycles) const
+PhaseClock::toCtrl(Cycles accel_cycles) const
 {
     return static_cast<Cycles>(
         std::ceil(static_cast<double>(accel_cycles) * ctrlMhz_ /
@@ -20,90 +19,111 @@ PerfModel::toCtrl(Cycles accel_cycles) const
 }
 
 void
-PerfModel::step(Replay &rep, Cycles compute_cycles,
+PhaseClock::close(Cycles data_ready, Cycles compute_cycles)
+{
+    memBusy_ += data_ready - memFree_;
+    memFree_ = data_ready;
+
+    const Cycles compute = toCtrl(compute_cycles);
+    const Cycles start = std::max(data_ready, computeDone_);
+    computeDone_ = start + compute;
+    computeTotal_ += compute;
+}
+
+void
+PhaseClock::finish(Cycles flushed, RunResult &result) const
+{
+    result.totalCycles = std::max(computeDone_, flushed);
+    result.computeCycles = computeTotal_;
+    result.memoryCycles = memBusy_;
+    result.seconds =
+        static_cast<double>(result.totalCycles) / (ctrlMhz_ * 1e6);
+}
+
+void
+recordEngineCounters(const protection::ProtectionEngine &engine,
+                     RunResult &result)
+{
+    result.traffic = engine.traffic();
+    result.logicalAccesses = engine.logicalAccesses();
+    result.metaCacheHits = engine.metaCache().hits();
+    result.metaCacheMisses = engine.metaCache().misses();
+    result.metaCacheWritebacks = engine.metaCache().writebacks();
+}
+
+PerfModel::PerfModel(protection::ProtectionEngine *engine,
+                     double accel_mhz, double ctrl_mhz)
+    : engine_(engine), accelMhz_(accel_mhz), ctrlMhz_(ctrl_mhz)
+{
+}
+
+void
+PerfModel::step(PhaseClock &clock, Cycles compute_cycles,
                 std::span<const core::LogicalAccess> accesses)
 {
-    const Cycles issue = rep.memFree;
+    const Cycles issue = clock.issue();
     Cycles data_ready = issue;
     for (const auto &acc : accesses)
         data_ready = std::max(data_ready, engine_->access(acc, issue));
-    rep.memBusy += data_ready - issue;
-    rep.memFree = data_ready;
-
-    const Cycles compute = toCtrl(compute_cycles);
-    const Cycles start = std::max(data_ready, rep.computeDone);
-    rep.computeDone = start + compute;
-    rep.computeTotal += compute;
+    clock.close(data_ready, compute_cycles);
 }
 
 RunResult
-PerfModel::finish(const Replay &rep, u64 trace_bytes,
+PerfModel::finish(const PhaseClock &clock, u64 trace_bytes,
                   u64 peak_phase_bytes)
 {
-    const Cycles flushed = engine_->flush(rep.memFree);
     RunResult result;
-    result.totalCycles = std::max(rep.computeDone, flushed);
-    result.computeCycles = rep.computeTotal;
-    result.memoryCycles = rep.memBusy;
-    result.traffic = engine_->traffic();
+    clock.finish(engine_->flush(clock.issue()), result);
+    recordEngineCounters(*engine_, result);
     result.dramAccesses = engine_->dram().accessCount();
-    result.logicalAccesses = engine_->logicalAccesses();
     result.traceBytes = trace_bytes;
     result.peakPhaseBytes = peak_phase_bytes;
-    result.metaCacheHits = engine_->metaCache().hits();
-    result.metaCacheMisses = engine_->metaCache().misses();
-    result.metaCacheWritebacks = engine_->metaCache().writebacks();
-    result.seconds =
-        static_cast<double>(result.totalCycles) / (ctrlMhz_ * 1e6);
     return result;
 }
 
 RunResult
 PerfModel::run(const core::Trace &trace)
 {
-    Replay rep;
+    PhaseClock clock(accelMhz_, ctrlMhz_);
     for (const auto &phase : trace)
-        step(rep, phase.computeCycles, phase.accesses);
+        step(clock, phase.computeCycles, phase.accesses);
     // The whole trace is resident while it replays.
-    return finish(rep, trace.memoryBytes(), trace.memoryBytes());
+    return finish(clock, trace.memoryBytes(), trace.memoryBytes());
 }
 
 /** Feeds each streamed phase into step() the moment it arrives. */
 class PerfModel::StreamSink final : public core::PhaseSink
 {
   public:
-    StreamSink(PerfModel &model, Replay &rep)
-        : model_(&model), rep_(&rep)
+    StreamSink(PerfModel &model, PhaseClock &clock)
+        : model_(&model), clock_(&clock)
     {
     }
 
     void
     consume(const core::Phase &phase) override
     {
-        model_->step(*rep_, phase.computeCycles,
+        model_->step(*clock_, phase.computeCycles,
                      {phase.accesses.data(), phase.accesses.size()});
-        const u64 bytes = core::phaseArenaBytes(phase);
-        streamedBytes_ += bytes;
-        peakBytes_ = std::max(peakBytes_, bytes);
+        footprint_.add(phase);
     }
 
-    u64 streamedBytes() const { return streamedBytes_; }
-    u64 peakBytes() const { return peakBytes_; }
+    const core::PhaseFootprint &footprint() const { return footprint_; }
 
   private:
     PerfModel *model_;
-    Replay *rep_;
-    u64 streamedBytes_ = 0; ///< arena bytes a materialization would hold
-    u64 peakBytes_ = 0;     ///< largest phase buffer seen at once
+    PhaseClock *clock_;
+    core::PhaseFootprint footprint_;
 };
 
 RunResult
 PerfModel::run(core::PhaseSource &source)
 {
-    Replay rep;
-    StreamSink sink(*this, rep);
+    PhaseClock clock(accelMhz_, ctrlMhz_);
+    StreamSink sink(*this, clock);
     source.drainTo(sink);
-    return finish(rep, sink.streamedBytes(), sink.peakBytes());
+    return finish(clock, sink.footprint().streamedBytes,
+                  sink.footprint().peakBytes);
 }
 
 } // namespace mgx::sim

@@ -20,7 +20,8 @@
  * materialized trace, run(PhaseSource&) pulls phases straight off a
  * producer (a streaming kernel or trace file) and never holds more
  * than the producer's chunk in memory — the peak is reported as
- * RunResult::peakPhaseBytes.
+ * RunResult::peakPhaseBytes. The recurrence itself is PhaseClock, which
+ * the engine/DRAM split replay (sim/pipeline.h) shares.
  */
 
 #ifndef MGX_SIM_PERF_MODEL_H
@@ -54,14 +55,15 @@ struct RunResult
 
     /**
      * Pipelined-replay diagnostics (see sim/pipeline.h): how often
-     * each side of the SPSC phase ring blocked on the other, and the
-     * most phases buffered at once. All zero on a serial replay
-     * (maxOccupancy >= 1 identifies a pipelined run). Unlike every
-     * other field these depend on thread scheduling, so they vary run
-     * to run — equivalence checks must mask them.
+     * each side of the command ring between the engine and the DRAM
+     * timer blocked on the other, and the most chunks buffered at
+     * once. All zero on a serial replay (maxOccupancy >= 1 identifies
+     * a pipelined run). Unlike every other field these depend on
+     * thread scheduling, so they vary run to run — equivalence checks
+     * must mask them.
      */
-    u64 pipelineProducerWaits = 0; ///< producer blocked: ring full
-    u64 pipelineConsumerWaits = 0; ///< replay blocked: ring empty
+    u64 pipelineProducerWaits = 0; ///< engine blocked: ring full
+    u64 pipelineConsumerWaits = 0; ///< DRAM timer blocked: ring empty
     u64 pipelineMaxOccupancy = 0;  ///< ring high-water mark (0 = serial)
     double seconds = 0.0;
 
@@ -76,6 +78,58 @@ struct RunResult
     }
 };
 
+/** DRAM controller clock every platform runs at (MHz). */
+constexpr double kDefaultCtrlMhz = 1200.0;
+
+/**
+ * The phase recurrence above, one phase at a time: the memory stream
+ * and compute overlap state of one replay.
+ */
+class PhaseClock
+{
+  public:
+    /**
+     * @param accel_mhz   accelerator clock (compute cycles domain)
+     * @param ctrl_mhz    DRAM controller clock (timing domain)
+     */
+    PhaseClock(double accel_mhz, double ctrl_mhz);
+
+    /** Cycle the next phase's memory stream issues at (m_i). */
+    Cycles issue() const { return memFree_; }
+
+    /**
+     * Close the phase issued at issue(): its data arrived at
+     * @p data_ready (c_i), then it computes for @p compute_cycles
+     * accelerator cycles.
+     */
+    void close(Cycles data_ready, Cycles compute_cycles);
+
+    /**
+     * Fill @p result's timing fields (total, compute and memory
+     * cycles, seconds), given the completion of the end-of-run
+     * metadata flush issued at issue().
+     */
+    void finish(Cycles flushed, RunResult &result) const;
+
+  private:
+    /** Convert accelerator cycles to controller cycles (rounding up). */
+    Cycles toCtrl(Cycles accel_cycles) const;
+
+    double accelMhz_;
+    double ctrlMhz_;
+    Cycles memFree_ = 0;     ///< when the memory stream can take phase i
+    Cycles computeDone_ = 0; ///< e_{i-1}
+    Cycles memBusy_ = 0;
+    Cycles computeTotal_ = 0;
+};
+
+/**
+ * Copy the engine's counters (traffic, logical accesses, metadata
+ * cache) into @p result — after its flush, which adds traffic.
+ */
+void recordEngineCounters(const protection::ProtectionEngine &engine,
+                          RunResult &result);
+
 /** Runs one trace through a protection engine and times it. */
 class PerfModel
 {
@@ -86,7 +140,7 @@ class PerfModel
      * @param ctrl_mhz    DRAM controller clock (timing domain)
      */
     PerfModel(protection::ProtectionEngine *engine, double accel_mhz,
-              double ctrl_mhz = 1200.0);
+              double ctrl_mhz = kDefaultCtrlMhz);
 
     /** Simulate @p trace from cycle 0; returns the aggregate result. */
     RunResult run(const core::Trace &trace);
@@ -100,27 +154,15 @@ class PerfModel
     RunResult run(core::PhaseSource &source);
 
   private:
-    /** Accumulator state of one replay (the recurrence above). */
-    struct Replay
-    {
-        Cycles memFree = 0;     ///< when the memory stream can take phase i
-        Cycles computeDone = 0; ///< e_{i-1}
-        Cycles memBusy = 0;
-        Cycles computeTotal = 0;
-    };
-
     class StreamSink; // PhaseSink feeding step() (perf_model.cc)
 
     /** Replay one phase: the serialized memory stream + overlap rule. */
-    void step(Replay &rep, Cycles compute_cycles,
+    void step(PhaseClock &clock, Cycles compute_cycles,
               std::span<const core::LogicalAccess> accesses);
 
     /** Flush the engine and package the aggregate result. */
-    RunResult finish(const Replay &rep, u64 trace_bytes,
+    RunResult finish(const PhaseClock &clock, u64 trace_bytes,
                      u64 peak_phase_bytes);
-
-    /** Convert accelerator cycles to controller cycles (rounding up). */
-    Cycles toCtrl(Cycles accel_cycles) const;
 
     protection::ProtectionEngine *engine_;
     double accelMhz_;

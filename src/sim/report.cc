@@ -92,8 +92,8 @@ printTable(const ResultSet &rs, std::FILE *out)
         std::fprintf(out, "%10.1f ",
                      static_cast<double>(r.result.peakPhaseBytes) /
                          1024.0);
-        // Pipelined cells report the SPSC ring's occupancy high-water
-        // mark; serial cells have no ring.
+        // Pipelined cells report the command ring's occupancy
+        // high-water mark; serial cells have no ring.
         if (r.result.pipelineMaxOccupancy > 0)
             std::fprintf(out, "%5llu\n",
                          static_cast<unsigned long long>(

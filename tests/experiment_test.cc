@@ -128,8 +128,9 @@ TEST(Experiment, DeterministicAcrossThreadsAndPipeline)
 {
     // The same grid under every --threads x --pipeline combination
     // must be bitwise-identical on every model output: the pool only
-    // schedules independent cells, and the SPSC ring only changes
-    // which thread pulls the (identical, stream-ordered) phases.
+    // schedules independent cells, and the pipeline only moves the
+    // DRAM timing of the (identical, engine-ordered) commands to
+    // another thread.
     const std::vector<std::string> ws = {
         "core/matmul?m=128&n=128&k=128", "video/h264?frames=4"};
     auto grid = [&](u32 threads, bool pipeline) {

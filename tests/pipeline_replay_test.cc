@@ -1,11 +1,16 @@
 /**
  * @file
- * Pipelined-replay tests: the SPSC PhaseRing itself (FIFO order,
- * blocking back-pressure, both shutdown sides, error propagation),
- * streamed-vs-pipelined bitwise equivalence for one cell per domain,
- * ring-capacity invariance, and a trace file unlinked under its
- * reader. This suite (plus streaming_test and experiment_test) runs
- * under ThreadSanitizer in CI (-DMGX_SANITIZE=thread).
+ * Pipelined-replay tests: the engine/DRAM split (sim/pipeline.h) and
+ * the rings it has used. The CommandRing itself (FIFO order, blocking
+ * back-pressure, both shutdown sides, error propagation); split-vs-
+ * serial bitwise equivalence for one cell per domain under every
+ * scheme; invariance under the ring's capacity and chunk size; a
+ * seeded property over random access sequences; and a trace file
+ * unlinked under its reader. core::PhaseRing is no longer the
+ * pipeline's seam, but it stays (perfbench's traced replica compiles
+ * against it), and so do its unit tests. This suite (plus
+ * streaming_test and experiment_test) runs under ThreadSanitizer in CI
+ * (-DMGX_SANITIZE=thread).
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +20,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/phase_ring.h"
 #include "sim/experiment.h"
 #include "sim/pipeline.h"
@@ -56,18 +63,19 @@ runSerial(const std::string &workload, Scheme scheme)
 }
 
 RunResult
-runRingPipelined(const std::string &workload, Scheme scheme,
-                 std::size_t ring_capacity = 8)
+runSplit(const std::string &workload, Scheme scheme,
+         std::size_t ring_chunks = 8, std::size_t chunk_words = 16384)
 {
     const Platform platform = defaultPlatform(workload);
-    dram::DramSystem dram(platform.dram);
     ProtectionConfig cfg;
     cfg.scheme = scheme;
-    ProtectionEngine engine(cfg, &dram);
-    PerfModel model(&engine, platform.clockMhz);
-    auto kernel = makeKernel(workload, platform);
-    auto source = kernel->stream();
-    return runPipelined(model, *source, ring_capacity);
+    std::unique_ptr<core::Kernel> kernel;
+    return runPipelined(
+        [&] {
+            kernel = makeKernel(workload, platform);
+            return kernel->stream();
+        },
+        cfg, platform, ring_chunks, chunk_words);
 }
 
 /**
@@ -107,6 +115,125 @@ testPhase(u64 index)
     p.accesses.push_back(
         {index * 64, 64, index, AccessType::Write, DataClass::Generic, 0});
     return p;
+}
+
+// ---------------------------------------------------------------------
+// CommandRing unit tests
+// ---------------------------------------------------------------------
+
+/** Chunk @p index's word count (1..chunk_words) and its i-th word. */
+std::size_t
+testChunkWords(u64 index, std::size_t chunk_words)
+{
+    return 1 + index % chunk_words;
+}
+
+u64
+testWord(u64 index, std::size_t i)
+{
+    return index << 16 | i;
+}
+
+TEST(CommandRing, FifoOrderThroughTinyRing)
+{
+    // Two chunks of three words force constant back-pressure: the
+    // producer can be at most two chunks ahead, yet order, sizes and
+    // content must survive.
+    constexpr u64 kChunks = 500;
+    CommandRing ring(2, 3);
+    std::thread producer([&ring] {
+        for (u64 c = 0; c < kChunks; ++c) {
+            u64 *chunk = ring.acquire();
+            ASSERT_NE(chunk, nullptr);
+            const std::size_t n = testChunkWords(c, ring.chunkWords());
+            for (std::size_t i = 0; i < n; ++i)
+                chunk[i] = testWord(c, i);
+            ring.publish(n);
+        }
+        ring.closeProducer();
+    });
+    std::span<const u64> words;
+    u64 next = 0;
+    while (ring.take(words)) {
+        ASSERT_EQ(words.size(), testChunkWords(next, 3));
+        for (std::size_t i = 0; i < words.size(); ++i)
+            EXPECT_EQ(words[i], testWord(next, i));
+        ring.release();
+        ++next;
+    }
+    producer.join();
+    EXPECT_EQ(next, kChunks);
+    const CommandRing::Stats stats = ring.stats();
+    EXPECT_GE(stats.maxOccupancy, 1u);
+    EXPECT_LE(stats.maxOccupancy, 2u);
+}
+
+TEST(CommandRing, GeometryIsClamped)
+{
+    CommandRing ring(0, 1);
+    EXPECT_EQ(ring.chunkWords(), 2u); // a two-word command must fit
+    u64 *chunk = ring.acquire();
+    ASSERT_NE(chunk, nullptr);
+    ring.publish(2);
+    ring.closeProducer();
+    std::span<const u64> words;
+    ASSERT_TRUE(ring.take(words));
+    EXPECT_EQ(words.size(), 2u);
+    ring.release();
+    EXPECT_FALSE(ring.take(words));
+    EXPECT_EQ(ring.stats().maxOccupancy, 1u); // one slot
+}
+
+TEST(CommandRing, ConsumerEarlyExitReleasesBlockedProducer)
+{
+    CommandRing ring(2, 4);
+    std::atomic<u64> published{0};
+    std::thread producer([&ring, &published] {
+        for (u64 c = 0; c < 100; ++c) {
+            u64 *chunk = ring.acquire();
+            if (chunk == nullptr)
+                return; // consumer closed: clean stop
+            chunk[0] = c;
+            ring.publish(1);
+            published.fetch_add(1, std::memory_order_relaxed);
+        }
+    });
+    std::span<const u64> words;
+    for (u64 c = 0; c < 3; ++c) {
+        ASSERT_TRUE(ring.take(words));
+        EXPECT_EQ(words[0], c);
+        ring.release();
+    }
+    ring.closeConsumer();
+    producer.join(); // must not deadlock on the full ring
+    // 3 taken + at most 2 still buffered ever succeeded.
+    EXPECT_LE(published.load(), 5u);
+    EXPECT_GE(published.load(), 3u);
+}
+
+TEST(CommandRing, ProducerFailurePropagatesAfterPublishedChunks)
+{
+    CommandRing ring(8, 4);
+    std::thread producer([&ring] {
+        for (u64 c = 0; c < 3; ++c) {
+            u64 *chunk = ring.acquire();
+            ASSERT_NE(chunk, nullptr);
+            chunk[0] = c;
+            ring.publish(1);
+        }
+        ring.fail(std::make_exception_ptr(
+            std::runtime_error("producer exploded")));
+    });
+    producer.join();
+    // The published prefix drains first...
+    std::span<const u64> words;
+    for (u64 c = 0; c < 3; ++c) {
+        ASSERT_TRUE(ring.take(words));
+        EXPECT_EQ(words[0], c);
+        ring.release();
+    }
+    // ...then the producer's exception surfaces on the consumer side.
+    EXPECT_THROW(ring.take(words), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------
@@ -199,40 +326,143 @@ TEST(PhaseRing, CloseProducerEndsStreamWithoutError)
 }
 
 // ---------------------------------------------------------------------
-// Pipelined replay equivalence
+// Engine/DRAM split equivalence
 // ---------------------------------------------------------------------
 
 TEST(PipelineReplay, MatchesSerialStreamingAllDomains)
 {
-    // BP exercises the metadata cache, MGX the VN expansion path;
-    // both must be bitwise-identical between a serial drain and the
-    // two-thread ring in every domain.
+    // Every scheme's expansion path (NP ranges, MGX/MGX_VN tag lines,
+    // BP/MGX_MAC cached metadata and the flush) must time the same in
+    // every domain when the engine and the DRAM model run apart.
     for (const char *workload : kDomainWorkloads) {
-        for (Scheme scheme : {Scheme::NP, Scheme::MGX, Scheme::BP}) {
+        for (Scheme scheme : allSchemes()) {
             const std::string label =
                 std::string(workload) + "/" +
                 protection::schemeName(scheme);
             const RunResult serial = runSerial(workload, scheme);
-            const RunResult piped = runRingPipelined(workload, scheme);
-            expectBitwiseEqual(serial, piped, label);
-            // The serial run never saw a ring; the pipelined one did.
+            const RunResult split = runSplit(workload, scheme);
+            expectBitwiseEqual(serial, split, label);
+            // The serial run never saw a ring; the split one did.
             EXPECT_EQ(serial.pipelineMaxOccupancy, 0u) << label;
-            EXPECT_GE(piped.pipelineMaxOccupancy, 1u) << label;
-            EXPECT_LE(piped.pipelineMaxOccupancy, 8u) << label;
+            EXPECT_GE(split.pipelineMaxOccupancy, 1u) << label;
+            EXPECT_LE(split.pipelineMaxOccupancy, 8u) << label;
         }
     }
 }
 
 TEST(PipelineReplay, InvariantUnderRingCapacity)
 {
+    // Five-word chunks: phases span many chunks, two-word commands
+    // meet chunk ends, and the engine blocks on the full ring.
     const std::string w = "core/matmul?m=256&n=256&k=256";
-    const RunResult one = runRingPipelined(w, Scheme::BP, 1);
-    const RunResult two = runRingPipelined(w, Scheme::BP, 2);
-    const RunResult big = runRingPipelined(w, Scheme::BP, 64);
-    expectBitwiseEqual(one, two, "capacity 1 vs 2");
-    expectBitwiseEqual(one, big, "capacity 1 vs 64");
-    EXPECT_EQ(one.pipelineMaxOccupancy, 1u);
-    EXPECT_LE(big.pipelineMaxOccupancy, 64u);
+    for (Scheme scheme : {Scheme::NP, Scheme::MGX, Scheme::BP}) {
+        const RunResult serial = runSerial(w, scheme);
+        for (std::size_t capacity : {1, 2, 8}) {
+            const std::string label = std::string(
+                protection::schemeName(scheme)) + " capacity " +
+                std::to_string(capacity);
+            const RunResult split = runSplit(w, scheme, capacity, 5);
+            expectBitwiseEqual(serial, split, label);
+            EXPECT_GE(split.pipelineMaxOccupancy, 1u) << label;
+            EXPECT_LE(split.pipelineMaxOccupancy, capacity) << label;
+            if (capacity == 1) {
+                EXPECT_EQ(split.pipelineMaxOccupancy, 1u) << label;
+            }
+        }
+    }
+}
+
+TEST(PipelineReplay, InvariantUnderChunkSize)
+{
+    const std::string w = "video/h264?frames=2";
+    const RunResult serial = runSerial(w, Scheme::MGX_MAC);
+    for (std::size_t words : {2, 3, 7, 64, 16384}) {
+        expectBitwiseEqual(serial,
+                           runSplit(w, Scheme::MGX_MAC, 2, words),
+                           "chunk words " + std::to_string(words));
+    }
+}
+
+/** A random access sequence: @p phases phases over a 4 MB region. */
+core::Trace
+randomTrace(Rng &rng, unsigned phases)
+{
+    static const u32 kMacGrans[] = {0, 64, 256, 512, 4096};
+    core::Trace trace;
+    for (unsigned p = 0; p < phases; ++p) {
+        core::Phase phase;
+        phase.name = "random" + std::to_string(p);
+        phase.computeCycles = rng.below(4000);
+        const unsigned accesses = static_cast<unsigned>(rng.below(48));
+        for (unsigned a = 0; a < accesses; ++a) {
+            core::LogicalAccess acc;
+            // Unaligned starts and lengths from one byte to 64 KB.
+            acc.addr = rng.below(4u << 20);
+            acc.bytes = rng.chance(0.2) ? 0 : 1 + rng.below(
+                                                  rng.chance(0.8) ? 512
+                                                                  : 65536);
+            acc.type =
+                rng.chance(0.5) ? AccessType::Read : AccessType::Write;
+            acc.vn = rng.next();
+            acc.macGranularity = kMacGrans[rng.below(5)];
+            phase.accesses.push_back(acc);
+        }
+        trace.push_back(phase);
+    }
+    return trace;
+}
+
+TEST(PipelineReplay, RandomAccessSequencesMatchSerialReplay)
+{
+    // Seeded property: for any access sequence, any scheme, platform
+    // and ring geometry, the split equals PerfModel::run on every
+    // field but pipeline* — the footprint fields against the streamed
+    // overload, the timing fields also against the materialized one.
+    const Platform platforms[] = {edgePlatform(), cloudPlatform()};
+    // (ring chunks, chunk words)
+    const std::pair<std::size_t, std::size_t> geometries[] = {
+        {1, 2}, {2, 3}, {8, 5}, {2, 64}, {8, 16384}};
+    for (u64 seed = 1; seed <= 12; ++seed) {
+        Rng rng(seed);
+        const core::Trace trace =
+            randomTrace(rng, 1 + static_cast<unsigned>(rng.below(8)));
+        const Platform &platform = platforms[seed % 2];
+        for (Scheme scheme : allSchemes()) {
+            ProtectionConfig cfg;
+            cfg.scheme = scheme;
+            // A small metadata cache on odd seeds: dirty evictions
+            // mid-run and a non-empty end-of-run flush.
+            if (seed % 2 == 1)
+                cfg.metaCacheBytes = 4 << 10;
+            const std::string label = "seed " + std::to_string(seed) +
+                                      " " +
+                                      protection::schemeName(scheme);
+
+            dram::DramSystem dram(platform.dram);
+            ProtectionEngine engine(cfg, &dram);
+            PerfModel model(&engine, platform.clockMhz);
+            core::TracePhaseSource source(trace);
+            const RunResult serial = model.run(source);
+
+            dram::DramSystem dram2(platform.dram);
+            ProtectionEngine engine2(cfg, &dram2);
+            PerfModel model2(&engine2, platform.clockMhz);
+            const RunResult materialized = model2.run(trace);
+
+            const RunResult split = runPipelined(
+                [&] { return std::make_unique<core::TracePhaseSource>(
+                          trace); },
+                cfg, platform, geometries[seed % 5].first,
+                geometries[seed % 5].second);
+            expectBitwiseEqual(serial, split, label);
+            EXPECT_EQ(materialized.totalCycles, split.totalCycles)
+                << label;
+            EXPECT_EQ(materialized.memoryCycles, split.memoryCycles)
+                << label;
+            EXPECT_EQ(materialized.dramAccesses, split.dramAccesses)
+                << label;
+        }
+    }
 }
 
 TEST(PipelineReplay, ProducerThrowSurfacesOnCallerWithoutDeadlock)
@@ -255,16 +485,15 @@ TEST(PipelineReplay, ProducerThrowSurfacesOnCallerWithoutDeadlock)
         core::Phase scratch_;
     };
 
-    const Platform platform = edgePlatform();
-    dram::DramSystem dram(platform.dram);
     ProtectionConfig cfg;
-    cfg.scheme = Scheme::NP;
-    ProtectionEngine engine(cfg, &dram);
-    PerfModel model(&engine, platform.clockMhz);
-    ThrowingSource source;
-    // A tiny ring so the producer is likely mid-push when it throws;
-    // the exception must resurface here, with the producer joined.
-    EXPECT_THROW(runPipelined(model, source, 1), std::runtime_error);
+    cfg.scheme = Scheme::BP;
+    // One two-word chunk, so the engine is likely blocked on the ring
+    // when it throws; the exception must resurface here, with the
+    // engine thread joined.
+    EXPECT_THROW(
+        runPipelined([] { return std::make_unique<ThrowingSource>(); },
+                     cfg, edgePlatform(), 1, 2),
+        std::runtime_error);
 }
 
 TEST(PipelineReplay, ExperimentPipelinedGridMatchesSerial)
