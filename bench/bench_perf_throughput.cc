@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "crypto/aes128.h"
 #include "sim/experiment.h"
 #include "sim/pipeline.h"
@@ -48,6 +49,9 @@ namespace {
 
 using namespace mgx;
 using Clock = std::chrono::steady_clock;
+
+/** The largest --min-seconds accepted: one day. */
+constexpr double kMaxSeconds = 86400;
 
 struct CellResult
 {
@@ -361,9 +365,17 @@ main(int argc, char **argv)
             return usage(stdout);
         if (arg == "--set")
             set = value();
-        else if (arg == "--min-seconds")
-            min_seconds = std::strtod(value(), nullptr);
-        else if (arg == "--json")
+        else if (arg == "--min-seconds") {
+            const char *v = value();
+            if (!parseFraction(v, kMaxSeconds, min_seconds)) {
+                std::fprintf(stderr,
+                             "bench_perf_throughput: --min-seconds needs "
+                             "a non-negative decimal number no larger "
+                             "than %.0f, got '%s'\n",
+                             kMaxSeconds, v);
+                return 2;
+            }
+        } else if (arg == "--json")
             json_path = value();
         else if (arg == "--quiet" || arg == "-q")
             quiet = true;

@@ -48,6 +48,9 @@ namespace {
 using namespace mgx;
 using Clock = std::chrono::steady_clock;
 
+/** The largest --seconds accepted: one day. */
+constexpr double kMaxSeconds = 86400;
+
 struct Options
 {
     unsigned clients = 4;
@@ -305,11 +308,24 @@ main(int argc, char **argv)
             }
             return n;
         };
+        auto seconds = [&]() -> double {
+            const char *v = value();
+            double s = 0;
+            if (!parseFraction(v, kMaxSeconds, s)) {
+                std::fprintf(stderr,
+                             "bench_serve_load: %s needs a non-negative "
+                             "decimal number no larger than %.0f, got "
+                             "'%s'\n",
+                             arg.c_str(), kMaxSeconds, v);
+                std::exit(2);
+            }
+            return s;
+        };
         if (arg == "--clients")
             opt.clients = static_cast<unsigned>(
                 number(std::numeric_limits<unsigned>::max()));
         else if (arg == "--seconds")
-            opt.seconds = std::strtod(value(), nullptr);
+            opt.seconds = seconds();
         else if (arg == "--workload")
             opt.workload = value();
         else if (arg == "--schemes")

@@ -26,21 +26,4 @@ AddressMap::AddressMap(const Ddr4Config &cfg)
     ranks_ = cfg.ranksPerChannel;
 }
 
-Coord
-AddressMap::decode(Addr addr) const
-{
-    u64 block = addr >> blockBits_;
-    Coord c;
-    c.channel = static_cast<u32>(bits(block, 0, channelBits_));
-    block >>= channelBits_;
-    c.column = static_cast<u32>(bits(block, 0, columnBits_));
-    block >>= columnBits_;
-    c.bank = static_cast<u32>(bits(block, 0, bankBits_));
-    block >>= bankBits_;
-    c.rank = static_cast<u32>(bits(block, 0, rankBits_));
-    block >>= rankBits_;
-    c.row = static_cast<u32>(block) & rowMask_;
-    return c;
-}
-
 } // namespace mgx::dram

@@ -29,8 +29,26 @@ class AddressMap
   public:
     explicit AddressMap(const Ddr4Config &cfg);
 
-    /** Decode @p addr (any byte address; aligned down to a block). */
-    Coord decode(Addr addr) const;
+    /**
+     * Decode @p addr (any byte address; aligned down to a block).
+     * Inline: every single-line DRAM access pays it.
+     */
+    Coord
+    decode(Addr addr) const
+    {
+        u64 block = addr >> blockBits_;
+        Coord c;
+        c.channel = static_cast<u32>(bits(block, 0, channelBits_));
+        block >>= channelBits_;
+        c.column = static_cast<u32>(bits(block, 0, columnBits_));
+        block >>= columnBits_;
+        c.bank = static_cast<u32>(bits(block, 0, bankBits_));
+        block >>= bankBits_;
+        c.rank = static_cast<u32>(bits(block, 0, rankBits_));
+        block >>= rankBits_;
+        c.row = static_cast<u32>(block) & rowMask_;
+        return c;
+    }
 
     /**
      * Incremental decoder over consecutive blocks. Produced by

@@ -8,17 +8,17 @@
  * kind, its direction and a crypto tag, and above them its
  * block-aligned byte address (DRAM blocks are at least 16 bytes):
  *
- *   Line   one block: DramSystem::access, or one request of
- *          accessBatch. One word.
+ *   Line   one block: DramSystem::access, or a range inside one
+ *          block. One word.
  *   Range  DramSystem::accessRange: the first block's address, then a
  *          second word with the byte count from that block's start.
  *   Mark   an out-of-band marker for the consumer: a code in the
  *          address bits, then one payload word.
  *
  * Aligning to the block changes nothing the DRAM model sees: access()
- * and accessBatch() align every address down to its block, and
- * accessRange() covers the blocks from alignDown(addr) to
- * alignDown(addr + bytes - 1), which the recorded pair keeps.
+ * aligns every address down to its block, and accessRange() covers
+ * the blocks from alignDown(addr) to alignDown(addr + bytes - 1),
+ * which the recorded pair keeps.
  *
  * The crypto tag marks commands that belong to a read under a
  * protected scheme: ProtectionEngine::access() adds the AES pipeline
@@ -80,7 +80,7 @@ class CommandRecorder
     /** Tag the commands that follow as a protected read's (or not). */
     void setCrypto(bool on) { tag_ = on ? cmd::kCrypto : 0; }
 
-    /** One block access (DramSystem::access / an accessBatch request). */
+    /** One block access (DramSystem::access). */
     void
     line(Addr a, bool write)
     {

@@ -1,7 +1,6 @@
 #include "dram_system.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/bitops.h"
 
@@ -16,21 +15,14 @@ DramSystem::DramSystem(const Ddr4Config &cfg)
 }
 
 Cycles
-DramSystem::access(const Request &req)
-{
-    Coord coord = map_.decode(req.addr);
-    ++accessCount_;
-    return channels_[coord.channel]->access(coord, req.isWrite,
-                                            req.arrival);
-}
-
-Cycles
 DramSystem::accessRange(Addr addr, u64 bytes, bool is_write, Cycles arrival)
 {
     if (bytes == 0)
         return arrival;
     const u32 block = map_.blockBytes();
     const Addr first = alignDown(addr, block);
+    if (addr + bytes - first <= block) // one block: one decode
+        return std::max(arrival, access({addr, is_write, arrival}));
     const u64 blocks =
         (alignDown(addr + bytes - 1, block) - first) / block + 1;
     AddressMap::LineWalker walker = map_.walkerAt(first);
@@ -38,8 +30,8 @@ DramSystem::accessRange(Addr addr, u64 bytes, bool is_write, Cycles arrival)
     const u32 channels = channelCount();
     Cycles done = arrival;
     if (blocks <= channels) {
-        // At most one block per channel (every random gather): nothing
-        // to run-length, so the per-line walk is the cheapest path.
+        // At most one block per channel (short gathers): nothing to
+        // run-length, so the per-line walk is the cheapest path.
         for (u64 i = 0; i < blocks; ++i, walker.next()) {
             const Coord &coord = walker.coord();
             Cycles c =
@@ -65,57 +57,6 @@ DramSystem::accessRange(Addr addr, u64 bytes, bool is_write, Cycles arrival)
             lane.nextInChannel(run);
             left -= run;
         }
-    }
-    return done;
-}
-
-Cycles
-DramSystem::accessBatch(std::span<const Request> reqs)
-{
-    // Requests are served strictly in the order given: each channel's
-    // command stream is timing-visible state (bus direction, open
-    // rows, activate windows), so physically regrouping same-row
-    // requests here would change cycle counts. The grouping the model
-    // wants is already done by the callers' deferred queues; this
-    // path only removes redundant address decodes.
-    //
-    // Metadata queues interleave (up to) two consecutive-line
-    // streams: miss fills walk the VN/tree/MAC regions in address
-    // order, and the dirty victims they evict — filled one cache
-    // capacity earlier — walk their own ascending sequence between
-    // them. Two predictor slots (most recent first) catch both; a
-    // request neither slot predicts re-seeds the colder one.
-    struct Slot
-    {
-        AddressMap::LineWalker walker;
-        Addr prev = 0;
-        bool valid = false;
-    };
-    const u32 block = map_.blockBytes();
-    Cycles done = 0;
-    Slot slots[2];
-    for (const Request &req : reqs) {
-        const Addr line = alignDown(req.addr, block);
-        if (slots[0].valid && line == slots[0].prev + block) {
-            slots[0].walker.next();
-        } else if (slots[0].valid && line == slots[0].prev) {
-            // same line again: coordinates already current
-        } else if (slots[1].valid && (line == slots[1].prev + block ||
-                                      line == slots[1].prev)) {
-            if (line != slots[1].prev)
-                slots[1].walker.next();
-            std::swap(slots[0], slots[1]);
-        } else {
-            std::swap(slots[0], slots[1]);
-            slots[0].walker = map_.walkerAt(line);
-            slots[0].valid = true;
-        }
-        slots[0].prev = line;
-        ++accessCount_;
-        const Coord &coord = slots[0].walker.coord();
-        const Cycles c = channels_[coord.channel]->access(
-            coord, req.isWrite, req.arrival);
-        done = std::max(done, c);
     }
     return done;
 }

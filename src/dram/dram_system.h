@@ -2,18 +2,17 @@
  * @file
  * Multi-channel DRAM system: the Ramulator stand-in. Decodes addresses,
  * routes each 64-byte access to its channel, and reports completion
- * times and aggregate statistics. Contiguous ranges decode
- * incrementally through AddressMap::LineWalker instead of re-deriving
- * every line's coordinates, and ranges long enough to give a channel
- * several blocks are timed channel by channel as row runs
- * (DramChannel::accessRun).
+ * times and aggregate statistics. A single line costs one decode and
+ * one channel access. Ranges of several blocks decode incrementally
+ * through AddressMap::LineWalker instead of re-deriving every line's
+ * coordinates, and ranges long enough to give a channel several blocks
+ * are timed channel by channel as row runs (DramChannel::accessRun).
  */
 
 #ifndef MGX_DRAM_DRAM_SYSTEM_H
 #define MGX_DRAM_DRAM_SYSTEM_H
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "address_map.h"
@@ -34,7 +33,14 @@ class DramSystem
      * Serve one access; splits nothing (callers issue block-granular
      * requests). @return completion cycle of the data burst.
      */
-    Cycles access(const Request &req);
+    Cycles
+    access(const Request &req)
+    {
+        const Coord coord = map_.decode(req.addr);
+        ++accessCount_;
+        return channels_[coord.channel]->access(coord, req.isWrite,
+                                                req.arrival);
+    }
 
     /**
      * Serve one access at pre-decoded coordinates — the hot path for
@@ -51,26 +57,15 @@ class DramSystem
 
     /**
      * Serve a contiguous @p bytes-long transfer starting at @p addr as a
-     * run of block accesses all arriving at @p arrival. Ranges that
-     * give some channel two or more blocks are served channel by
-     * channel as DramChannel::accessRun row runs; shorter ranges walk
-     * line by line. Both are bitwise-identical to one access() per
-     * block in address order.
+     * run of block accesses all arriving at @p arrival. A range inside
+     * one block is one access(). Ranges that give some channel two or
+     * more blocks are served channel by channel as
+     * DramChannel::accessRun row runs; other ranges walk line by line.
+     * All are bitwise-identical to one access() per block in address
+     * order.
      * @return completion cycle of the last burst.
      */
     Cycles accessRange(Addr addr, u64 bytes, bool is_write, Cycles arrival);
-
-    /**
-     * Serve a batch of block requests in order — the replay path for
-     * deferred metadata queues. Equivalent to calling access() per
-     * request and taking the max completion (the per-channel command
-     * streams are identical, so every cycle and statistic matches bit
-     * for bit); the win is that runs of same-line and
-     * consecutive-line requests — the shape metadata miss streams
-     * have — decode incrementally instead of from scratch.
-     * @return max completion cycle across the batch; 0 when empty
-     */
-    Cycles accessBatch(std::span<const Request> reqs);
 
     /** Channel @p c (its per-channel counters and timing state). */
     const DramChannel &channel(u32 c) const { return *channels_[c]; }

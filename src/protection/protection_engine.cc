@@ -53,12 +53,10 @@ ProtectionEngine::issueLine(Addr line, bool is_write, Cycles arrival)
 Cycles
 ProtectionEngine::issueBatch(std::span<const dram::Request> reqs)
 {
-    if (recorder_ != nullptr) {
-        for (const dram::Request &req : reqs)
-            recorder_->line(req.addr, req.isWrite);
-        return 0; // accessBatch's value for "no completion"
-    }
-    return dram_->accessBatch(reqs);
+    Cycles done = 0;
+    for (const dram::Request &req : reqs)
+        done = std::max(done, issueLine(req.addr, req.isWrite, req.arrival));
+    return done;
 }
 
 u64 &

@@ -145,7 +145,7 @@ class ProtectionEngine
     StatGroup::Counter statLogicalAccesses_;
     // Scratch queues reused across baselinePath calls so the per-access
     // hot path never allocates once their high-water mark is reached;
-    // replayed in push order through DramSystem::accessBatch.
+    // issued in push order, one DRAM line per request (issueBatch).
     std::vector<dram::Request> metaReqs_;
     std::vector<dram::Request> macReqs_;
     // Same-line coalescing memos: consecutive baseline blocks usually

@@ -498,13 +498,10 @@ Server::validateWorkload(const std::string &name, std::string *error)
             *error = *known;
         return known->empty();
     }
-    // Construct outside the memo's lock — kernels are cheap to build
-    // but not free, and two threads validating one name is harmless.
+    // Check outside the memo's lock; two threads validating one name
+    // is harmless. A valid name leaves the message empty.
     std::string message;
-    auto kernel =
-        sim::tryMakeKernel(name, sim::cloudPlatform(), &message);
-    if (kernel)
-        message.clear();
+    sim::checkWorkload(name, &message);
     validation_.put(name, message);
     if (error)
         *error = message;

@@ -223,6 +223,10 @@ Experiment::run() const
     std::vector<Cell> cells;
     std::set<std::string> traceLabels;
     for (const auto &entry : entries_) {
+        // A bad registry name fails here, before any cell runs.
+        std::string error;
+        if (!entry.isExplicitTrace && !checkWorkload(entry.label, &error))
+            fatal("%s", error.c_str());
         std::vector<Platform> entry_platforms = platforms_;
         if (entry_platforms.empty()) {
             if (entry.isExplicitTrace)

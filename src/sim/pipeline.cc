@@ -1,7 +1,6 @@
 #include "pipeline.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <thread>
 
@@ -215,27 +214,17 @@ class CommandTimer
         for (std::size_t i = 0; i < words.size(); ++i) {
             const u64 w = words[i];
             switch (cmd::kind(w)) {
-              case cmd::kLine: {
-                // Lines queue up for one accessBatch, which serves them
-                // in order exactly as per-line access() would.
-                const bool crypto = cmd::isCrypto(w);
-                if (numLines_ == lines_.size() ||
-                    (numLines_ != 0 && crypto != linesCrypto_))
-                    timeLines();
-                linesCrypto_ = crypto;
-                lines_[numLines_++] = {cmd::addr(w), cmd::isWrite(w),
-                                       issue_};
+              case cmd::kLine:
+                fold(dram_->access({cmd::addr(w), cmd::isWrite(w), issue_}),
+                     cmd::isCrypto(w));
                 break;
-              }
               case cmd::kRange:
-                timeLines();
                 fold(dram_->accessRange(cmd::addr(w), words[i + 1],
                                         cmd::isWrite(w), issue_),
                      cmd::isCrypto(w));
                 ++i;
                 break;
               default: // cmd::kMark
-                timeLines();
                 beginSection(cmd::markCode(w), words[i + 1]);
                 ++i;
                 break;
@@ -245,9 +234,8 @@ class CommandTimer
 
     /** Completion of the end-of-run flush, once every chunk is timed. */
     Cycles
-    flushed()
+    flushed() const
     {
-        timeLines();
         assert(!inPhase_ && "the engine thread always records a flush");
         return ready_;
     }
@@ -257,15 +245,6 @@ class CommandTimer
     fold(Cycles done, bool crypto)
     {
         ready_ = std::max(ready_, crypto ? done + cryptoLatency_ : done);
-    }
-
-    void
-    timeLines()
-    {
-        if (numLines_ == 0)
-            return;
-        fold(dram_->accessBatch({lines_.data(), numLines_}), linesCrypto_);
-        numLines_ = 0;
     }
 
     /** Close the open phase; start the phase or flush marked @p code. */
@@ -287,11 +266,6 @@ class CommandTimer
     Cycles ready_ = 0;   ///< its data_ready so far
     Cycles compute_ = 0; ///< the open phase's compute (accelerator cycles)
     bool inPhase_ = false;
-    // Pending lines, timed in batches of at most 64 as they arrive:
-    // holding a phase's lines until its end would stall both threads.
-    std::array<dram::Request, 64> lines_;
-    std::size_t numLines_ = 0;
-    bool linesCrypto_ = false;
 };
 
 } // namespace

@@ -9,9 +9,9 @@
  * source and the ProtectionEngine's expansion, recording every DRAM
  * command into the chunks of a bounded SPSC CommandRing
  * (dram/command_log.h). The calling thread owns the DramSystem: it
- * times the commands as they arrive, at their phase's issue cycle,
- * through the same accessRange / accessBatch calls, and runs the
- * PerfModel phase recurrence (PhaseClock) with
+ * times each command as it reads it, at its phase's issue cycle,
+ * through the same access / accessRange calls, and runs the PerfModel
+ * phase recurrence (PhaseClock) with
  *
  *   data_ready = max(issue, max plain completion,
  *                    max crypto completion + cryptoLatency)

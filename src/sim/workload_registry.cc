@@ -4,10 +4,10 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "common/log.h"
+#include "common/parse.h"
 #include "core/matmul_kernel.h"
 #include "dnn/dnn_kernel.h"
 #include "dnn/models.h"
@@ -21,7 +21,7 @@ namespace {
 
 /**
  * Registry errors are thrown internally so a long-running service can
- * reject a bad request (tryMakeKernel) without dying; the classic
+ * reject a bad request (checkWorkload) without dying; the classic
  * makeKernel() surface converts them back to fatal() for the CLI and
  * tools, with byte-identical messages.
  */
@@ -40,6 +40,22 @@ badWorkload(const char *fmt, ...)
     va_end(args);
     throw BadWorkload{buf};
 }
+
+// Parameter ranges, checked before any kernel is built. Counts and
+// divisors start at 1. Where a listScaledWorkloads() variant raises a
+// parameter, its value there is the maximum, so no single parameter
+// reaches past the largest cells the registry offers. Seeds keep the
+// full u64 range.
+constexpr u64 kAnyU64 = ~u64{0};
+constexpr u64 kMaxBatch = 65536;      ///< dnn/DLRM?...&batch=65536
+constexpr u64 kMaxIters = 8;          ///< twice the frontier default
+constexpr u64 kMaxScale = 0xffffffff; ///< GraphSpec::scale is a u32
+constexpr u64 kMaxReads = 24895;      ///< genome/chr1: 248956422 / 10000
+constexpr u64 kMaxFrames = 7200;      ///< video/h264?frames=7200&width=
+constexpr u64 kMaxWidth = 1920;       ///<   1920&height=1080
+constexpr u64 kMaxHeight = 1080;
+constexpr u64 kMaxDim = 4096;         ///< core/matmul?m=4096&n=4096&k=4096
+constexpr u64 kMaxTiles = 64;         ///<   &mtiles=64&ntiles=64&ktiles=64
 
 std::string
 toLower(std::string s)
@@ -97,31 +113,39 @@ class Query
         return def;
     }
 
+    /**
+     * Integer value of @p key in [@p min, @p max], or @p def if absent.
+     * Anything else (a sign, junk, an out-of-range value) is rejected
+     * before a kernel is built.
+     */
     u64
-    num(const std::string &key, u64 def)
+    num(const std::string &key, u64 def, u64 min, u64 max)
     {
         const std::string v = str(key);
         if (v.empty())
             return def;
-        char *end = nullptr;
-        u64 parsed = std::strtoull(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0')
-            badWorkload("workload '%s': parameter %s=%s is not a number",
-                  name_.c_str(), key.c_str(), v.c_str());
+        u64 parsed = 0;
+        if (!parseDecimal(v.c_str(), max, parsed) || parsed < min)
+            badWorkload("workload '%s': parameter %s=%s is not an "
+                        "integer in [%llu, %llu]",
+                        name_.c_str(), key.c_str(), v.c_str(),
+                        static_cast<unsigned long long>(min),
+                        static_cast<unsigned long long>(max));
         return parsed;
     }
 
+    /** Decimal-fraction value of @p key in (0, 1], or @p def if absent. */
     double
-    real(const std::string &key, double def)
+    fraction(const std::string &key, double def)
     {
         const std::string v = str(key);
         if (v.empty())
             return def;
-        char *end = nullptr;
-        double parsed = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() || *end != '\0')
-            badWorkload("workload '%s': parameter %s=%s is not a number",
-                  name_.c_str(), key.c_str(), v.c_str());
+        double parsed = 0;
+        if (!parseFraction(v.c_str(), 1.0, parsed) || parsed == 0)
+            badWorkload("workload '%s': parameter %s=%s is not a "
+                        "decimal fraction in (0, 1]",
+                        name_.c_str(), key.c_str(), v.c_str());
         return parsed;
     }
 
@@ -149,6 +173,8 @@ struct ParsedName
     std::string domain;
     std::vector<std::string> path;
     Query query;
+    /** Construct the kernel; false checks the name and builds nothing. */
+    bool build = true;
 };
 
 ParsedName
@@ -216,11 +242,14 @@ makeDnn(const std::string &name, ParsedName &p, bool edge_platform)
         badWorkload("workload '%s': accel must be cloud or edge",
               name.c_str());
 
-    const u32 batch = static_cast<u32>(p.query.num("batch", 0));
-    const u64 seed = p.query.num("seed", 1);
-    const double density = p.query.real("density", 1.0);
+    const u32 batch =
+        static_cast<u32>(p.query.num("batch", 0, 1, kMaxBatch));
+    const u64 seed = p.query.num("seed", 1, 0, kAnyU64);
+    const double density = p.query.fraction("density", 1.0);
     p.query.finish();
 
+    if (!p.build)
+        return nullptr;
     auto kernel = std::make_unique<dnn::DnnKernel>(
         dnn::modelByName(model),
         edge ? dnn::edgeAccel() : dnn::cloudAccel(), task, batch, seed);
@@ -259,10 +288,12 @@ makeGraph(const std::string &name, ParsedName &p)
 
     // The figure-14 defaults: PageRank converges in 3 sweeps on the
     // scaled graphs, the frontier algorithms run one more.
-    const u32 iters = static_cast<u32>(p.query.num(
-        "iters", alg == graph::GraphAlgorithm::PageRank ? 3 : 4));
-    spec.scale = static_cast<u32>(p.query.num("scale", spec.scale));
-    const u64 seed = p.query.num("seed", 11);
+    const u32 iters = static_cast<u32>(
+        p.query.num("iters", alg == graph::GraphAlgorithm::PageRank ? 3 : 4,
+                    1, kMaxIters));
+    spec.scale =
+        static_cast<u32>(p.query.num("scale", spec.scale, 1, kMaxScale));
+    const u64 seed = p.query.num("seed", 11, 0, kAnyU64);
 
     const std::string vec_str = toLower(p.query.str("vector", "seq"));
     graph::VectorAccess vec;
@@ -274,6 +305,8 @@ makeGraph(const std::string &name, ParsedName &p)
         badWorkload("workload '%s': vector must be seq or random",
               name.c_str());
     p.query.finish();
+    if (!p.build)
+        return nullptr;
 
     graph::SpmvEngineConfig engine;
     graph::GraphTiles tiles = graph::buildTiles(
@@ -299,16 +332,20 @@ makeGenome(const std::string &name, ParsedName &p)
             if (toLower(w.name) != key + "pacbio")
                 continue;
             w.numReads = p.query.num(
-                "reads", w.referenceBases / w.profile.meanReadLen);
+                "reads", w.referenceBases / w.profile.meanReadLen, 1,
+                kMaxReads);
             p.query.finish();
+            if (!p.build)
+                return nullptr;
             return std::make_unique<genome::GenomeKernel>(w);
         }
     }
-    const u64 reads = p.query.num("reads", 64);
+    const u64 reads = p.query.num("reads", 64, 1, kMaxReads);
     p.query.finish();
     for (const auto &w : genome::paperWorkloads(reads))
         if (toLower(w.name) == key)
-            return std::make_unique<genome::GenomeKernel>(w);
+            return p.build ? std::make_unique<genome::GenomeKernel>(w)
+                           : nullptr;
     badWorkload("workload '%s': unknown GACT workload '%s'", name.c_str(),
           p.path[0].c_str());
 }
@@ -319,11 +356,17 @@ makeVideo(const std::string &name, ParsedName &p)
     if (p.path.size() != 1 || toLower(p.path[0]) != "h264")
         badWorkload("workload '%s': expected video/h264", name.c_str());
     video::VideoConfig cfg;
-    cfg.numFrames = static_cast<u32>(p.query.num("frames", cfg.numFrames));
-    cfg.width = static_cast<u32>(p.query.num("width", cfg.width));
-    cfg.height = static_cast<u32>(p.query.num("height", cfg.height));
-    cfg.gopPeriod = static_cast<u32>(p.query.num("gop", cfg.gopPeriod));
+    cfg.numFrames = static_cast<u32>(
+        p.query.num("frames", cfg.numFrames, 1, kMaxFrames));
+    cfg.width =
+        static_cast<u32>(p.query.num("width", cfg.width, 1, kMaxWidth));
+    cfg.height =
+        static_cast<u32>(p.query.num("height", cfg.height, 1, kMaxHeight));
+    cfg.gopPeriod = static_cast<u32>(
+        p.query.num("gop", cfg.gopPeriod, 1, kMaxFrames));
     p.query.finish();
+    if (!p.build)
+        return nullptr;
     return std::make_unique<video::VideoKernel>(cfg);
 }
 
@@ -333,20 +376,29 @@ makeMatMul(const std::string &name, ParsedName &p)
     if (p.path.size() != 1 || toLower(p.path[0]) != "matmul")
         badWorkload("workload '%s': expected core/matmul", name.c_str());
     core::MatMulParams params;
-    params.m = p.query.num("m", params.m);
-    params.n = p.query.num("n", params.n);
-    params.k = p.query.num("k", params.k);
-    params.mTiles = p.query.num("mtiles", params.mTiles);
-    params.nTiles = p.query.num("ntiles", params.nTiles);
-    params.kTiles = p.query.num("ktiles", params.kTiles);
+    params.m = p.query.num("m", params.m, 1, kMaxDim);
+    params.n = p.query.num("n", params.n, 1, kMaxDim);
+    params.k = p.query.num("k", params.k, 1, kMaxDim);
+    params.mTiles = p.query.num("mtiles", params.mTiles, 1, kMaxTiles);
+    params.nTiles = p.query.num("ntiles", params.nTiles, 1, kMaxTiles);
+    params.kTiles = p.query.num("ktiles", params.kTiles, 1, kMaxTiles);
     p.query.finish();
+    if (params.m % params.mTiles || params.n % params.nTiles ||
+        params.k % params.kTiles)
+        badWorkload("workload '%s': m, n and k must be multiples of "
+                    "mtiles, ntiles and ktiles",
+                    name.c_str());
+    if (!p.build)
+        return nullptr;
     return std::make_unique<core::MatMulKernel>(params);
 }
 
 std::unique_ptr<core::Kernel>
-makeKernelImpl(const std::string &name, const Platform &platform)
+makeKernelImpl(const std::string &name, const Platform &platform,
+               bool build = true)
 {
     ParsedName p = parseName(name);
+    p.build = build;
     if (p.domain == "dnn")
         return makeDnn(name, p, platform.name == "Edge");
     if (p.domain == "graph")
@@ -379,16 +431,16 @@ makeKernel(const std::string &name)
     return makeKernel(name, defaultPlatform(name));
 }
 
-std::unique_ptr<core::Kernel>
-tryMakeKernel(const std::string &name, const Platform &platform,
-              std::string *error)
+bool
+checkWorkload(const std::string &name, std::string *error)
 {
     try {
-        return makeKernelImpl(name, platform);
+        makeKernelImpl(name, cloudPlatform(), false);
+        return true;
     } catch (const BadWorkload &e) {
         if (error)
             *error = e.message;
-        return nullptr;
+        return false;
     }
 }
 

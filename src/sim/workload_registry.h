@@ -61,16 +61,15 @@ std::unique_ptr<core::Kernel> makeKernel(const std::string &name,
                                          const Platform &platform);
 
 /**
- * Non-fatal variant of makeKernel for long-running services: any
- * registry error — malformed name, unknown workload, bad or unknown
- * parameters — returns nullptr with @p error set (same message
- * makeKernel would have died with) instead of exiting the process.
- * The admission layer of mgx_serve validates every requested workload
- * through this before committing an engine run.
+ * Check @p name exactly as makeKernel would, without building the
+ * kernel: any registry error — malformed name, unknown workload, a
+ * parameter that is unknown, malformed or out of its range — returns
+ * false with @p error set (the message makeKernel would have died
+ * with) instead of exiting the process. Experiment::run checks every
+ * registry workload through this before it runs any cell, and the
+ * admission layer of mgx_serve before it commits an engine run.
  */
-std::unique_ptr<core::Kernel> tryMakeKernel(const std::string &name,
-                                            const Platform &platform,
-                                            std::string *error);
+bool checkWorkload(const std::string &name, std::string *error);
 
 /** The platform a workload's domain is evaluated on in the paper. */
 Platform defaultPlatform(const std::string &name);

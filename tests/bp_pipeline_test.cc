@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the BP metadata-pipeline overhaul: same-line memo
- * coalescing, tree-walk memoization, batched deferred replay, and the
- * metadata-range walker — all of which must be invisible in the
- * model's outputs.
+ * coalescing, tree-walk memoization and the metadata-range walker —
+ * all of which must be invisible in the model's outputs.
  *
  * Three layers:
  *  - unit: memo arming/invalidation semantics in MetaCache, the
@@ -11,8 +10,7 @@
  *    BaselineWalker's bit-equality with the point queries (stepping,
  *    advancing, and counting same-line blocks);
  *  - property: a touch-then-access stream and an access-only stream
- *    drive two caches identically, and DramSystem::accessBatch
- *    matches per-request access() cycle for cycle;
+ *    drive two caches identically;
  *  - golden: BP/MGX_MAC cells under a deliberately tiny (2 KB)
  *    metadata cache — constant evictions, so memos go stale at the
  *    highest possible rate — pinned against numbers captured from the
@@ -23,11 +21,9 @@
 
 #include <algorithm>
 #include <array>
-#include <random>
 #include <vector>
 
 #include "common/rng.h"
-#include "dram/dram_system.h"
 #include "protection/meta_cache.h"
 #include "protection/metadata_layout.h"
 #include "sim/experiment.h"
@@ -361,58 +357,6 @@ TEST(BaselineWalker, AdvanceAndSameLineCountMatchPointQueries)
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// DramSystem::accessBatch
-// ---------------------------------------------------------------------
-
-TEST(AccessBatch, MatchesSequentialAccessCycleForCycle)
-{
-    // One system serves a batch, the other the same requests one by
-    // one; completion times, access counts, and every DRAM statistic
-    // must agree. The stream interleaves two ascending line runs with
-    // same-line repeats and random jumps — the shapes the predictor
-    // slots do and do not catch.
-    dram::Ddr4Config dcfg;
-    dram::DramSystem batched(dcfg);
-    dram::DramSystem sequential(dcfg);
-
-    std::mt19937_64 rng(0x5eed);
-    Addr run_a = 0x100000, run_b = 0x9000000;
-    std::vector<dram::Request> reqs;
-    Cycles arrival = 0;
-    for (int i = 0; i < 5000; ++i) {
-        Addr addr;
-        switch (rng() % 8) {
-          case 0: addr = run_a; break;            // same line again
-          case 1: case 2: addr = run_a += 64; break;
-          case 3: case 4: addr = run_b += 64; break;
-          default: addr = (rng() % (1u << 30)) & ~63ull; break;
-        }
-        const bool write = (rng() & 1) != 0;
-        arrival += rng() % 32;
-        reqs.push_back({addr, write, arrival});
-    }
-
-    Cycles seq_done = 0;
-    for (const dram::Request &req : reqs)
-        seq_done = std::max(seq_done, sequential.access(req));
-    const Cycles batch_done = batched.accessBatch(reqs);
-
-    EXPECT_EQ(batch_done, seq_done);
-    EXPECT_EQ(batched.accessCount(), sequential.accessCount());
-    EXPECT_EQ(batched.lastCompletion(), sequential.lastCompletion());
-    EXPECT_EQ(batched.stats().counters(),
-              sequential.stats().counters());
-}
-
-TEST(AccessBatch, EmptyBatchIsANoOp)
-{
-    dram::Ddr4Config dcfg;
-    dram::DramSystem dram(dcfg);
-    EXPECT_EQ(dram.accessBatch({}), 0u);
-    EXPECT_EQ(dram.accessCount(), 0u);
 }
 
 // ---------------------------------------------------------------------

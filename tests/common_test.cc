@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "common/bitops.h"
 #include "common/parse.h"
@@ -224,6 +225,39 @@ TEST(Parse, DecimalRejectsSignsJunkAndOverflow)
     EXPECT_FALSE(parseDecimal("99999999999999999999",
                               std::numeric_limits<u64>::max(), v));
     EXPECT_EQ(v, 7u);
+}
+
+TEST(Parse, FractionAcceptsDigitsAndOneDecimalPoint)
+{
+    double v = 7;
+    EXPECT_TRUE(parseFraction("0", 0, v));
+    EXPECT_EQ(v, 0.0);
+    EXPECT_TRUE(parseFraction("2", 10, v));
+    EXPECT_EQ(v, 2.0);
+    EXPECT_TRUE(parseFraction("0.25", 1, v));
+    EXPECT_EQ(v, 0.25);
+    EXPECT_TRUE(parseFraction("007.500", 10, v));
+    EXPECT_EQ(v, 7.5);
+    EXPECT_TRUE(parseFraction("1.0", 1, v));
+    EXPECT_EQ(v, 1.0);
+}
+
+TEST(Parse, FractionRejectsSignsExponentsNanAndOverflow)
+{
+    // Everything strtod would take beyond plain digits — a sign,
+    // "nan"/"inf", an exponent, hex, leading whitespace — or stop
+    // short of ("2x") fails, as does a value past the bound, and a
+    // failed parse leaves the output alone.
+    double v = 7;
+    for (const char *bad :
+         {"", "-1", "+1", "-0", " 1", "1 ", "2x", "nan", "NAN", "inf",
+          "infinity", "1e3", "1E-3", "0x10", ".5", "5.", "1.2.3", "1,5",
+          "abc", "10.5", "11"})
+        EXPECT_FALSE(parseFraction(bad, 10, v)) << "'" << bad << "'";
+    EXPECT_FALSE(parseFraction("0.0001", 0, v));
+    // 400 digits overflow to infinity, which no finite bound admits.
+    EXPECT_FALSE(parseFraction(std::string(400, '9').c_str(), 1e300, v));
+    EXPECT_EQ(v, 7.0);
 }
 
 } // namespace

@@ -124,10 +124,11 @@ expectSameSystems(DramSystem &got, DramSystem &want, Cycles got_done,
 
 TEST(DramSystem, AccessRangeMatchesPerLineAccesses)
 {
-    // The range path (row runs channel by channel, or the per-line
-    // walk for short ranges) must time and count exactly like issuing
-    // each 64 B request through the decode-per-line path — over
-    // channel and rank counts, and over ranges shorter than the
+    // The range path (one access() inside a block, row runs channel
+    // by channel, or the per-line walk for short ranges) must time and
+    // count exactly like issuing each 64 B request through the
+    // decode-per-line path — over channel and rank counts, and over
+    // ranges inside one block, straddling two, shorter than the
     // channel count, row-straddling, and many rows long.
     struct Input
     {
@@ -145,6 +146,8 @@ TEST(DramSystem, AccessRangeMatchesPerLineAccesses)
             const Input inputs[] = {
                 {0x7ff40, 3 * cfg.rowBytes + 100, false, 5},
                 {0x100, 64, false, 5},           // one block
+                {0x104, 8, true, 60},            // inside one block
+                {0x13c, 8, false, 80},           // straddles two
                 {0x1fc0, 2 * 64, true, 9000},    // < channels when 4
                 {0x7ff40, 3 * cfg.rowBytes + 100, true, 9400},
                 {0x3000000, 40 * cfg.rowBytes, false, 20000},

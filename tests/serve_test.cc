@@ -394,6 +394,42 @@ TEST(ServerTest, RejectsUnknownNamesWithoutDying)
     server.shutdown();
 }
 
+TEST(ServerTest, OutOfRangeParameterAnswers400AndServingGoesOn)
+{
+    ServerOptions opts;
+    opts.listen.unixPath = testSocketPath("range");
+    Server server(opts);
+    server.start();
+    const SocketAddress addr{opts.listen.unixPath, "127.0.0.1", 0};
+
+    HttpResponse resp;
+    std::string error;
+
+    // scale=0 would divide by zero in graph generation and take the
+    // daemon down with it; the registry's range check turns the
+    // request away before any engine time is spent.
+    ASSERT_TRUE(httpGet(addr,
+                        "/run?workload=" +
+                            percentEncode("graph/pokec/pagerank?scale=0"),
+                        &resp, &error))
+        << error;
+    EXPECT_EQ(resp.status, 400);
+    EXPECT_NE(resp.body.find("scale=0 is not an integer in [1, "),
+              std::string::npos)
+        << resp.body;
+
+    // The same daemon serves the next valid request.
+    ASSERT_TRUE(httpGet(addr, "/run?workload=core%2Fmatmul&schemes=NP",
+                        &resp, &error))
+        << error;
+    EXPECT_EQ(resp.status, 200) << resp.body;
+
+    const auto s = server.metricsSnapshot();
+    EXPECT_EQ(s.badRequests, 1u);
+    EXPECT_EQ(s.cellsRun, 1u);
+    server.shutdown();
+}
+
 TEST(ServerTest, DedupCollapsesConcurrentRequestsExactly)
 {
     constexpr unsigned kClients = 8;
