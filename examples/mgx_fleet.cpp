@@ -56,9 +56,6 @@ usage(std::FILE *out)
         "  --serve-binary PATH    the mgx_serve executable (default:\n"
         "                         found next to mgx_fleet)\n"
         "  --probe-interval-ms N  /healthz cadence (default 200)\n"
-        "  --hedge-ms N           hedge a slow /run to the next worker\n"
-        "                         after N ms (default 0 = off)\n"
-        "  --no-keep-alive        one request per client connection\n"
         "  --quiet                no startup/shutdown chatter\n"
         "  --help                 this message\n");
     return out == stdout ? 0 : 2;
@@ -117,10 +114,6 @@ main(int argc, char **argv)
         } else if (arg == "--probe-interval-ms") {
             opts.supervisor.probeIntervalMs =
                 static_cast<int>(number(INT_MAX));
-        } else if (arg == "--hedge-ms") {
-            opts.proxy.hedgeMs = static_cast<int>(number(INT_MAX));
-        } else if (arg == "--no-keep-alive") {
-            opts.proxy.keepAlive = false;
         } else if (arg == "--quiet" || arg == "-q") {
             quiet = true;
         } else {

@@ -49,11 +49,10 @@ usage(std::FILE *out)
         "  --result-memo N        finished cells memoized in memory\n"
         "                         (LRU; warm repeats skip the engine;\n"
         "                         default 64, 0 disables)\n"
-        "  --no-keep-alive        one request per connection even when\n"
-        "                         the peer asks for keep-alive\n"
-        "  --keep-alive-idle-ms N close a kept-alive connection after\n"
-        "                         N ms without a next request\n"
-        "                         (default 2000)\n"
+        "  --keep-alive-idle-ms N close a kept-alive connection (the\n"
+        "                         client asks per request with\n"
+        "                         Connection: keep-alive) after N ms\n"
+        "                         without a next request (default 2000)\n"
         "  --quiet                no startup/shutdown chatter\n"
         "  --help                 this message\n");
     return out == stdout ? 0 : 2;
@@ -110,8 +109,6 @@ main(int argc, char **argv)
         } else if (arg == "--result-memo") {
             opts.resultMemoCapacity =
                 number(std::numeric_limits<std::size_t>::max());
-        } else if (arg == "--no-keep-alive") {
-            opts.keepAlive = false;
         } else if (arg == "--keep-alive-idle-ms") {
             opts.keepAliveIdleMs = static_cast<int>(number(INT_MAX));
         } else if (arg == "--quiet" || arg == "-q") {

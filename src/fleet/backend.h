@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/server.h"
+#include "serve/front_door.h"
 
 namespace mgx::fleet {
 

@@ -12,64 +12,55 @@
  * any transport failure (connect refused, reset, deadline) it walks
  * the hash ring's failover order — in-rotation workers first, then
  * everyone (probe state lags reality) — across several passes with a
- * short pause, before finally answering 503. Optional hedging
- * (hedgeMs > 0) launches a second attempt at the next worker when
- * the owner is slow, taking whichever finishes first.
+ * short pause, before finally answering 503.
  *
- * Endpoints: /run (routed), /stats (proxy counters + per-worker
- * supervision state + live worker stats), /healthz (ok while at
- * least one worker is in rotation), /shutdown (via callback).
+ * Endpoints, served through serve::FrontDoor (the same listener,
+ * admission queue and keep-alive loop as mgx_serve): /run (routed),
+ * /stats (proxy counters + per-worker supervision state + live
+ * worker stats), /healthz (ok while at least one worker is in
+ * rotation), /shutdown (via callback).
  */
 
 #ifndef MGX_FLEET_PROXY_H
 #define MGX_FLEET_PROXY_H
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "backend.h"
 #include "hash_ring.h"
 #include "serve/client.h"
+#include "serve/front_door.h"
 
 namespace mgx::fleet {
 
-struct ProxyOptions
+struct ProxyOptions : serve::FrontDoorOptions
 {
-    serve::SocketAddress listen;
-    u32 workers = 4;                    ///< proxy handler threads
-    std::size_t admissionCapacity = 32; ///< queued conns before 429
-    int ioTimeoutMs = 30000;      ///< client-side read/write timeout
+    /// A wider front door than one worker's: the proxy's handlers
+    /// mostly wait on backends.
+    ProxyOptions()
+    {
+        workers = 4;
+        admissionCapacity = 32;
+    }
+
     int backendTimeoutMs = 120000; ///< one backend attempt's budget
-    int failoverPasses = 3;  ///< sweeps over the ring before 503
-    int failoverPauseMs = 100; ///< pause between sweeps
-    int hedgeMs = 0; ///< >0: hedge /run to the next worker when slow
-    bool keepAlive = true;     ///< honor client Connection: keep-alive
-    int keepAliveIdleMs = 2000;
-    u32 ringVnodes = 64;
+    int failoverPauseMs = 100; ///< pause between sweeps over the ring
 };
 
-/** Relaxed counters mirrored into /stats (mgx-fleetstats-v1). */
-struct ProxyMetrics
+/** The front door's relaxed counters plus the routing ones; /stats
+ *  (mgx-fleetstats-v1) prints the request counters and every routing
+ *  one. */
+struct ProxyMetrics : serve::FrontDoorMetrics
 {
-    std::atomic<u64> accepted{0};
-    std::atomic<u64> rejected{0};
-    std::atomic<u64> served{0};
-    std::atomic<u64> failed{0};
-    std::atomic<u64> badRequests{0};
     std::atomic<u64> routed{0};       ///< /run requests routed
     std::atomic<u64> failovers{0};    ///< attempts beyond the first
     std::atomic<u64> backendErrors{0}; ///< failed backend attempts
     std::atomic<u64> partialResponses{0}; ///< backend died mid-body
     std::atomic<u64> noBackend{0};    ///< 503: every attempt failed
-    std::atomic<u64> hedgesLaunched{0};
-    std::atomic<u64> hedgeWins{0};    ///< hedge finished first
-    std::atomic<u64> keepAliveReused{0};
     std::atomic<u64> backendReused{0}; ///< pooled backend conn reused
 };
 
@@ -82,13 +73,18 @@ class Proxy
     Proxy(const Proxy &) = delete;
     Proxy &operator=(const Proxy &) = delete;
 
+    /** Put the backends on the ring and open the front door. */
     void start();
-    void requestShutdown();
+    void requestShutdown() { door_.requestShutdown(); }
+    /** Drain the front door, then close the pooled backend
+     *  connections. Idempotent; also run by the destructor. */
     void shutdown();
-    bool stopping() const;
+    bool stopping() const { return door_.stopping(); }
 
-    u16 port() const { return boundPort_; }
-    std::string addressDescription() const;
+    std::string addressDescription() const
+    {
+        return door_.addressDescription();
+    }
 
     /** Invoked when a client GETs /shutdown (mgx_fleet hooks the
      *  whole-fleet drain here). */
@@ -113,13 +109,8 @@ class Proxy
         serve::GetFailure failure = serve::GetFailure::None;
     };
 
-    void acceptLoop();
-    void workerLoop();
-    void handleConnection(int fd);
-    bool serveOneRequest(int fd, std::string *carry, bool first);
     std::string handleRequest(const serve::HttpRequest &req,
-                              int *status_out,
-                              std::string *content_type);
+                              int *status_out);
     std::string handleRun(const serve::HttpRequest &req,
                           int *status_out);
 
@@ -127,9 +118,6 @@ class Proxy
      *  connection (with the fleet.backend.* failpoints applied). */
     BackendAttempt fetchFromBackend(const std::string &name,
                                     const std::string &target);
-    BackendAttempt fetchWithHedge(
-        const std::vector<std::string> &order, std::size_t primary,
-        const std::string &target);
 
     /** Failover order for @p key: ring order, in-rotation first. */
     std::vector<std::string> candidateOrder(
@@ -140,25 +128,10 @@ class Proxy
     void checkinConnection(const std::string &name,
                            std::unique_ptr<serve::ClientConnection>);
 
-    void sendAll(int fd, const std::string &data) const;
-
     ProxyOptions opts_;
     BackendDirectory *directory_;
     HashRing ring_;
     ProxyMetrics metrics_;
-
-    int listenFd_ = -1;
-    u16 boundPort_ = 0;
-    bool started_ = false;
-    bool joined_ = false;
-
-    std::thread acceptor_;
-    std::vector<std::thread> workers_;
-
-    mutable std::mutex qmu_;
-    std::condition_variable qcv_;
-    std::deque<int> pending_;
-    bool draining_ = false;
 
     std::mutex poolmu_;
     /// name -> idle pooled connections (small, FDs are bounded by
@@ -168,11 +141,9 @@ class Proxy
         std::vector<std::unique_ptr<serve::ClientConnection>>>>
         pool_;
 
-    /// Detached hedge threads still running (shutdown waits on it —
-    /// they capture `this`).
-    std::atomic<u64> bgOps_{0};
-
     std::function<void()> shutdownHook_;
+    /// Last: its threads call into every member above.
+    serve::FrontDoor door_;
 };
 
 } // namespace mgx::fleet

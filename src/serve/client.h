@@ -21,8 +21,8 @@
 
 #include <string>
 
+#include "front_door.h"
 #include "http.h"
-#include "server.h"
 
 namespace mgx::serve {
 

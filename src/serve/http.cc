@@ -28,6 +28,89 @@ stripCr(std::string_view line)
     return line;
 }
 
+using HeaderFields = std::vector<std::pair<std::string, std::string>>;
+
+/**
+ * Split the header block at the front of @p buf into its first line
+ * (the request or status line) and its header fields. The block ends
+ * at the first empty line, bare LF or CRLF — the first `\n\n` or
+ * `\n\r\n` — so where it ends does not depend on how the bytes
+ * arrived. Returns the offset of the body, npos while the block is
+ * incomplete. A block with nothing before its end has an empty first
+ * line, which no request or status line matches.
+ */
+std::size_t
+splitHeaderBlock(std::string_view buf, std::string_view *first_line,
+                 std::string_view *fields)
+{
+    for (std::size_t nl = buf.find('\n'); nl != std::string_view::npos;
+         nl = buf.find('\n', nl + 1)) {
+        std::size_t body_start;
+        if (nl + 1 < buf.size() && buf[nl + 1] == '\n')
+            body_start = nl + 2;
+        else if (nl + 2 < buf.size() && buf[nl + 1] == '\r' &&
+                 buf[nl + 2] == '\n')
+            body_start = nl + 3;
+        else
+            continue;
+        const std::string_view block = buf.substr(0, nl);
+        const std::size_t eol = block.find('\n');
+        *first_line = stripCr(block.substr(0, eol));
+        *fields = eol == std::string_view::npos ? std::string_view()
+                                                : block.substr(eol + 1);
+        return body_start;
+    }
+    return std::string_view::npos;
+}
+
+/** Parse @p fields, one `Name: value` per line, into lower-cased
+ *  names and left-trimmed values; false on a line with no name. */
+bool
+parseHeaderFields(std::string_view fields, HeaderFields *out)
+{
+    while (!fields.empty()) {
+        const std::size_t eol = fields.find('\n');
+        const std::string_view line = stripCr(fields.substr(0, eol));
+        fields = eol == std::string_view::npos ? std::string_view()
+                                               : fields.substr(eol + 1);
+        const std::size_t colon = line.find(':');
+        if (colon == std::string_view::npos || colon == 0)
+            return false;
+        std::string_view value = line.substr(colon + 1);
+        value.remove_prefix(
+            std::min(value.find_first_not_of(" \t"), value.size()));
+        out->emplace_back(toLower(std::string(line.substr(0, colon))),
+                          std::string(value));
+    }
+    return true;
+}
+
+/** Parse a response's status line and header fields into @p resp;
+ *  nullptr on success, else what was malformed. */
+const char *
+parseResponseHead(std::string_view line, std::string_view fields,
+                  HttpResponse *resp)
+{
+    if (line.rfind("HTTP/1.", 0) != 0)
+        return "malformed status line";
+    const std::size_t sp1 = line.find(' ');
+    if (sp1 == std::string_view::npos)
+        return "malformed status line";
+    const std::size_t sp2 = line.find(' ', sp1 + 1);
+    const std::string code(line.substr(
+        sp1 + 1,
+        sp2 == std::string_view::npos ? sp2 : sp2 - sp1 - 1));
+    char *end = nullptr;
+    resp->status = static_cast<int>(std::strtol(code.c_str(), &end, 10));
+    if (end == code.c_str() || *end != '\0')
+        return "malformed status code";
+    if (sp2 != std::string_view::npos)
+        resp->reason = std::string(line.substr(sp2 + 1));
+    if (!parseHeaderFields(fields, &resp->headers))
+        return "malformed header line";
+    return nullptr;
+}
+
 int
 hexValue(char c)
 {
@@ -131,58 +214,28 @@ HttpRequestParser::parseBuffered()
 {
     // Wait for the end of the header block before parsing anything;
     // requests are tiny, so re-scanning per feed() is fine.
-    std::size_t header_end = buffer_.find("\r\n\r\n");
-    std::size_t body_start;
-    if (header_end != std::string::npos) {
-        body_start = header_end + 4;
-    } else {
-        header_end = buffer_.find("\n\n");
-        if (header_end == std::string::npos)
-            return status_;
-        body_start = header_end + 2;
-    }
+    std::string_view line, fields;
+    const std::size_t body_start =
+        splitHeaderBlock(buffer_, &line, &fields);
+    if (body_start == std::string_view::npos)
+        return status_;
 
     HttpRequest req;
-    std::size_t pos = 0;
-    bool first_line = true;
-    while (pos < header_end) {
-        std::size_t eol = buffer_.find('\n', pos);
-        if (eol == std::string::npos || eol > header_end)
-            eol = header_end;
-        const std::string_view line =
-            stripCr({buffer_.data() + pos, eol - pos});
-        pos = eol + 1;
-        if (first_line) {
-            first_line = false;
-            const std::size_t sp1 = line.find(' ');
-            const std::size_t sp2 =
-                sp1 == std::string_view::npos ? sp1
-                                              : line.find(' ', sp1 + 1);
-            if (sp1 == std::string_view::npos ||
-                sp2 == std::string_view::npos)
-                return fail("malformed request line");
-            req.method = std::string(line.substr(0, sp1));
-            req.target =
-                std::string(line.substr(sp1 + 1, sp2 - sp1 - 1));
-            const std::string_view version = line.substr(sp2 + 1);
-            if (version.rfind("HTTP/1.", 0) != 0)
-                return fail("unsupported HTTP version");
-            if (req.target.empty() || req.target[0] != '/')
-                return fail("request target must be absolute path");
-            continue;
-        }
-        if (line.empty())
-            continue;
-        const std::size_t colon = line.find(':');
-        if (colon == std::string_view::npos || colon == 0)
-            return fail("malformed header line");
-        std::string value(line.substr(colon + 1));
-        const std::size_t ns = value.find_first_not_of(" \t");
-        value = ns == std::string::npos ? "" : value.substr(ns);
-        req.headers.emplace_back(
-            toLower(std::string(line.substr(0, colon))),
-            std::move(value));
-    }
+    const std::size_t sp1 = line.find(' ');
+    const std::size_t sp2 =
+        sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
+    if (sp1 == 0 || sp1 == std::string_view::npos ||
+        sp2 == std::string_view::npos)
+        return fail("malformed request line");
+    req.method = std::string(line.substr(0, sp1));
+    req.target = std::string(line.substr(sp1 + 1, sp2 - sp1 - 1));
+    const std::string_view version = line.substr(sp2 + 1);
+    if (version.rfind("HTTP/1.", 0) != 0)
+        return fail("unsupported HTTP version");
+    if (req.target.empty() || req.target[0] != '/')
+        return fail("request target must be absolute path");
+    if (!parseHeaderFields(fields, &req.headers))
+        return fail("malformed header line");
 
     std::size_t content_length = 0;
     for (const auto &h : req.headers) {
@@ -216,63 +269,16 @@ bool
 parseHttpResponse(const std::string &raw, HttpResponse *out,
                   std::string *error)
 {
-    const auto fail = [&](const char *msg) {
-        if (error)
-            *error = msg;
-        return false;
-    };
-    std::size_t header_end = raw.find("\r\n\r\n");
-    std::size_t body_start;
-    if (header_end != std::string::npos) {
-        body_start = header_end + 4;
-    } else {
-        header_end = raw.find("\n\n");
-        if (header_end == std::string::npos)
-            return fail("no header terminator");
-        body_start = header_end + 2;
-    }
-
+    std::string_view line, fields;
+    const std::size_t body_start = splitHeaderBlock(raw, &line, &fields);
     HttpResponse resp;
-    std::size_t pos = 0;
-    bool first_line = true;
-    while (pos < header_end) {
-        std::size_t eol = raw.find('\n', pos);
-        if (eol == std::string::npos || eol > header_end)
-            eol = header_end;
-        const std::string_view line =
-            stripCr({raw.data() + pos, eol - pos});
-        pos = eol + 1;
-        if (first_line) {
-            first_line = false;
-            if (line.rfind("HTTP/1.", 0) != 0)
-                return fail("malformed status line");
-            const std::size_t sp1 = line.find(' ');
-            if (sp1 == std::string_view::npos)
-                return fail("malformed status line");
-            const std::size_t sp2 = line.find(' ', sp1 + 1);
-            const std::string code(line.substr(
-                sp1 + 1, sp2 == std::string_view::npos ? sp2
-                                                       : sp2 - sp1 - 1));
-            char *end = nullptr;
-            resp.status =
-                static_cast<int>(std::strtol(code.c_str(), &end, 10));
-            if (end == code.c_str() || *end != '\0')
-                return fail("malformed status code");
-            if (sp2 != std::string_view::npos)
-                resp.reason = std::string(line.substr(sp2 + 1));
-            continue;
-        }
-        if (line.empty())
-            continue;
-        const std::size_t colon = line.find(':');
-        if (colon == std::string_view::npos || colon == 0)
-            return fail("malformed header line");
-        std::string value(line.substr(colon + 1));
-        const std::size_t ns = value.find_first_not_of(" \t");
-        value = ns == std::string::npos ? "" : value.substr(ns);
-        resp.headers.emplace_back(
-            toLower(std::string(line.substr(0, colon))),
-            std::move(value));
+    const char *malformed = body_start == std::string_view::npos
+                                ? "no header terminator"
+                                : parseResponseHead(line, fields, &resp);
+    if (malformed) {
+        if (error)
+            *error = malformed;
+        return false;
     }
     resp.body = raw.substr(body_start);
     if (out)
@@ -328,23 +334,15 @@ HttpResponseParser::Status
 HttpResponseParser::parseBuffered()
 {
     if (!headers_done_) {
-        std::size_t header_end = buffer_.find("\r\n\r\n");
-        if (header_end != std::string::npos) {
-            body_start_ = header_end + 4;
-        } else {
-            header_end = buffer_.find("\n\n");
-            if (header_end == std::string::npos)
-                return status_;
-            body_start_ = header_end + 2;
-        }
+        std::string_view line, fields;
+        const std::size_t body_start =
+            splitHeaderBlock(buffer_, &line, &fields);
+        if (body_start == std::string_view::npos)
+            return status_;
+        body_start_ = body_start;
         HttpResponse resp;
-        std::string error;
-        // The header block is complete: the batch parser's header
-        // logic applies verbatim (body handled incrementally below).
-        if (!parseHttpResponse(buffer_.substr(0, body_start_), &resp,
-                               &error))
-            return fail(error);
-        resp.body.clear();
+        if (const char *malformed = parseResponseHead(line, fields, &resp))
+            return fail(malformed);
         for (const auto &h : resp.headers) {
             if (h.first != "content-length")
                 continue;

@@ -49,9 +49,11 @@ struct HttpRequest
 
 /**
  * Incremental parser: feed() bytes as they arrive off the socket until
- * the status leaves Incomplete. Tolerates bare-LF line endings. On
- * Error, error() holds a one-line description and the connection
- * should answer 400 and close.
+ * the status leaves Incomplete. Tolerates bare-LF line endings; the
+ * header block ends at its first empty line, so the result does not
+ * depend on how the bytes were split. On Error, error() holds a
+ * one-line description and the connection should answer 400 and
+ * close.
  */
 class HttpRequestParser
 {

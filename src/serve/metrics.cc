@@ -24,7 +24,6 @@ ServeMetrics::snapshot() const
     s.oversized = oversized.load(std::memory_order_relaxed);
     s.keepAliveReused =
         keepAliveReused.load(std::memory_order_relaxed);
-    s.draining = draining.load(std::memory_order_relaxed);
     return s;
 }
 

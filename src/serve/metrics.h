@@ -1,9 +1,9 @@
 /**
  * @file
  * Lock-free operational counters for mgx_serve, surfaced by the
- * /stats endpoint as `mgx-servestats-v1` JSON. Counters are plain
- * relaxed atomics — they are diagnostics, not synchronization; the
- * server's queue mutex orders the state they describe.
+ * /stats endpoint as `mgx-servestats-v1` JSON: the front door's
+ * counters (serve/front_door.h) plus the ones only the experiment
+ * service keeps.
  */
 
 #ifndef MGX_SERVE_METRICS_H
@@ -13,10 +13,11 @@
 #include <string>
 
 #include "common/types.h"
+#include "front_door.h"
 
 namespace mgx::serve {
 
-class ServeMetrics
+class ServeMetrics : public FrontDoorMetrics
 {
   public:
     /** A consistent-enough copy for reporting. */
@@ -39,34 +40,12 @@ class ServeMetrics
         bool draining = false;  ///< shutdown requested
     };
 
-    std::atomic<u64> accepted{0};
-    std::atomic<u64> rejected{0};
-    std::atomic<u64> served{0};
-    std::atomic<u64> failed{0};
-    std::atomic<u64> badRequests{0};
     std::atomic<u64> dedupCollapsed{0};
     std::atomic<u64> cellsRun{0};
     std::atomic<u64> resultMemoHits{0};
-    std::atomic<u64> inFlight{0};
-    std::atomic<u64> queueDepth{0};
-    std::atomic<u64> maxQueueDepth{0};
     std::atomic<u64> deadlineExceeded{0};
-    std::atomic<u64> oversized{0};
-    std::atomic<u64> keepAliveReused{0};
-    std::atomic<bool> draining{false};
 
-    /** Raise maxQueueDepth to at least @p depth. */
-    void
-    noteQueueDepth(u64 depth)
-    {
-        queueDepth.store(depth, std::memory_order_relaxed);
-        u64 seen = maxQueueDepth.load(std::memory_order_relaxed);
-        while (depth > seen &&
-               !maxQueueDepth.compare_exchange_weak(
-                   seen, depth, std::memory_order_relaxed))
-            ;
-    }
-
+    /** Every counter; `draining` is the owner's to fill in. */
     Snapshot snapshot() const;
 };
 

@@ -7,9 +7,8 @@
  * writes — byte-identical for the same grid, so clients can switch
  * between the CLI and the service without re-baselining artifacts.
  *
- * Endpoints (HTTP/1.1; one request per connection by default, but a
- * request carrying `Connection: keep-alive` keeps the connection open
- * for the next one, bounded by ServerOptions::keepAliveIdleMs):
+ * Endpoints (HTTP/1.1, served through serve::FrontDoor — see
+ * front_door.h for admission, keep-alive and the drain):
  *
  *   GET /run?workload=W[&workload=W2...][&platforms=cloud,edge]
  *           [&schemes=NP,MGX,...]
@@ -24,13 +23,9 @@
  *   GET /shutdown
  *       Acknowledge, then begin graceful shutdown.
  *
- * Concurrency model — three layers:
+ * Behind the front door's admission queue, a /run cell goes through
+ * two layers:
  *
- *   admission   A bounded connection queue between one acceptor
- *               thread and N worker threads. When the queue is full
- *               the acceptor answers 429 immediately instead of
- *               letting latency grow unboundedly (explicit
- *               back-pressure; clients retry or go run mgx_run).
  *   memo        A bounded in-memory LRU of finished cell results
  *               keyed like the singleflight: a warm repeat skips the
  *               engine entirely (metrics.resultMemoHits). Safe
@@ -44,62 +39,34 @@
  * Each cell runs on one engine thread, never pipelined, so response
  * bodies are byte-identical to `mgx_run --no-pipeline --json`.
  *
- * Graceful shutdown: stop accepting, drain the queued and in-flight
- * requests, join every thread. Connections arriving while draining
- * get 503.
+ * Graceful shutdown: the front door drains and joins, then the cells
+ * that outlived their request deadline are waited for.
  */
 
 #ifndef MGX_SERVE_SERVER_H
 #define MGX_SERVE_SERVER_H
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <list>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "http.h"
+#include "front_door.h"
 #include "metrics.h"
 #include "singleflight.h"
 #include "sim/experiment.h"
 
 namespace mgx::serve {
 
-/** Where to listen / connect: unix path if set, else TCP loopback. */
-struct SocketAddress
+struct ServerOptions : FrontDoorOptions
 {
-    std::string unixPath; ///< non-empty selects AF_UNIX
-    std::string host = "127.0.0.1";
-    u16 port = 0; ///< 0 = kernel-assigned (see Server::port())
-};
-
-struct ServerOptions
-{
-    SocketAddress listen;
-    u32 workers = 2;                  ///< request handler threads
-    std::size_t admissionCapacity = 16; ///< queued connections before 429
-    int ioTimeoutMs = 30000;          ///< per-connection read/write timeout
     /// Wall-clock budget for one /run request, 0 = none. On expiry
     /// the request answers 503 immediately; the cell that was running
     /// finishes on a background thread (engine runs cannot be
     /// cancelled) so a retry joins it instead of duplicating work.
     int requestDeadlineMs = 0;
-    /// Honor `Connection: keep-alive` requests by keeping the
-    /// connection open for the next request (false restores the old
-    /// one-request-per-connection behavior for every peer).
-    bool keepAlive = true;
-    /// Close a kept-alive connection after this long with no next
-    /// request — bounds both idle FDs and how long a worker thread
-    /// can be parked on one peer.
-    int keepAliveIdleMs = 2000;
     /// Finished-cell results memoized in memory (LRU, keyed like the
     /// singleflight); 0 disables the memo.
     std::size_t resultMemoCapacity = 64;
@@ -203,24 +170,27 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /** Bind, listen, and spawn the acceptor + workers. Fatal on bind
-     *  failure (the address is caller-chosen configuration). */
+    /** Open the front door (see FrontDoor::start()). */
     void start();
 
     /** The bound TCP port (after start(); meaningless for unix). */
-    u16 port() const { return boundPort_; }
+    u16 port() const { return door_.port(); }
 
     /** Human-readable bound address, e.g. "unix:/tmp/x.sock". */
-    std::string addressDescription() const;
+    std::string addressDescription() const
+    {
+        return door_.addressDescription();
+    }
 
     /** Stop admission and begin draining; returns immediately. */
-    void requestShutdown();
+    void requestShutdown() { door_.requestShutdown(); }
 
-    /** requestShutdown() + drain queued and in-flight + join threads.
-     *  Idempotent; also run by the destructor. */
+    /** Drain the front door, then wait for the cells still running
+     *  past their request deadline. Idempotent; also run by the
+     *  destructor. */
     void shutdown();
 
-    bool stopping() const;
+    bool stopping() const { return door_.stopping(); }
 
     ServeMetrics::Snapshot metricsSnapshot() const;
 
@@ -234,21 +204,9 @@ class Server
     ResultMemo &resultMemo() { return memo_; }
 
   private:
-    void acceptLoop();
-    void workerLoop();
-    void handleConnection(int fd);
-    /// Serve one request off @p fd (seeded with @p carry bytes from
-    /// the previous request on this connection). Returns false when
-    /// the connection is done (peer closed, error, or the exchange
-    /// chose Connection: close); true means keep it open and @p carry
-    /// holds any bytes of the next request that already arrived.
-    /// @p first distinguishes a fresh connection from a reused one.
-    bool serveOneRequest(int fd, std::string *carry, bool first);
     std::string handleRequest(const HttpRequest &req, int *status_out);
     std::string handleRun(const HttpRequest &req, int *status_out);
     sim::RunRecord runCellWithEngine(const CellKey &cell);
-    bool validateWorkload(const std::string &name, std::string *error);
-    void sendAll(int fd, const std::string &data) const;
 
     ServerOptions opts_;
     ServeMetrics metrics_;
@@ -256,25 +214,8 @@ class Server
     ResultMemo memo_; ///< capacity from opts_ (ctor init order)
     /// Engine-backed unless replaced via setCellRunnerForTest.
     CellRunner runner_;
-
-    int listenFd_ = -1;
-    u16 boundPort_ = 0;
-    bool started_ = false;
-    bool joined_ = false;
-
-    std::thread acceptor_;
-    std::vector<std::thread> workers_;
-
-    mutable std::mutex qmu_;
-    std::condition_variable qcv_;
-    std::deque<int> pending_; ///< accepted fds awaiting a worker
-    bool draining_ = false;   ///< guarded by qmu_
-
-    /// workload name -> registry error ("" = known-good); memoized so
-    /// repeated requests skip kernel construction during validation.
-    /// Bounded: names come from clients, and a stream of distinct ones
-    /// (a seed sweep) must not grow a long-running daemon's memory.
-    LruMemo<std::string> validation_{1024};
+    /// Last: its threads call into every member above.
+    FrontDoor door_;
 };
 
 } // namespace mgx::serve

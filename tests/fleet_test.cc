@@ -2,12 +2,12 @@
  * @file
  * Fleet-layer tests: consistent-hash ring stability under node churn
  * (only the removed node's keys move), routing-key normalization,
- * proxy routing / failover order / stats aggregation against
- * in-process serve::Servers, supervisor flap breaking with an
- * injected spawner, and one end-to-end integration test that forks
- * real mgx_serve workers, SIGKILLs the owner of an in-flight cell
- * under sustained load, and requires every answered body to stay
- * byte-identical to the Experiment API reference (what
+ * proxy routing / failover order / stats aggregation / front-door
+ * error answers against in-process serve::Servers, supervisor flap
+ * breaking with an injected spawner, and one end-to-end integration
+ * test that forks real mgx_serve workers, SIGKILLs the owner of an
+ * in-flight cell under sustained load, and requires every answered
+ * body to stay byte-identical to the Experiment API reference (what
  * `mgx_run --no-pipeline --json` prints).
  */
 
@@ -17,6 +17,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -25,7 +26,9 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "fleet/backend.h"
@@ -241,9 +244,9 @@ const char *const kTarget = "/run?workload=core%2Fmatmul&schemes=NP";
 
 /** Index of the worker owning kTarget under the proxy's ring. */
 std::size_t
-ownerIndex(int n, u32 vnodes = 64)
+ownerIndex(int n)
 {
-    HashRing ring(vnodes);
+    HashRing ring;
     for (int i = 0; i < n; ++i)
         ring.add("w" + std::to_string(i));
     const auto req =
@@ -306,7 +309,7 @@ TEST(ProxyTest, FailsOverToTheNextRingNodeWhenTheOwnerIsDead)
 
     // The next distinct node in ring order picked the request up —
     // not an arbitrary survivor.
-    HashRing ring(popts.ringVnodes);
+    HashRing ring;
     for (int i = 0; i < 3; ++i)
         ring.add("w" + std::to_string(i));
     const auto req = parseRequest(std::string("GET ") + kTarget +
@@ -409,6 +412,111 @@ TEST(ProxyTest, KeepAliveClientsReuseTheFrontDoorConnection)
     ASSERT_TRUE(conn.get("/healthz", &resp, &error)) << error;
     EXPECT_TRUE(conn.lastReused());
     EXPECT_GE(proxy.metrics().keepAliveReused.load(), 1u);
+    proxy.shutdown();
+}
+
+/** A raw connection to the unix socket at @p path (-1 on failure),
+ *  with a receive timeout so a test cannot hang on it. */
+int
+connectRaw(const std::string &path)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_un sa{};
+    sa.sun_family = AF_UNIX;
+    std::strncpy(sa.sun_path, path.c_str(), sizeof sa.sun_path - 1);
+    if (fd < 0 || ::connect(fd, reinterpret_cast<sockaddr *>(&sa),
+                            sizeof sa) != 0) {
+        if (fd >= 0)
+            ::close(fd);
+        return -1;
+    }
+    timeval tv{};
+    tv.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    return fd;
+}
+
+/** Send @p bytes (possibly none) on a fresh connection, read the
+ *  answer until the peer closes, and parse it. */
+bool
+rawExchange(const std::string &path, const std::string &bytes,
+            serve::HttpResponse *out)
+{
+    const int fd = connectRaw(path);
+    if (fd < 0)
+        return false;
+    if (!bytes.empty())
+        (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    std::string raw;
+    char buf[4096];
+    for (ssize_t n; (n = ::recv(fd, buf, sizeof buf, 0)) > 0;)
+        raw.append(buf, static_cast<std::size_t>(n));
+    ::close(fd);
+    return serve::parseHttpResponse(raw, out, nullptr);
+}
+
+TEST(ProxyTest, FrontDoorAnswersMalformedRequestsLikeAWorker)
+{
+    MiniFleet mini(1, "frontdoor");
+    ProxyOptions popts;
+    popts.listen.unixPath = testSocketPath("frontdoor-proxy");
+    const serve::SocketAddress addr{popts.listen.unixPath,
+                                    "127.0.0.1", 0};
+    serve::HttpResponse resp;
+    std::string error;
+    {
+        popts.ioTimeoutMs = 150;
+        Proxy proxy(popts, &mini.dir);
+        proxy.start();
+
+        ASSERT_TRUE(rawExchange(popts.listen.unixPath,
+                                "NONSENSE\r\n\r\n", &resp));
+        EXPECT_EQ(resp.status, 400) << resp.body;
+
+        // A client that connects and says nothing is answered once the
+        // receive timeout trips, not dropped.
+        const auto t0 = std::chrono::steady_clock::now();
+        ASSERT_TRUE(rawExchange(popts.listen.unixPath, "", &resp));
+        EXPECT_EQ(resp.status, 400) << resp.body;
+        EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                  std::chrono::seconds(5));
+        EXPECT_EQ(proxy.metrics().badRequests.load(), 2u);
+        proxy.shutdown();
+    }
+
+    // One worker and a one-deep queue, at the default receive timeout
+    // so a slow upload is not cut short.
+    popts.ioTimeoutMs = 30000;
+    popts.workers = 1;
+    popts.admissionCapacity = 1;
+    Proxy proxy(popts, &mini.dir);
+    proxy.start();
+
+    std::string target = "/run?workload=";
+    target.append(1u << 20, 'a');
+    ASSERT_TRUE(serve::httpGet(addr, target, &resp, &error)) << error;
+    EXPECT_EQ(resp.status, 431);
+    EXPECT_EQ(proxy.metrics().oversized.load(), 1u);
+
+    // Once the worker is idle again, a silent client wedges it, a
+    // second fills the queue, and a third is turned away.
+    ASSERT_TRUE(
+        eventually([&] { return proxy.metrics().inFlight.load() == 0; }));
+    const int wedged = connectRaw(popts.listen.unixPath);
+    ASSERT_GE(wedged, 0);
+    ASSERT_TRUE(
+        eventually([&] { return proxy.metrics().inFlight.load() >= 1; }));
+    const int queued = connectRaw(popts.listen.unixPath);
+    ASSERT_GE(queued, 0);
+    ASSERT_TRUE(eventually(
+        [&] { return proxy.metrics().queueDepth.load() >= 1; }));
+    ASSERT_TRUE(serve::httpGet(addr, "/healthz", &resp, &error))
+        << error;
+    EXPECT_EQ(resp.status, 429);
+    EXPECT_NE(resp.body.find("queue full"), std::string::npos);
+    EXPECT_EQ(proxy.metrics().rejected.load(), 1u);
+    ::close(wedged);
+    ::close(queued);
     proxy.shutdown();
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Experiment-service tests: HTTP request/response framing units, the
- * SingleFlight coalescing semantics (deterministic via waiters()),
+ * Experiment-service tests: HTTP request/response framing units and a
+ * seeded parser fuzz test, the SingleFlight coalescing semantics
+ * (deterministic via waiters()),
  * and end-to-end Server tests over a unix socket — resultset parity
  * with the Experiment API, request dedup, queue-full back-pressure,
  * and graceful-shutdown draining. Runs under ThreadSanitizer in CI
@@ -10,15 +11,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <iterator>
 #include <mutex>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <cstdio>
 #include <cstring>
 
 #include <sys/socket.h>
@@ -152,6 +157,170 @@ TEST(Http, PercentCodecRoundTrip)
     EXPECT_EQ(percentDecode(percentEncode(name)), name);
     EXPECT_EQ(percentEncode(name),
               "dnn/DLRM%3Ftask%3Dtraining%26batch%3D65536");
+}
+
+// ---------------------------------------------------------------------
+// Parser fuzzing: however the bytes arrive, the answer is the same
+// ---------------------------------------------------------------------
+
+constexpr std::size_t kRequestCap = 1u << 20; // HttpRequestParser's cap
+
+/** @p s with CR, LF and unprintable bytes escaped, for messages. */
+std::string
+printable(const std::string &s)
+{
+    std::string out;
+    for (unsigned char c : s.substr(0, 160)) {
+        char esc[8];
+        if (c == '\r')
+            out += "\\r";
+        else if (c == '\n')
+            out += "\\n";
+        else if (c < 0x20 || c >= 0x7f) {
+            std::snprintf(esc, sizeof esc, "\\x%02x", c);
+            out += esc;
+        } else
+            out += static_cast<char>(c);
+    }
+    if (s.size() > 160)
+        out += "... (" + std::to_string(s.size()) + " bytes)";
+    return out;
+}
+
+/** Feed @p in to a fresh parser in random-sized pieces, stopping at
+ *  the first status that is not Incomplete. */
+template <typename P>
+P
+feedInPieces(const std::string &in, std::mt19937_64 &rng)
+{
+    P p;
+    // Byte by byte only on small inputs: every feed re-scans the
+    // buffer.
+    const std::size_t max_piece =
+        in.size() <= 4096 && rng() % 4 == 0
+            ? 1
+            : std::max<std::size_t>(1, in.size() / 16);
+    for (std::size_t at = 0;
+         at < in.size() && p.status() == P::Status::Incomplete;) {
+        const std::size_t n =
+            std::min<std::size_t>(in.size() - at, 1 + rng() % max_piece);
+        p.feed(in.data() + at, n);
+        at += n;
+    }
+    return p;
+}
+
+/** @p s after one to four random edits. */
+std::string
+mutate(std::string s, std::mt19937_64 &rng)
+{
+    const auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    static const char *const kTokens[] = {"\r", "\n",  "\r\n", "\n\n",
+                                          "%",  "%2", ":",    " ",
+                                          "?",  "&"};
+    for (std::size_t r = 1 + pick(4); r > 0; --r) {
+        switch (pick(4)) {
+          case 0: // flip bits of one byte
+            if (!s.empty())
+                s[pick(s.size())] ^= static_cast<char>(1 + pick(255));
+            break;
+          case 1: // truncate
+            s.resize(pick(s.size() + 1));
+            break;
+          case 2: { // duplicate a slice somewhere
+            const std::size_t from = pick(s.size() + 1);
+            const std::string slice =
+                s.substr(from, pick(s.size() - from + 1));
+            s.insert(pick(s.size() + 1), slice);
+            break;
+          }
+          default: // inject what HTTP framing cares about
+            s.insert(pick(s.size() + 1), kTokens[pick(std::size(kTokens))]);
+            break;
+        }
+    }
+    return s;
+}
+
+TEST(HttpFuzz, ParsersAgreeHoweverBytesArrive)
+{
+    const std::vector<std::string> seeds = {
+        "GET /run?workload=core%2Fmatmul&schemes=NP,BP HTTP/1.1\r\n"
+        "Host: mgx\r\nConnection: keep-alive\r\n\r\n",
+        "GET /stats HTTP/1.1\nHost: x\n\n",
+        "GET /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+        "GET /run?workload=dnn%2FDLRM%3Ftask%3Dtraining"
+        "&platforms=cloud,edge HTTP/1.0\r\nX-A:\tb\r\n\r\n",
+        httpResponse(200, "application/json", "{\"ok\": true}\n", {}, true),
+        httpResponse(429, "application/json", "{\"error\": \"full\"}\n"),
+        "HTTP/1.1 200 OK\nContent-Length: 3\n\nabc",
+        "HTTP/1.0 503 Service Unavailable\r\nContent-Type: x\r\n\r\n"
+        "read to EOF",
+    };
+    const auto withBody = [](std::size_t n) {
+        return "GET /run HTTP/1.1\r\nContent-Length: " + std::to_string(n) +
+               "\r\n\r\n" + std::string(n, 'b');
+    };
+    const std::vector<std::size_t> oversized = {
+        kRequestCap / 2, kRequestCap - 64, kRequestCap, kRequestCap + 1};
+
+    std::mt19937_64 rng(0x5eed);
+    for (int i = 0; i < 150000; ++i) {
+        std::string in;
+        if (i % 1000 == 0) {
+            in = mutate(withBody(oversized[rng() % oversized.size()]), rng);
+        } else if (i % 8 == 0) {
+            static const char kAlphabet[] = "GETHP/1. \r\n:%?&=a0";
+            in.resize(rng() % 200);
+            for (char &c : in)
+                c = rng() % 4 == 0
+                        ? static_cast<char>(rng())
+                        : kAlphabet[rng() % (sizeof kAlphabet - 1)];
+        } else {
+            in = mutate(seeds[rng() % seeds.size()], rng);
+        }
+
+        Parser whole;
+        whole.feed(in.data(), in.size());
+        const Parser pieces = feedInPieces<Parser>(in, rng);
+        if (in.size() > kRequestCap) {
+            ASSERT_TRUE(whole.tooLarge()) << printable(in);
+        } else {
+            ASSERT_EQ(whole.status(), pieces.status()) << printable(in);
+            ASSERT_EQ(whole.error(), pieces.error()) << printable(in);
+            ASSERT_EQ(whole.tooLarge(), pieces.tooLarge()) << printable(in);
+            const HttpRequest &a = whole.request(), &b = pieces.request();
+            ASSERT_EQ(a.method, b.method) << printable(in);
+            ASSERT_EQ(a.target, b.target) << printable(in);
+            ASSERT_EQ(a.path, b.path) << printable(in);
+            ASSERT_EQ(a.query, b.query) << printable(in);
+            ASSERT_EQ(a.headers, b.headers) << printable(in);
+            ASSERT_EQ(a.body, b.body) << printable(in);
+        }
+        if (whole.status() == Parser::Status::Complete) {
+            ASSERT_FALSE(whole.request().method.empty()) << printable(in);
+            ASSERT_EQ(whole.request().target.rfind('/', 0), 0u)
+                << printable(in);
+        }
+
+        HttpResponseParser rwhole;
+        if (rwhole.feed(in.data(), in.size()) ==
+            HttpResponseParser::Status::Incomplete)
+            rwhole.finishEof();
+        HttpResponseParser rpieces =
+            feedInPieces<HttpResponseParser>(in, rng);
+        if (rpieces.status() == HttpResponseParser::Status::Incomplete)
+            rpieces.finishEof();
+        ASSERT_EQ(rwhole.status(), rpieces.status()) << printable(in);
+        ASSERT_EQ(rwhole.error(), rpieces.error()) << printable(in);
+        const HttpResponse &x = rwhole.response(), &y = rpieces.response();
+        ASSERT_EQ(x.status, y.status) << printable(in);
+        ASSERT_EQ(x.reason, y.reason) << printable(in);
+        ASSERT_EQ(x.headers, y.headers) << printable(in);
+        ASSERT_EQ(x.body, y.body) << printable(in);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -855,32 +1024,6 @@ TEST(ServerTest, KeepAliveServesManyRequestsOnOneConnection)
     server.shutdown();
 }
 
-TEST(ServerTest, KeepAliveOptOutClosesAfterEveryResponse)
-{
-    ServerOptions opts;
-    opts.listen.unixPath = testSocketPath("nokeepalive");
-    opts.keepAlive = false;
-    Server server(opts);
-    server.start();
-    const SocketAddress addr{opts.listen.unixPath, "127.0.0.1", 0};
-
-    // The client asks for keep-alive but the server declines; the
-    // connection object transparently reconnects, so requests still
-    // succeed — they just never ride a reused socket.
-    ClientConnection conn(addr);
-    for (int i = 0; i < 2; ++i) {
-        HttpResponse resp;
-        std::string error;
-        ASSERT_TRUE(conn.get("/healthz", &resp, &error)) << error;
-        EXPECT_EQ(resp.status, 200);
-        EXPECT_FALSE(conn.lastReused()) << i;
-    }
-    const auto s = server.metricsSnapshot();
-    EXPECT_EQ(s.accepted, 2u);
-    EXPECT_EQ(s.keepAliveReused, 0u);
-    server.shutdown();
-}
-
 /**
  * A raw unix-socket listener that answers each accepted connection
  * with the next scripted byte string (after reading a little of the
@@ -1030,10 +1173,10 @@ TEST(ServerTest, ResultMemoEvictsLeastRecentlyUsed)
 
 TEST(LruMemo, StaysBoundedUnderDistinctKeysAndKeepsHotOnes)
 {
-    // The workload-validation memo's shape: a stream of never-repeated
-    // names (a seed sweep) interleaved with a few hot ones. The memo
-    // must stay at capacity, and the hot names — refreshed on every
-    // use — must never be the ones evicted.
+    // The result memo under a daemon's traffic: a stream of
+    // never-repeated workloads (a seed sweep) interleaved with a few hot
+    // ones. The memo must stay at capacity, and the hot keys —
+    // refreshed on every use — must never be the ones evicted.
     LruMemo<std::string> memo(16);
     for (int i = 0; i < 1000; ++i) {
         for (const char *hot : {"core/matmul", "video/h264"}) {
