@@ -18,8 +18,7 @@ metaClassName(MetaClass cls)
     return "?";
 }
 
-MetaCache::MetaCache(u32 capacity_bytes, u32 ways, StatGroup *stats)
-    : ways_(ways)
+MetaCache::MetaCache(u32 capacity_bytes, u32 ways) : ways_(ways)
 {
     const u32 num_lines = capacity_bytes / kLineBytes;
     if (ways_ == 0 || num_lines % ways_ != 0)
@@ -29,11 +28,8 @@ MetaCache::MetaCache(u32 capacity_bytes, u32 ways, StatGroup *stats)
     if (!isPow2(numSets_))
         fatal("meta cache: set count %u must be a power of two", numSets_);
     lines_.resize(static_cast<std::size_t>(numSets_) * ways_);
-    if (stats != nullptr) {
-        statHits_ = stats->counter("meta_cache_hits");
-        statMisses_ = stats->counter("meta_cache_misses");
-        statWritebacks_ = stats->counter("meta_cache_writebacks");
-    }
+    mru_.resize(numSets_);
+    reset();
 }
 
 CacheResult
@@ -43,58 +39,40 @@ MetaCache::access(Addr addr, bool dirty, MetaClass cls, Memo *memo)
     const u32 set =
         static_cast<u32>((line_addr / kLineBytes) & (numSets_ - 1));
     Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
-    ++tick_;
 
-    // One pass finds the hit or the replacement victim — the LRU way,
-    // preferring the first invalid one. The fused scan picks the same
-    // victim a separate scan would: once an invalid way is seen the
-    // victim is pinned there, exactly where a dedicated loop would
-    // have stopped.
-    Line *victim = base;
-    bool invalid_found = false;
-    for (u32 w = 0; w < ways_; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == line_addr) {
-            line.lruTick = tick_;
-            line.dirty |= dirty;
-            statHits_.add();
-            if (memo != nullptr) {
-                memo->line_ = &line;
-                memo->addr_ = line_addr;
-                memo->generation_ = generation_;
-            }
-            return {true, false, 0, MetaClass::Vn};
-        }
-        if (invalid_found)
-            continue;
-        if (!line.valid) {
-            victim = &line;
-            invalid_found = true;
-        } else if (line.lruTick < victim->lruTick) {
-            victim = &line;
-        }
-    }
-
+    u32 way = 0;
+    while (way < ways_ && !(base[way].valid && base[way].tag == line_addr))
+        ++way;
     CacheResult result;
-    result.hit = false;
-    if (victim->valid) {
-        // Replacing a resident line: any memo armed for it is stale.
-        ++generation_;
-        if (victim->dirty) {
-            result.writeback = true;
-            result.victimAddr = victim->tag;
-            result.victimClass = victim->cls;
-            statWritebacks_.add();
+    if (way < ways_) {
+        result.hit = true;
+        base[way].dirty |= dirty;
+        ++hits_;
+    } else {
+        // The LRU end: the first invalid way while any remains.
+        way = base[mru_[set]].newer;
+        Line &victim = base[way];
+        if (victim.valid) {
+            // Replacing a resident line: any memo armed for it is stale.
+            ++generation_;
+            if (victim.dirty) {
+                result.writeback = true;
+                result.victimAddr = victim.tag;
+                result.victimClass = victim.cls;
+                ++writebacks_;
+            }
         }
+        victim.tag = line_addr;
+        victim.valid = true;
+        victim.dirty = dirty;
+        victim.cls = cls;
+        ++misses_;
     }
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->cls = cls;
-    victim->tag = line_addr;
-    victim->lruTick = tick_;
-    statMisses_.add();
+    promote(set, way);
     if (memo != nullptr) {
-        memo->line_ = victim;
+        memo->line_ = &base[way];
+        memo->set_ = set;
+        memo->way_ = way;
         memo->addr_ = line_addr;
         memo->generation_ = generation_;
     }
@@ -107,18 +85,13 @@ MetaCache::touchRepeat(std::span<Memo *const> memos, u64 rounds,
 {
     if (rounds == 0)
         return;
-    // Round r's touch of memo p would tick tick_ + r * n + p + 1.
-    const u64 n = memos.size();
-    const u64 last_round = tick_ + (rounds - 1) * n;
-    for (u64 p = 0; p < n; ++p) {
-        Line &line = *memos[p]->line_;
-        assert(memos[p]->generation_ == generation_ && line.valid &&
-               line.tag == memos[p]->addr_);
-        line.lruTick = last_round + p + 1;
-        line.dirty |= dirty;
+    for (Memo *memo : memos) {
+        assert(memo->generation_ == generation_ && memo->line_->valid &&
+               memo->line_->tag == memo->addr_);
+        promote(memo->set_, memo->way_);
+        memo->line_->dirty |= dirty;
     }
-    tick_ += rounds * n;
-    statHits_.add(rounds * n);
+    hits_ += rounds * memos.size();
 }
 
 MetaCache::LineView
@@ -129,8 +102,12 @@ MetaCache::inspect(Addr addr) const
         static_cast<u32>((line_addr / kLineBytes) & (numSets_ - 1));
     const Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
     for (u32 w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == line_addr)
-            return {true, base[w].dirty, base[w].lruTick};
+        if (base[w].valid && base[w].tag == line_addr) {
+            u32 rank = 0;
+            for (u32 v = mru_[set]; v != w; v = base[v].older)
+                ++rank;
+            return {true, base[w].dirty, w, rank};
+        }
     }
     return {};
 }
@@ -139,21 +116,24 @@ void
 MetaCache::flush(std::vector<FlushedLine> &out)
 {
     out.clear();
-    for (auto &line : lines_) {
+    for (const Line &line : lines_) {
         if (line.valid && line.dirty)
             out.push_back({line.tag, line.cls});
-        line.valid = false;
-        line.dirty = false;
     }
-    ++generation_;
+    reset();
 }
 
 void
 MetaCache::reset()
 {
-    for (auto &line : lines_) {
-        line.valid = false;
-        line.dirty = false;
+    // Way w's older neighbour is w - 1 and the MRU end is the last way,
+    // so the LRU end — where a miss fills — is way 0, then way 1, ...
+    for (u32 set = 0; set < numSets_; ++set) {
+        Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
+        for (u32 w = 0; w < ways_; ++w)
+            base[w] = {0, (w + ways_ - 1) % ways_, (w + 1) % ways_, false,
+                       false, MetaClass::Vn};
+        mru_[set] = ways_ - 1;
     }
     ++generation_;
 }

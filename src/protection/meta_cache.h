@@ -8,17 +8,26 @@
  * evictions and the end-of-run flush alike — can be attributed to the
  * correct traffic category by the caller.
  *
+ * Replacement: each set keeps one recency order of its ways, a
+ * circular list whose MRU end the set names. A hit compares the set's
+ * tags and promotes the way; a miss takes the way at the LRU end, so
+ * victim choice is O(1). Lines are only invalidated all at once
+ * (flush, reset), which also restores the initial order — way 0 at
+ * the LRU end, then way 1, ... — so invalid ways always sit at the LRU
+ * end in way order and the first empty way fills first.
+ *
  * Hot-path note: consecutive data blocks usually map to the *same*
  * VN/MAC/tree line, so the baseline engine re-probes the same set for
  * the same tag millions of times. The Memo/touch() API short-circuits
  * that case: a memo remembers the line an access() resolved to, and
- * touch() replays exactly the hit path (LRU update, dirty
- * accumulation, hit counter) without the set-associative probe. A memo
- * self-invalidates when its line is evicted — eviction bumps
- * generation(), and a stale memo fails the residency re-check — so
- * the shortcut is bitwise-identical to always probing. touchRepeat()
- * collapses k rounds of the same touches — the blocks that share
- * every metadata line of the block before them — into one O(1) step.
+ * touch() replays exactly the hit path (promotion, dirty accumulation,
+ * hit counter) without the tag compare. A memo self-invalidates when
+ * its line is evicted — eviction bumps generation(), and a stale memo
+ * fails the residency re-check — so the shortcut is bitwise-identical
+ * to always probing. Promotion is idempotent per round: k rounds of
+ * the same touches leave the order one round leaves, so touchRepeat()
+ * collapses the blocks that share every metadata line of the block
+ * before them into one round plus the counters.
  */
 
 #ifndef MGX_PROTECTION_META_CACHE_H
@@ -27,7 +36,6 @@
 #include <span>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
 
 namespace mgx::protection {
@@ -59,9 +67,8 @@ class MetaCache
     /**
      * @param capacity_bytes total capacity (e.g. 32 KB)
      * @param ways           associativity
-     * @param stats          optional stat sink (hits/misses/writebacks)
      */
-    MetaCache(u32 capacity_bytes, u32 ways, StatGroup *stats = nullptr);
+    MetaCache(u32 capacity_bytes, u32 ways);
 
     /**
      * Probe-skipping handle to the line the last access() of one
@@ -77,6 +84,8 @@ class MetaCache
       private:
         friend class MetaCache;
         Line *line_ = nullptr;
+        u32 set_ = 0;
+        u32 way_ = 0;
         Addr addr_ = ~static_cast<Addr>(0); ///< armed line address
         u64 generation_ = 0; ///< eviction tick at arming/validation
     };
@@ -97,10 +106,10 @@ class MetaCache
     /**
      * Hit-path shortcut: when @p addr is @p memo's armed line and that
      * line is still resident, perform exactly what access() would do
-     * on this (guaranteed) hit — LRU touch, dirty accumulation, hit
-     * counter — without the set-associative probe, and return true.
-     * Returns false with no state change otherwise; the caller then
-     * falls back to access(). @p addr must be line-aligned, as every
+     * on this (guaranteed) hit — promotion, dirty accumulation, hit
+     * counter — without the tag compare, and return true. Returns
+     * false with no state change otherwise; the caller then falls back
+     * to access(). @p addr must be line-aligned, as every
      * MetadataLayout address is.
      */
     bool
@@ -116,20 +125,19 @@ class MetaCache
                 return false;
             memo.generation_ = generation_;
         }
-        ++tick_;
-        memo.line_->lruTick = tick_;
+        promote(memo.set_, memo.way_);
         memo.line_->dirty |= dirty;
-        statHits_.add();
+        ++hits_;
         return true;
     }
 
     /**
      * @p rounds repetitions of the touch() sequence memos[0], ...,
-     * memos[n-1] (each with @p dirty), applied in O(n): the same
-     * per-line LRU ticks (only the last round's survive), dirty bits,
-     * LRU clock and hit count. Every memo must be armed at the current
-     * generation — each just touched successfully, with no eviction
-     * since — which makes every repeated touch a guaranteed hit.
+     * memos[n-1] (each with @p dirty): one round of promotions, the
+     * dirty bits, and rounds * n hits. Every memo must be armed at the
+     * current generation — each just touched successfully, with no
+     * eviction since — which makes every repeated touch a guaranteed
+     * hit.
      */
     void touchRepeat(std::span<Memo *const> memos, u64 rounds, bool dirty);
 
@@ -149,10 +157,10 @@ class MetaCache
     };
 
     /**
-     * Flush all dirty lines into @p out (cleared first), invalidating
-     * the whole cache. The caller owns @p out, so steady-state
-     * flushes reuse its capacity instead of allocating a fresh
-     * vector per call.
+     * Flush all dirty lines into @p out (cleared first), in set then
+     * way order, invalidating the whole cache. The caller owns @p out,
+     * so steady-state flushes reuse its capacity instead of allocating
+     * a fresh vector per call.
      */
     void flush(std::vector<FlushedLine> &out);
 
@@ -161,24 +169,22 @@ class MetaCache
 
     u32 numSets() const { return numSets_; }
 
-    /** Cumulative hit count (0 when constructed without stats). */
-    u64 hits() const { return statHits_.value(); }
+    /** Cumulative hit count. */
+    u64 hits() const { return hits_; }
 
-    /** Cumulative miss count (0 when constructed without stats). */
-    u64 misses() const { return statMisses_.value(); }
+    /** Cumulative miss count. */
+    u64 misses() const { return misses_; }
 
-    /** Cumulative dirty-eviction count (0 without stats). */
-    u64 writebacks() const { return statWritebacks_.value(); }
+    /** Cumulative dirty-eviction count. */
+    u64 writebacks() const { return writebacks_; }
 
-    /** LRU clock: bumped once per access() and per touch(). */
-    u64 tick() const { return tick_; }
-
-    /** Replacement state of one line, for inspection. */
+    /** Placement and recency of one line, for inspection. */
     struct LineView
     {
         bool resident = false;
         bool dirty = false;
-        u64 lruTick = 0;
+        u32 way = 0;  ///< way within its set
+        u32 rank = 0; ///< recency rank in its set, 0 = most recent
     };
 
     /** State of the line containing @p addr (not an access). */
@@ -187,22 +193,46 @@ class MetaCache
   private:
     struct Line
     {
+        Addr tag = 0;  ///< full line address
+        u32 older = 0; ///< way one step toward the LRU end (circular)
+        u32 newer = 0; ///< way one step toward the MRU end (circular)
         bool valid = false;
         bool dirty = false;
         MetaClass cls = MetaClass::Vn;
-        Addr tag = 0;  ///< full line address
-        u64 lruTick = 0;
     };
+
+    /** Make @p way the most recently used way of @p set. */
+    void
+    promote(u32 set, u32 way)
+    {
+        u32 &mru = mru_[set];
+        if (way == mru)
+            return;
+        Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
+        const u32 lru = base[mru].newer;
+        if (way != lru) {
+            // Unlink, then splice in between the LRU and MRU ends. The
+            // LRU way itself already sits there: moving the MRU mark
+            // onto it is the whole promotion.
+            Line &line = base[way];
+            base[line.newer].older = line.older;
+            base[line.older].newer = line.newer;
+            line.older = mru;
+            line.newer = lru;
+            base[mru].newer = way;
+            base[lru].older = way;
+        }
+        mru = way;
+    }
 
     u32 ways_;
     u32 numSets_;
-    u64 tick_ = 0;
     u64 generation_ = 0;
+    u64 hits_ = 0;
+    u64 misses_ = 0;
+    u64 writebacks_ = 0;
     std::vector<Line> lines_; ///< numSets_ x ways_, row-major
-
-    StatGroup::Counter statHits_;
-    StatGroup::Counter statMisses_;
-    StatGroup::Counter statWritebacks_;
+    std::vector<u32> mru_;    ///< per set: its most recently used way
 };
 
 } // namespace mgx::protection

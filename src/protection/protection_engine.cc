@@ -14,18 +14,16 @@ constexpr u32 kLine = MetadataLayout::kLineBytes;
 ProtectionEngine::ProtectionEngine(const ProtectionConfig &cfg,
                                    dram::DramSystem *dram)
     : cfg_(cfg), layout_(cfg), dram_(dram),
-      blockBytes_(dram->blockBytes()), stats_("protection"),
-      cache_(cfg.metaCacheBytes, cfg.metaCacheWays, &stats_),
-      statLogicalAccesses_(stats_.counter("logical_accesses"))
+      blockBytes_(dram->blockBytes()),
+      cache_(cfg.metaCacheBytes, cfg.metaCacheWays)
 {
 }
 
 ProtectionEngine::ProtectionEngine(const ProtectionConfig &cfg,
                                    dram::CommandRecorder *recorder)
     : cfg_(cfg), layout_(cfg), recorder_(recorder),
-      blockBytes_(recorder->blockBytes()), stats_("protection"),
-      cache_(cfg.metaCacheBytes, cfg.metaCacheWays, &stats_),
-      statLogicalAccesses_(stats_.counter("logical_accesses"))
+      blockBytes_(recorder->blockBytes()),
+      cache_(cfg.metaCacheBytes, cfg.metaCacheWays)
 {
 }
 
@@ -48,15 +46,6 @@ ProtectionEngine::issueLine(Addr line, bool is_write, Cycles arrival)
         return arrival;
     }
     return dram_->access({line, is_write, arrival});
-}
-
-Cycles
-ProtectionEngine::issueBatch(std::span<const dram::Request> reqs)
-{
-    Cycles done = 0;
-    for (const dram::Request &req : reqs)
-        done = std::max(done, issueLine(req.addr, req.isWrite, req.arrival));
-    return done;
 }
 
 u64 &
@@ -154,18 +143,17 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
     traffic_.expandBytes += (end - begin) - acc.bytes;
 
     // The cache is consulted per block in program order, but the DRAM
-    // requests are issued grouped by region (data, then VN/tree, then
-    // MAC): a FR-FCFS scheduler batches same-row metadata fetches the
-    // same way, and interleaving them per block would thrash row
-    // buffers in a way real controllers avoid.
-    metaReqs_.clear();
-    macReqs_.clear();
+    // requests go out grouped by region (data, then VN/tree, then MAC):
+    // a FR-FCFS scheduler batches same-row metadata fetches the same
+    // way, and interleaving them per block would thrash row buffers in
+    // a way real controllers avoid. VN and tree lines are issued the
+    // moment the cache resolves them, so only the MAC lines wait, as
+    // one `line | write` word each.
+    macWords_.clear();
 
-    // Data blocks stream first, in address order. The cache loop below
-    // issues no DRAM request (its misses are deferred), so the data
-    // go out as one range ahead of it with the same command order.
-    // When the protection block is not the DRAM block each protection
-    // block is one request at its own address.
+    // Data blocks stream first, in address order, as one range. When
+    // the protection block is not the DRAM block each protection block
+    // is one request at its own address.
     Cycles done = arrival;
     if (gran == blockBytes_) {
         done = issueRange(begin, end - begin, is_write, arrival);
@@ -173,6 +161,14 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
         for (Addr block = begin; block < end; block += gran)
             done = std::max(done, issueLine(block, is_write, arrival));
     }
+    const auto issue = [&](Addr line, bool write, MetaClass cls) {
+        trafficFor(cls) += kLine;
+        done = std::max(done, issueLine(line, write, arrival));
+    };
+    const auto defer = [&](Addr line, bool write, MetaClass cls) {
+        trafficFor(cls) += kLine;
+        macWords_.push_back(line | u64{write});
+    };
 
     // Metadata addresses stream incrementally: one VN line covers
     // kLine/vnBytes consecutive blocks, one level-1 node treeArity VN
@@ -204,14 +200,10 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
             all_touched = false;
             CacheResult r = cache_.access(vn_line, is_write,
                                           MetaClass::Vn, &vnMemo_);
-            if (!r.hit) {
-                metaReqs_.push_back({vn_line, false, arrival});
-                traffic_.vnBytes += kLine;
-            }
-            if (r.writeback) {
-                metaReqs_.push_back({r.victimAddr, true, arrival});
-                trafficFor(r.victimClass) += kLine;
-            }
+            if (!r.hit)
+                issue(vn_line, false, MetaClass::Vn);
+            if (r.writeback)
+                issue(r.victimAddr, true, r.victimClass);
         }
 
         // Tree walk: climb until a cached (trusted) ancestor is found.
@@ -230,14 +222,11 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
                 CacheResult r =
                     cache_.access(node, is_write, MetaClass::Tree,
                                   level == 1 ? &treeMemo_ : nullptr);
-                if (r.writeback) {
-                    metaReqs_.push_back({r.victimAddr, true, arrival});
-                    trafficFor(r.victimClass) += kLine;
-                }
+                if (r.writeback)
+                    issue(r.victimAddr, true, r.victimClass);
                 if (r.hit)
                     break;
-                metaReqs_.push_back({node, false, arrival});
-                traffic_.treeBytes += kLine;
+                issue(node, false, MetaClass::Tree);
             }
         }
 
@@ -248,14 +237,10 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
                 all_touched = false;
                 CacheResult r = cache_.access(mac_line, is_write,
                                               MetaClass::Mac, &macMemo_);
-                if (!r.hit) {
-                    macReqs_.push_back({mac_line, false, arrival});
-                    traffic_.macBytes += kLine;
-                }
-                if (r.writeback) {
-                    macReqs_.push_back({r.victimAddr, true, arrival});
-                    trafficFor(r.victimClass) += kLine;
-                }
+                if (!r.hit)
+                    defer(mac_line, false, MetaClass::Mac);
+                if (r.writeback)
+                    defer(r.victimAddr, true, r.victimClass);
             }
         }
 
@@ -270,8 +255,9 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
             i += k;
         }
     }
-    done = std::max(done, issueBatch(metaReqs_));
-    done = std::max(done, issueBatch(macReqs_));
+    for (const u64 word : macWords_)
+        done = std::max(done, issueLine(word & ~u64{1}, (word & 1) != 0,
+                                        arrival));
     return done;
 }
 
@@ -280,7 +266,7 @@ ProtectionEngine::access(const core::LogicalAccess &acc, Cycles arrival)
 {
     if (acc.bytes == 0)
         return arrival;
-    statLogicalAccesses_.add();
+    ++logicalAccesses_;
     const bool decrypts =
         acc.type == AccessType::Read && cfg_.scheme != Scheme::NP;
     if (recorder_ != nullptr)
@@ -330,14 +316,12 @@ ProtectionEngine::flush(Cycles arrival)
         // Each dirty line writes back charged to its own metadata
         // class — a VN or MAC victim is not tree traffic.
         cache_.flush(flushScratch_);
-        metaReqs_.clear();
-        for (const MetaCache::FlushedLine &line : flushScratch_) {
-            metaReqs_.push_back({line.addr, true, arrival});
-            trafficFor(line.cls) += kLine;
-        }
         if (recorder_ != nullptr)
             recorder_->setCrypto(false);
-        done = std::max(done, issueBatch(metaReqs_));
+        for (const MetaCache::FlushedLine &line : flushScratch_) {
+            trafficFor(line.cls) += kLine;
+            done = std::max(done, issueLine(line.addr, true, arrival));
+        }
     }
     return done;
 }

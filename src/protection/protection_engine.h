@@ -25,15 +25,21 @@
  * when they arrive. So the engine can also run without a DramSystem,
  * recording every DRAM call into a dram::CommandRecorder for another
  * thread to time (the engine/DRAM split, sim/pipeline.h).
+ *
+ * BP streams: each VN line and tree node goes to DRAM (or the
+ * recorder) the moment the cache resolves it, with any dirty victim
+ * that lookup evicts; only the per-block MAC lines wait, as 8-byte
+ * words, until the access's VN/tree lines are out. Every channel sees
+ * the data range, then VN/tree lines in block order, then MAC lines in
+ * block order, and memory stays bounded by the MAC words of one access.
  */
 
 #ifndef MGX_PROTECTION_PROTECTION_ENGINE_H
 #define MGX_PROTECTION_PROTECTION_ENGINE_H
 
 #include <memory>
-#include <span>
+#include <vector>
 
-#include "common/stats.h"
 #include "core/access.h"
 #include "dram/command_log.h"
 #include "dram/dram_system.h"
@@ -99,14 +105,11 @@ class ProtectionEngine
     /** Per-category traffic counters. */
     const TrafficBreakdown &traffic() const { return traffic_; }
 
-    /** Cache and engine statistics. */
-    const StatGroup &stats() const { return stats_; }
-
     /** The shared metadata cache (hit/miss/writeback counters). */
     const MetaCache &metaCache() const { return cache_; }
 
     /** Logical accesses served (the kernel-facing request count). */
-    u64 logicalAccesses() const { return statLogicalAccesses_.value(); }
+    u64 logicalAccesses() const { return logicalAccesses_; }
 
     /**
      * The DRAM system behind this engine (real access counts). Not
@@ -132,22 +135,20 @@ class ProtectionEngine
     // they return their arrival; see the recording constructor).
     Cycles issueRange(Addr addr, u64 bytes, bool is_write, Cycles arrival);
     Cycles issueLine(Addr line, bool is_write, Cycles arrival);
-    Cycles issueBatch(std::span<const dram::Request> reqs);
 
     ProtectionConfig cfg_;
     MetadataLayout layout_;
     dram::DramSystem *dram_ = nullptr;
     dram::CommandRecorder *recorder_ = nullptr;
     u32 blockBytes_; ///< DRAM block (column access) size
-    StatGroup stats_;
     MetaCache cache_;
     TrafficBreakdown traffic_;
-    StatGroup::Counter statLogicalAccesses_;
-    // Scratch queues reused across baselinePath calls so the per-access
-    // hot path never allocates once their high-water mark is reached;
-    // issued in push order, one DRAM line per request (issueBatch).
-    std::vector<dram::Request> metaReqs_;
-    std::vector<dram::Request> macReqs_;
+    u64 logicalAccesses_ = 0;
+    // BP's MAC lines of one access, `line | write` (lines are 64 B
+    // aligned), issued in push order once its VN/tree lines are out.
+    // Reused across calls, so the hot path stops allocating at its
+    // high-water mark.
+    std::vector<u64> macWords_;
     // Same-line coalescing memos: consecutive baseline blocks usually
     // share their VN/MAC line and level-1 tree node, so the common
     // case touches the memoized line instead of re-probing the set

@@ -11,6 +11,8 @@
  *    advancing, and counting same-line blocks);
  *  - property: a touch-then-access stream and an access-only stream
  *    drive two caches identically;
+ *  - command order: a recorded BP write issues its data range, then
+ *    its VN/tree lines as the cache resolves them, then its MAC lines;
  *  - golden: BP/MGX_MAC cells under a deliberately tiny (2 KB)
  *    metadata cache — constant evictions, so memos go stale at the
  *    highest possible rate — pinned against numbers captured from the
@@ -24,8 +26,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "dram/command_log.h"
 #include "protection/meta_cache.h"
 #include "protection/metadata_layout.h"
+#include "protection/protection_engine.h"
 #include "sim/experiment.h"
 
 namespace mgx {
@@ -134,9 +138,8 @@ TEST(MetaCacheMemo, TouchStreamIsBitwiseEquivalentToAccessStream)
     // pattern) on the other. Every CacheResult, counter, and the
     // final flush set must match — touch is the hit path, not an
     // approximation of it.
-    StatGroup stats_a("a"), stats_b("b");
-    MetaCache plain(2 << 10, 8, &stats_a);
-    MetaCache memoized(2 << 10, 8, &stats_b);
+    MetaCache plain(2 << 10, 8);
+    MetaCache memoized(2 << 10, 8);
     MetaCache::Memo memos[3]; // one per class, like the engine
     Rng rng(0xb9);
 
@@ -165,12 +168,9 @@ TEST(MetaCacheMemo, TouchStreamIsBitwiseEquivalentToAccessStream)
             }
         }
     }
-    EXPECT_EQ(stats_a.get("meta_cache_hits"),
-              stats_b.get("meta_cache_hits"));
-    EXPECT_EQ(stats_a.get("meta_cache_misses"),
-              stats_b.get("meta_cache_misses"));
-    EXPECT_EQ(stats_a.get("meta_cache_writebacks"),
-              stats_b.get("meta_cache_writebacks"));
+    EXPECT_EQ(plain.hits(), memoized.hits());
+    EXPECT_EQ(plain.misses(), memoized.misses());
+    EXPECT_EQ(plain.writebacks(), memoized.writebacks());
 
     std::vector<MetaCache::FlushedLine> da, db;
     plain.flush(da);
@@ -186,16 +186,15 @@ TEST(MetaCacheMemo, TouchRepeatEqualsRoundsOfTouch)
 {
     // After a shared random history, one cache applies k rounds of a
     // memo touch sequence through touchRepeat and the other touch by
-    // touch. Every line's residency, dirty bit and LRU tick, the LRU
-    // clock and the hit count must agree — and so must the victim the
-    // next miss in each touched line's set picks.
+    // touch. Every line's residency, dirty bit, way and recency rank
+    // and the counters must agree — and so must the victim the next
+    // miss in each touched line's set picks.
     Rng rng(0x7e9);
     for (int trial = 0; trial < 300; ++trial) {
-        StatGroup stats_a("a"), stats_b("b");
         // 1 KB, 4 ways: 4 sets over a 64-line universe, so every set
         // is full and every line competes for LRU order.
-        MetaCache repeated(1 << 10, 4, &stats_a);
-        MetaCache touched(1 << 10, 4, &stats_b);
+        MetaCache repeated(1 << 10, 4);
+        MetaCache touched(1 << 10, 4);
         const auto line = [](u64 i) { return static_cast<Addr>(i * 0x40); };
         const u64 universe = 64;
         for (int i = 0; i < 40; ++i) {
@@ -234,7 +233,6 @@ TEST(MetaCacheMemo, TouchRepeatEqualsRoundsOfTouch)
         }
 
         const auto expectSame = [&](const char *when) {
-            EXPECT_EQ(repeated.tick(), touched.tick()) << when;
             EXPECT_EQ(repeated.hits(), touched.hits()) << when;
             EXPECT_EQ(repeated.misses(), touched.misses()) << when;
             EXPECT_EQ(repeated.writebacks(), touched.writebacks()) << when;
@@ -243,7 +241,8 @@ TEST(MetaCacheMemo, TouchRepeatEqualsRoundsOfTouch)
                 const MetaCache::LineView b = touched.inspect(line(i));
                 EXPECT_EQ(a.resident, b.resident) << when << " line " << i;
                 EXPECT_EQ(a.dirty, b.dirty) << when << " line " << i;
-                EXPECT_EQ(a.lruTick, b.lruTick) << when << " line " << i;
+                EXPECT_EQ(a.way, b.way) << when << " line " << i;
+                EXPECT_EQ(a.rank, b.rank) << when << " line " << i;
             }
         };
         expectSame("after the repeat");
@@ -357,6 +356,97 @@ TEST(BaselineWalker, AdvanceAndSameLineCountMatchPointQueries)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// BP command order
+// ---------------------------------------------------------------------
+
+/** Records every DRAM command word into one growing buffer. */
+class BufferRecorder final : public dram::CommandRecorder
+{
+  public:
+    BufferRecorder() : CommandRecorder(64) { grow(); }
+
+    /** The words recorded since word @p from. */
+    std::vector<u64>
+    wordsFrom(std::size_t from) const
+    {
+        return {buf_.begin() + static_cast<std::ptrdiff_t>(from),
+                buf_.begin() + (pos_ - buf_.data())};
+    }
+
+    std::size_t size() const { return pos_ - buf_.data(); }
+
+  protected:
+    void nextChunk() override { grow(); }
+
+  private:
+    void
+    grow()
+    {
+        const std::size_t used = pos_ == nullptr ? 0 : size();
+        buf_.resize(std::max<std::size_t>(2 * buf_.size(), 1024));
+        pos_ = buf_.data() + used;
+        end_ = buf_.data() + buf_.size();
+    }
+
+    std::vector<u64> buf_;
+};
+
+TEST(BpCommandOrder, DataRangeThenVnTreeLinesThenMacLines)
+{
+    // A 2 KB cache (32 lines) left full of dirty lines by a write far
+    // away, so the 256 KB write under test evicts dirty victims of
+    // every class while its lookups stream.
+    ProtectionConfig cfg;
+    cfg.scheme = Scheme::BP;
+    cfg.metaCacheBytes = 2 << 10;
+    BufferRecorder rec;
+    protection::ProtectionEngine engine(cfg, &rec);
+    engine.access({1ull << 30, 64 << 10, 1, AccessType::Write,
+                   DataClass::Generic, 0},
+                  0);
+    const protection::TrafficBreakdown before = engine.traffic();
+    const std::size_t from = rec.size();
+    const u64 bytes = 256 << 10;
+    engine.access({0, bytes, 2, AccessType::Write, DataClass::Generic, 0},
+                  0);
+    const protection::TrafficBreakdown &after = engine.traffic();
+    const std::vector<u64> words = rec.wordsFrom(from);
+
+    ASSERT_GE(words.size(), 2u);
+    EXPECT_EQ(dram::cmd::kind(words[0]), dram::cmd::kRange);
+    EXPECT_EQ(dram::cmd::addr(words[0]), 0u);
+    EXPECT_TRUE(dram::cmd::isWrite(words[0]));
+    EXPECT_EQ(words[1], bytes);
+
+    // The rest are metadata lines. VN and tree lines live at and above
+    // vnBase, MAC lines in [macBase, vnBase).
+    const MetadataLayout &layout = engine.layout();
+    std::size_t last_vn_tree_read = 0, first_mac_read = words.size();
+    std::size_t writes = 0;
+    for (std::size_t i = 2; i < words.size(); ++i) {
+        const u64 w = words[i];
+        ASSERT_EQ(dram::cmd::kind(w), dram::cmd::kLine) << "word " << i;
+        const Addr line = dram::cmd::addr(w);
+        ASSERT_GE(line, layout.macBase()) << "word " << i;
+        if (dram::cmd::isWrite(w))
+            ++writes;
+        else if (line >= layout.vnBase())
+            last_vn_tree_read = i;
+        else
+            first_mac_read = std::min(first_mac_read, i);
+    }
+    EXPECT_GT(last_vn_tree_read, 0u);
+    EXPECT_LT(first_mac_read, words.size());
+    EXPECT_LT(last_vn_tree_read, first_mac_read)
+        << "a MAC line went out before the access's VN/tree lines";
+    EXPECT_GT(writes, 0u) << "no dirty victim was written back";
+    const u64 meta_bytes = (after.vnBytes - before.vnBytes) +
+                           (after.treeBytes - before.treeBytes) +
+                           (after.macBytes - before.macBytes);
+    EXPECT_EQ(words.size() - 2, meta_bytes / 64);
 }
 
 // ---------------------------------------------------------------------

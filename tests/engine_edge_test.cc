@@ -170,7 +170,7 @@ TEST(EngineEdge, LogicalAccessCountTracked)
         f.engine->access({static_cast<Addr>(i) * 4096, 512, 1,
                           AccessType::Read, DataClass::Generic, 0},
                          0);
-    EXPECT_EQ(f.engine->stats().get("logical_accesses"), 7u);
+    EXPECT_EQ(f.engine->logicalAccesses(), 7u);
 }
 
 } // namespace

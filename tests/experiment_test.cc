@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <random>
+#include <set>
+
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/trace_io.h"
@@ -87,6 +91,154 @@ TEST(Registry, DefaultPlatformsMatchThePaper)
     EXPECT_EQ(defaultPlatform("graph/pokec/bfs").name, "Graph");
     EXPECT_EQ(defaultPlatform("genome/chr1PacBio").name, "Genome");
     EXPECT_EQ(defaultPlatform("video/h264").name, "Genome");
+}
+
+TEST(Registry, SsspCellsEqualTheirBfsTwins)
+{
+    // GraphAlgorithm::SSSP changes only the kernel's name: with unit
+    // edge weights its Bellman-Ford sweeps run the same iteration
+    // count over the same tiles as BFS, so every graph/*/sssp cell
+    // equals its graph/*/bfs twin. Pinned deliberately (DESIGN.md
+    // says what a GraphLily-style SSSP would change), so that giving
+    // SSSP its own model shows up here as a deliberate change.
+    std::vector<std::string> bfs, sssp;
+    for (const std::string &name : listWorkloads()) {
+        const std::size_t at = name.rfind("/sssp");
+        if (at == std::string::npos || at + 5 != name.size())
+            continue;
+        sssp.push_back(name);
+        bfs.push_back(name.substr(0, at) + "/bfs");
+    }
+    ASSERT_EQ(sssp.size(), 6u);
+    std::vector<std::string> both = bfs;
+    both.insert(both.end(), sssp.begin(), sssp.end());
+    const ResultSet rs = Experiment().workloads(both).run();
+    ASSERT_EQ(rs.records().size(), 60u);
+
+    // Per graph, the five sssp records relabelled as bfs must write
+    // the same JSON as the five bfs records: every field, including
+    // the NP-normalized ones.
+    for (std::size_t g = 0; g < bfs.size(); ++g) {
+        ResultSet want, got;
+        for (const RunRecord &record : rs.records()) {
+            if (record.key.workload == bfs[g]) {
+                want.add(record);
+            } else if (record.key.workload == sssp[g]) {
+                RunRecord relabelled = record;
+                relabelled.key.workload = bfs[g];
+                got.add(relabelled);
+            }
+        }
+        ASSERT_EQ(got.records().size(), 5u) << sssp[g];
+        EXPECT_EQ(toJson(got), toJson(want)) << sssp[g];
+    }
+}
+
+// ---------------------------------------------------------------------
+// Registry-name fuzz
+// ---------------------------------------------------------------------
+
+/** One random edit of a registry name. */
+std::string
+mutateName(std::string s, std::mt19937_64 &rng)
+{
+    const auto pick = [&rng](std::size_t n) {
+        return n == 0 ? std::size_t{0} : static_cast<std::size_t>(rng() % n);
+    };
+    // Digit runs favour values at the edges of parameter ranges.
+    static const char *const kNumbers[] = {
+        "0", "1", "2", "7", "00", "4294967295", "4294967296",
+        "18446744073709551615", "18446744073709551616",
+        "99999999999999999999999"};
+    static const char *const kQuery[] = {"?", "&", "=", "%", "%00", "%zz",
+                                         "?scale=", "&seed="};
+    switch (rng() % 4) {
+      case 0: // flip one bit of one byte
+        if (!s.empty())
+            s[pick(s.size())] ^= static_cast<char>(1u << pick(8));
+        break;
+      case 1: // truncate
+        s.resize(pick(s.size() + 1));
+        break;
+      case 2: { // replace a digit run, or insert one
+        std::string digits = kNumbers[pick(std::size(kNumbers))];
+        if (rng() % 4 == 0) {
+            digits.resize(1 + pick(24));
+            for (char &c : digits)
+                c = static_cast<char>('0' + pick(10));
+        }
+        std::vector<std::size_t> runs;
+        for (std::size_t i = 0; i < s.size(); ++i) {
+            if (std::isdigit(static_cast<unsigned char>(s[i])) &&
+                (i == 0 || !std::isdigit(static_cast<unsigned char>(s[i - 1]))))
+                runs.push_back(i);
+        }
+        if (runs.empty() || rng() % 4 == 0) {
+            s.insert(pick(s.size() + 1), digits);
+        } else {
+            const std::size_t at = runs[pick(runs.size())];
+            std::size_t end = at;
+            while (end < s.size() &&
+                   std::isdigit(static_cast<unsigned char>(s[end])))
+                ++end;
+            s.replace(at, end - at, digits);
+        }
+        break;
+      }
+      default: // inject query syntax
+        s.insert(pick(s.size() + 1), kQuery[pick(std::size(kQuery))]);
+        break;
+    }
+    return s;
+}
+
+/** Counts phases and keeps nothing. */
+class CountingSink final : public core::PhaseSink
+{
+  public:
+    void consume(const core::Phase &) override { ++phases; }
+    u64 phases = 0;
+};
+
+TEST(RegistryFuzz, MutatedNamesAreRejectedOrBuild)
+{
+    // Seeded mutations of every registry name and every --list-scaled
+    // name: bit flips, truncation, digit runs and injected ?, &, =, %.
+    // Each mutant must either be rejected by checkWorkload with a
+    // message, or build through makeKernel and return from its first
+    // nextChunk — never crash or exit. Builds are capped (distinct
+    // names only) to keep the entry to a few seconds.
+    // Half the mutants start from a --list-scaled name: those carry
+    // the numeric parameters, and so most of the parser's surface.
+    const std::vector<std::string> plain = listWorkloads();
+    const std::vector<std::string> scaled = listScaledWorkloads();
+    constexpr int kMutants = 4000;
+    constexpr std::size_t kMaxBuilds = 96;
+    std::mt19937_64 rng(0xf022);
+    std::set<std::string> built;
+    int rejected = 0;
+    for (int i = 0; i < kMutants; ++i) {
+        const std::vector<std::string> &seeds = rng() % 2 ? scaled : plain;
+        std::string name = seeds[rng() % seeds.size()];
+        for (u64 edits = 1 + rng() % 3; edits > 0; --edits)
+            name = mutateName(std::move(name), rng);
+        std::string error;
+        if (!checkWorkload(name, &error)) {
+            EXPECT_FALSE(error.empty()) << name;
+            ++rejected;
+            continue;
+        }
+        if (built.size() == kMaxBuilds || !built.insert(name).second)
+            continue;
+        SCOPED_TRACE(name);
+        std::unique_ptr<core::Kernel> kernel = makeKernel(name);
+        ASSERT_NE(kernel, nullptr);
+        CountingSink sink;
+        kernel->stream()->nextChunk(sink);
+    }
+    // Most mutants are malformed; enough stay valid to build.
+    EXPECT_GT(rejected, kMutants / 2);
+    EXPECT_EQ(built.size(), kMaxBuilds);
 }
 
 // ---------------------------------------------------------------------

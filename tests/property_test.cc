@@ -9,13 +9,15 @@
  *  - the functional SecureMemory and the timing engine agree on the
  *    VN discipline: whatever the random kernel writes/reads with
  *    consistent VNs round-trips, and any stale VN fails;
- *  - the metadata cache behaves identically to a reference
- *    fully-associative-per-set model;
+ *  - the metadata cache behaves identically to a reference LRU
+ *    model (first empty way, else least recently used) at 2 to 16
+ *    ways, through memo touches, touchRepeat, flush and reset;
  *  - DRAM completion times are monotone in arrival time.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -140,60 +142,223 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomSequenceTest,
 
 // -- cache vs reference model ---------------------------------------------------------
 
-/** Simple reference: per-set vector with true LRU. */
+using protection::CacheResult;
+using protection::MetaCache;
+using protection::MetaClass;
+
+/**
+ * Reference LRU cache, written for obviousness rather than speed: each
+ * set is `ways` slots stamped with a global use clock. A miss fills
+ * the first empty slot, else the least recently used one; flush lists
+ * dirty lines in set, then way order.
+ */
 class ReferenceCache
 {
   public:
-    ReferenceCache(u32 sets, u32 ways) : sets_(sets), ways_(ways),
-                                         data_(sets)
+    ReferenceCache(u32 sets, u32 ways)
+        : sets_(sets), ways_(ways), slots_(sets * ways)
     {
     }
 
-    protection::CacheResult
-    access(Addr addr, bool dirty)
+    CacheResult
+    access(Addr addr, bool dirty, MetaClass cls)
     {
         const Addr line = addr & ~Addr{63};
-        auto &set = data_[(line / 64) % sets_];
-        for (auto it = set.begin(); it != set.end(); ++it) {
-            if (it->first == line) {
-                auto entry = *it;
-                entry.second |= dirty;
-                set.erase(it);
-                set.push_back(entry); // move to MRU
-                return {true, false, 0};
+        Slot *set = &slots_[(line / 64) % sets_ * ways_];
+        ++clock_;
+        for (u32 w = 0; w < ways_; ++w) {
+            if (set[w].valid && set[w].tag == line) {
+                set[w].dirty |= dirty;
+                set[w].lastUse = clock_;
+                ++hits;
+                return {true, false, 0, MetaClass::Vn};
             }
         }
-        protection::CacheResult r;
-        if (set.size() == ways_) {
-            if (set.front().second) {
-                r.writeback = true;
-                r.victimAddr = set.front().first;
-            }
-            set.erase(set.begin());
+        Slot *victim = nullptr;
+        for (u32 w = 0; w < ways_ && victim == nullptr; ++w) {
+            if (!set[w].valid)
+                victim = &set[w];
         }
-        set.push_back({line, dirty});
+        if (victim == nullptr) {
+            victim = set;
+            for (u32 w = 1; w < ways_; ++w) {
+                if (set[w].lastUse < victim->lastUse)
+                    victim = &set[w];
+            }
+        }
+        CacheResult r;
+        if (victim->valid && victim->dirty) {
+            r.writeback = true;
+            r.victimAddr = victim->tag;
+            r.victimClass = victim->cls;
+            ++writebacks;
+        }
+        *victim = {true, dirty, line, clock_, cls};
+        ++misses;
         return r;
     }
 
+    std::vector<MetaCache::FlushedLine>
+    flush()
+    {
+        std::vector<MetaCache::FlushedLine> out;
+        for (const Slot &slot : slots_) {
+            if (slot.valid && slot.dirty)
+                out.push_back({slot.tag, slot.cls});
+        }
+        reset();
+        return out;
+    }
+
+    void reset() { slots_.assign(slots_.size(), Slot{}); }
+
+    /** What MetaCache::inspect should say about @p addr's line. */
+    MetaCache::LineView
+    view(Addr addr) const
+    {
+        const Addr line = addr & ~Addr{63};
+        const Slot *set = &slots_[(line / 64) % sets_ * ways_];
+        for (u32 w = 0; w < ways_; ++w) {
+            if (!set[w].valid || set[w].tag != line)
+                continue;
+            u32 rank = 0;
+            for (u32 v = 0; v < ways_; ++v)
+                rank += set[v].valid && set[v].lastUse > set[w].lastUse;
+            return {true, set[w].dirty, w, rank};
+        }
+        return {};
+    }
+
+    u64 hits = 0, misses = 0, writebacks = 0;
+
   private:
+    struct Slot
+    {
+        bool valid = false;
+        bool dirty = false;
+        Addr tag = 0;
+        u64 lastUse = 0;
+        MetaClass cls = MetaClass::Vn;
+    };
+
     u32 sets_, ways_;
-    std::vector<std::vector<std::pair<Addr, bool>>> data_;
+    u64 clock_ = 0;
+    std::vector<Slot> slots_;
 };
 
 TEST(MetaCacheProperty, MatchesReferenceModel)
 {
-    protection::MetaCache cache(8 << 10, 8); // 16 sets x 8 ways
-    ReferenceCache ref(16, 8);
-    Rng rng(99);
-    for (int i = 0; i < 20000; ++i) {
-        const Addr addr = rng.below(1024) * 64;
-        const bool dirty = rng.chance(0.3);
-        auto got = cache.access(addr, dirty);
-        auto want = ref.access(addr, dirty);
-        ASSERT_EQ(got.hit, want.hit) << "op " << i;
-        ASSERT_EQ(got.writeback, want.writeback) << "op " << i;
-        if (want.writeback) {
-            ASSERT_EQ(got.victimAddr, want.victimAddr) << "op " << i;
+    // Random plain accesses interleaved with the engine's memo
+    // touches, touchRepeat rounds, flushes and resets, against the
+    // reference at 2 to 16 ways: every result, counter and flush list,
+    // and every line's way and recency rank, must agree.
+    for (u32 ways : {2u, 4u, 8u, 16u}) {
+        SCOPED_TRACE(::testing::Message() << ways << " ways");
+        MetaCache cache(8 << 10, ways); // 128 lines
+        ReferenceCache ref(128 / ways, ways);
+        MetaCache::Memo memos[3]; // the engine's VN, tree and MAC streams
+        MetaCache::Memo *memo_ptrs[3] = {&memos[0], &memos[1], &memos[2]};
+        Addr memo_addr[3] = {0, 0, 0};
+        Rng rng(99 + ways);
+        const u64 universe = 512; // lines; the first 64 are hot
+        const auto pickLine = [&] {
+            return (rng.chance(0.5) ? rng.below(64) : rng.below(universe)) *
+                   64;
+        };
+        const auto expectSame = [&](const CacheResult &got,
+                                    const CacheResult &want) {
+            EXPECT_EQ(got.hit, want.hit);
+            EXPECT_EQ(got.writeback, want.writeback);
+            if (want.writeback) {
+                EXPECT_EQ(got.victimAddr, want.victimAddr);
+                EXPECT_EQ(got.victimClass, want.victimClass);
+            }
+        };
+        const auto expectSameLine = [&](Addr addr) {
+            const MetaCache::LineView got = cache.inspect(addr);
+            const MetaCache::LineView want = ref.view(addr);
+            EXPECT_EQ(got.resident, want.resident) << "line " << addr;
+            EXPECT_EQ(got.dirty, want.dirty) << "line " << addr;
+            EXPECT_EQ(got.way, want.way) << "line " << addr;
+            EXPECT_EQ(got.rank, want.rank) << "line " << addr;
+        };
+        // One memo stream's lookup as baselinePath makes it: a touch,
+        // and on a failed touch the probing access that re-arms the
+        // memo. Returns whether the touch succeeded.
+        const auto lookup = [&](std::size_t p, Addr addr, bool dirty) {
+            const auto cls = static_cast<MetaClass>(p);
+            const CacheResult want = ref.access(addr, dirty, cls);
+            memo_addr[p] = addr;
+            if (cache.touch(memos[p], addr, dirty)) {
+                EXPECT_TRUE(want.hit) << "touch succeeded on a miss";
+                return true;
+            }
+            expectSame(cache.access(addr, dirty, cls, &memos[p]), want);
+            return false;
+        };
+
+        for (int op = 0; op < 20000; ++op) {
+            SCOPED_TRACE(::testing::Message() << "op " << op);
+            const u64 kind = rng.below(100);
+            const bool dirty = rng.chance(0.3);
+            if (kind < 45) {
+                const Addr addr = pickLine();
+                expectSame(cache.access(addr, dirty),
+                           ref.access(addr, dirty, MetaClass::Vn));
+                expectSameLine(addr);
+            } else if (kind < 90) {
+                // A memo stream, half the time on its last line again.
+                const std::size_t p = rng.below(3);
+                const Addr addr = rng.chance(0.5) ? memo_addr[p] : pickLine();
+                lookup(p, addr, dirty);
+                expectSameLine(addr);
+            } else if (kind < 98) {
+                // One block's lookups on distinct lines, then the next
+                // block's; when all of those touch, touchRepeat takes
+                // the rounds the reference replays access by access.
+                const std::size_t n = 1 + rng.below(3);
+                for (std::size_t p = 0; p < n; ++p) {
+                    Addr addr;
+                    do {
+                        addr = pickLine();
+                    } while (std::find(memo_addr, memo_addr + p, addr) !=
+                             memo_addr + p);
+                    lookup(p, addr, dirty);
+                }
+                bool all_touched = true;
+                for (std::size_t p = 0; p < n; ++p)
+                    all_touched &= lookup(p, memo_addr[p], dirty);
+                if (all_touched) {
+                    const u64 rounds = rng.below(9);
+                    cache.touchRepeat({memo_ptrs, n}, rounds, dirty);
+                    for (u64 r = 0; r < rounds; ++r) {
+                        for (std::size_t p = 0; p < n; ++p)
+                            ref.access(memo_addr[p], dirty,
+                                       static_cast<MetaClass>(p));
+                    }
+                }
+            } else if (kind < 99) {
+                std::vector<MetaCache::FlushedLine> got;
+                cache.flush(got);
+                const std::vector<MetaCache::FlushedLine> want = ref.flush();
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t i = 0; i < want.size(); ++i) {
+                    EXPECT_EQ(got[i].addr, want[i].addr);
+                    EXPECT_EQ(got[i].cls, want[i].cls);
+                }
+            } else {
+                cache.reset();
+                ref.reset();
+            }
+            EXPECT_EQ(cache.hits(), ref.hits);
+            EXPECT_EQ(cache.misses(), ref.misses);
+            EXPECT_EQ(cache.writebacks(), ref.writebacks);
+            if (op % 64 == 0) {
+                for (u64 line = 0; line < universe; ++line)
+                    expectSameLine(line * 64);
+            }
+            if (::testing::Test::HasFailure())
+                return;
         }
     }
 }
