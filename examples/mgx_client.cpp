@@ -22,6 +22,7 @@
 
 #include "common/parse.h"
 #include "serve/client.h"
+#include "sim/runner.h"
 
 namespace {
 
@@ -158,19 +159,10 @@ main(int argc, char **argv)
         char sep = '?';
         // One workload= per name keeps commas inside parameterized
         // names (e.g. core/matmul?m=64) unambiguous after encoding.
-        std::size_t start = 0;
-        while (start <= workloads.size()) {
-            std::size_t pos = workloads.find(',', start);
-            if (pos == std::string::npos)
-                pos = workloads.size();
-            if (pos > start) {
-                target += sep;
-                target += "workload=";
-                target += serve::percentEncode(
-                    workloads.substr(start, pos - start));
-                sep = '&';
-            }
-            start = pos + 1;
+        for (const auto &w : sim::splitCommas(workloads)) {
+            target += sep;
+            target += "workload=" + serve::percentEncode(w);
+            sep = '&';
         }
         if (!platforms.empty()) {
             target += sep;

@@ -68,38 +68,6 @@ usage(std::FILE *out)
     return out == stdout ? 0 : 2;
 }
 
-std::vector<std::string>
-splitCommas(const std::string &arg)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-        std::size_t pos = arg.find(',', start);
-        if (pos == std::string::npos)
-            pos = arg.size();
-        if (pos > start)
-            parts.push_back(arg.substr(start, pos - start));
-        start = pos + 1;
-    }
-    return parts;
-}
-
-bool
-platformByName(const std::string &name, sim::Platform &out)
-{
-    if (name == "cloud")
-        out = sim::cloudPlatform();
-    else if (name == "edge")
-        out = sim::edgePlatform();
-    else if (name == "graph")
-        out = sim::graphPlatform();
-    else if (name == "genome")
-        out = sim::genomePlatform();
-    else
-        return false;
-    return true;
-}
-
 } // namespace
 
 int
@@ -136,15 +104,15 @@ main(int argc, char **argv)
             return 0;
         }
         if (arg == "--workload" || arg == "-w") {
-            for (auto &w : splitCommas(value()))
+            for (auto &w : sim::splitCommas(value()))
                 workloads.push_back(w);
         } else if (arg == "--all") {
             for (auto &w : sim::listWorkloads())
                 workloads.push_back(w);
         } else if (arg == "--platforms" || arg == "--platform") {
-            for (auto &p : splitCommas(value())) {
+            for (auto &p : sim::splitCommas(value())) {
                 sim::Platform platform;
-                if (!platformByName(p, platform)) {
+                if (!sim::platformByName(p, platform)) {
                     std::fprintf(stderr,
                                  "mgx_run: unknown platform '%s'\n",
                                  p.c_str());
@@ -153,8 +121,16 @@ main(int argc, char **argv)
                 platforms.push_back(platform);
             }
         } else if (arg == "--schemes" || arg == "--scheme") {
-            for (auto &s : splitCommas(value()))
-                schemes.push_back(sim::schemeByName(s));
+            for (auto &s : sim::splitCommas(value())) {
+                protection::Scheme scheme = protection::Scheme::NP;
+                if (!sim::schemeByName(s, scheme)) {
+                    std::fprintf(stderr,
+                                 "mgx_run: unknown scheme '%s'\n",
+                                 s.c_str());
+                    return usage(stderr);
+                }
+                schemes.push_back(scheme);
+            }
         } else if (arg == "--threads") {
             const char *v = value();
             u64 n = 0;

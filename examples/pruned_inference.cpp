@@ -12,12 +12,13 @@
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "core/invariant_checker.h"
 #include "dnn/dnn_kernel.h"
 #include "dnn/models.h"
 #include "dnn/pruning.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
 
 int
 main()
@@ -36,7 +37,7 @@ main()
     // -- dynamic pruning density sweep ---------------------------------
     std::printf("%-10s %12s %12s %12s %10s\n", "density",
                 "data(MB)", "MGX", "BP", "invariant");
-    protection::ProtectionConfig base;
+    const sim::Platform cloud = sim::cloudPlatform();
     for (double density : {1.0, 0.75, 0.5, 0.3}) {
         dnn::DnnKernel kernel(pruned, dnn::cloudAccel());
         if (density < 1.0) {
@@ -46,19 +47,23 @@ main()
                 256, 256, density, 1, dnn::SparseFormat::RLC));
         }
         core::Trace trace = kernel.generate();
+        const u64 data_bytes = core::traceDataBytes(trace);
 
         core::InvariantChecker checker;
         checker.observeTrace(trace);
 
-        auto cmp = sim::compareSchemes(
-            trace, sim::cloudPlatform(), base,
-            {Scheme::NP, Scheme::MGX, Scheme::BP});
-        std::printf("%-10.2f %12.1f %12.3f %12.3f %10s\n", density,
-                    static_cast<double>(core::traceDataBytes(trace)) /
-                        1e6,
-                    cmp.normalizedTime(Scheme::MGX),
-                    cmp.normalizedTime(Scheme::BP),
-                    checker.report().ok ? "OK" : "VIOLATED");
+        sim::ResultSet rs = sim::Experiment()
+                                .trace("pruned", std::move(trace))
+                                .platform(cloud)
+                                .schemes({Scheme::NP, Scheme::MGX,
+                                          Scheme::BP})
+                                .run();
+        std::printf(
+            "%-10.2f %12.1f %12.3f %12.3f %10s\n", density,
+            static_cast<double>(data_bytes) / 1e6,
+            rs.normalizedTime("pruned", cloud.name, Scheme::MGX).value(),
+            rs.normalizedTime("pruned", cloud.name, Scheme::BP).value(),
+            checker.report().ok ? "OK" : "VIOLATED");
     }
     std::printf("\nSkipped VNs are never reused, so dynamic pruning "
                 "needs no change to the MGX scheme (paper Fig. 20).\n");

@@ -14,12 +14,13 @@
  */
 
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "core/invariant_checker.h"
 #include "core/matmul_kernel.h"
 #include "protection/secure_memory.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
 
 int
 main()
@@ -48,15 +49,18 @@ main()
                 static_cast<unsigned long long>(report.readsChecked));
 
     // -- 3. timing under three protection schemes ---------------------
-    protection::ProtectionConfig base;
-    sim::SchemeComparison cmp = sim::compareSchemes(
-        trace, sim::edgePlatform(), base,
-        {Scheme::NP, Scheme::MGX, Scheme::BP});
+    const sim::Platform edge = sim::edgePlatform();
+    sim::ResultSet rs = sim::Experiment()
+                            .trace("matmul", std::move(trace))
+                            .platform(edge)
+                            .schemes({Scheme::NP, Scheme::MGX, Scheme::BP})
+                            .run();
     std::printf("\n%-8s %12s %12s\n", "scheme", "norm. time",
                 "traffic");
-    for (Scheme s : {Scheme::NP, Scheme::MGX, Scheme::BP}) {
+    for (Scheme s : rs.schemes()) {
         std::printf("%-8s %12.3f %12.3f\n", protection::schemeName(s),
-                    cmp.normalizedTime(s), cmp.trafficIncrease(s));
+                    rs.normalizedTime("matmul", edge.name, s).value(),
+                    rs.trafficIncrease("matmul", edge.name, s).value());
     }
 
     // -- 4. functional secure memory ----------------------------------

@@ -11,12 +11,13 @@
  */
 
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "core/invariant_checker.h"
 #include "genome/genome_kernel.h"
 #include "protection/secure_memory.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
 
 int
 main()
@@ -42,14 +43,18 @@ main()
                 static_cast<unsigned long long>(
                     kernel.state().onChipBytes()));
 
-    protection::ProtectionConfig base;
-    auto cmp = sim::compareSchemes(
-        trace, sim::genomePlatform(), base,
-        {Scheme::NP, Scheme::MGX_VN, Scheme::BP});
+    const sim::Platform platform = sim::genomePlatform();
+    sim::ResultSet rs =
+        sim::Experiment()
+            .trace("gact", std::move(trace))
+            .platform(platform)
+            .schemes({Scheme::NP, Scheme::MGX_VN, Scheme::BP})
+            .run();
     std::printf("%-8s %12s %12s\n", "scheme", "norm. time", "traffic");
-    for (Scheme s : {Scheme::NP, Scheme::MGX_VN, Scheme::BP})
+    for (Scheme s : rs.schemes())
         std::printf("%-8s %12.3f %12.3f\n", protection::schemeName(s),
-                    cmp.normalizedTime(s), cmp.trafficIncrease(s));
+                    rs.normalizedTime("gact", platform.name, s).value(),
+                    rs.trafficIncrease("gact", platform.name, s).value());
 
     // -- functional: traceback freshness across query batches ----------
     protection::SecureMemoryConfig mcfg;

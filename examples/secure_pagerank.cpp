@@ -20,7 +20,7 @@
 #include "graph/graph_kernel.h"
 #include "graph/pagerank.h"
 #include "protection/secure_memory.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
 
 namespace {
 
@@ -119,14 +119,16 @@ main()
         graph::buildTiles(spec, 512 << 10, 512 << 10, 17);
     graph::GraphKernel kernel(tiles, graph::GraphAlgorithm::PageRank,
                               3);
-    protection::ProtectionConfig base;
-    auto cmp = sim::compareSchemes(kernel.generate(),
-                                   sim::graphPlatform(), base,
-                                   sim::allSchemes());
+    const sim::Platform platform = sim::graphPlatform();
+    sim::ResultSet rs = sim::Experiment()
+                            .trace("pagerank", kernel.generate())
+                            .platform(platform)
+                            .run();
     std::printf("%-8s %12s %12s\n", "scheme", "norm. time", "traffic");
-    for (Scheme s : sim::allSchemes())
+    for (Scheme s : rs.schemes())
         std::printf("%-8s %12.3f %12.3f\n", protection::schemeName(s),
-                    cmp.normalizedTime(s), cmp.trafficIncrease(s));
+                    rs.normalizedTime("pagerank", platform.name, s).value(),
+                    rs.trafficIncrease("pagerank", platform.name, s).value());
     std::printf("\nkernel on-chip VN state: %llu bytes (one Iter "
                 "counter plus the adjacency VN)\n",
                 static_cast<unsigned long long>(

@@ -28,13 +28,6 @@ log2i(u64 v)
     return static_cast<u32>(std::bit_width(v) - 1);
 }
 
-/** Smallest power of two >= @p v. */
-constexpr u64
-ceilPow2(u64 v)
-{
-    return std::bit_ceil(v);
-}
-
 /** Integer division rounding up. */
 constexpr u64
 divCeil(u64 a, u64 b)
@@ -61,13 +54,6 @@ constexpr u64
 bits(u64 v, u32 lo, u32 len)
 {
     return (v >> lo) & ((len >= 64) ? ~u64{0} : ((u64{1} << len) - 1));
-}
-
-/** Rotate left within 32 bits. */
-constexpr u32
-rotl32(u32 v, u32 n)
-{
-    return std::rotl(v, static_cast<int>(n));
 }
 
 /** Rotate right within 32 bits. */

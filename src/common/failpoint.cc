@@ -5,27 +5,68 @@
 #include <memory>
 #include <mutex>
 
+#include "common/log.h"
+#include "common/parse.h"
+
 namespace mgx::failpoint {
 
 namespace {
 
-enum class Mode { Off, Times, EveryN, Prob, Always };
+enum class Mode { Off, Once, EveryN, Always };
 
-/** xorshift-free minimal LCG: deterministic, per-point stream. */
-u32
-lcgNext(u64 *state)
+/** Parse one arm spec (see failpoint.h). False = malformed. */
+bool
+parseSpec(const std::string &spec, Mode *mode, u64 *n)
 {
-    *state = *state * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<u32>(*state >> 33);
+    if (spec == "off") {
+        *mode = Mode::Off;
+    } else if (spec == "once") {
+        *mode = Mode::Once;
+        *n = 1;
+    } else if (spec == "always") {
+        *mode = Mode::Always;
+    } else if (spec.rfind("every:", 0) == 0) {
+        *mode = Mode::EveryN;
+        if (!parseDecimal(spec.c_str() + 6, ~u64{0}, *n) || *n == 0)
+            return false;
+    } else {
+        return false;
+    }
+    return true;
 }
 
-u64
-fnv1a(std::string_view s)
+/**
+ * Split a comma-separated `name=spec` list and hand each well-formed
+ * entry to @p arm in order. On the first malformed entry, fill
+ * @p error with a message naming it and return false; the entries
+ * before it have been handed over.
+ */
+template <typename Arm>
+bool
+forEachEntry(const std::string &list, std::string *error, const Arm &arm)
 {
-    u64 h = 14695981039346656037ull;
-    for (char c : s)
-        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-    return h;
+    std::size_t pos = 0;
+    while (pos < list.size()) {
+        std::size_t end = list.find(',', pos);
+        if (end == std::string::npos)
+            end = list.size();
+        const std::string entry = list.substr(pos, end - pos);
+        pos = end + 1;
+        if (entry.empty())
+            continue;
+        const std::size_t eq = entry.find('=');
+        Mode mode = Mode::Off;
+        u64 n = 0;
+        if (eq == std::string::npos || eq == 0 ||
+            !parseSpec(entry.substr(eq + 1), &mode, &n)) {
+            if (error != nullptr)
+                *error = "bad failpoint entry '" + entry +
+                         "' (want name=off|once|every:N|always)";
+            return false;
+        }
+        arm(entry.substr(0, eq), entry.substr(eq + 1));
+    }
+    return true;
 }
 
 } // namespace
@@ -33,9 +74,7 @@ fnv1a(std::string_view s)
 struct Point::State {
     mutable std::mutex mu;
     Mode mode = Mode::Off;
-    u64 n = 0;           // Times / EveryN parameter
-    u32 probPermille = 0; // Prob threshold out of 1000000
-    u64 rng = 0;
+    u64 n = 0; // Once: shots left; EveryN: the period
     u64 evaluations = 0;
     u64 hits = 0;
     std::string spec = "off";
@@ -62,32 +101,26 @@ class Registry
         points_.emplace(ref.name(), std::move(point));
         auto pending = pending_.find(ref.name());
         if (pending != pending_.end()) {
-            ref.arm(pending->second);
+            ref.arm(pending->second); // checked when it was held
             pending_.erase(pending);
         }
         return ref;
     }
 
-    bool armSpec(const std::string &name, const std::string &spec,
-                 std::string *error)
+    /** Arm @p name with a well-formed @p spec, or hold it until the
+     *  point registers (env arming can run before the owning
+     *  translation unit's statics). */
+    void armSpec(const std::string &name, const std::string &spec)
     {
         std::unique_lock<std::mutex> lk(mu_);
         auto it = points_.find(name);
         if (it == points_.end()) {
-            // Hold until the point registers (env arming can run
-            // before the owning translation unit's statics).
             pending_[name] = spec;
-            return true;
+            return;
         }
         Point &point = *it->second;
         lk.unlock();
-        if (!point.arm(spec)) {
-            if (error != nullptr)
-                *error = "bad failpoint spec '" + spec + "' for '" +
-                         name + "'";
-            return false;
-        }
-        return true;
+        point.arm(spec);
     }
 
     void disarmAll()
@@ -124,24 +157,18 @@ class Registry
   private:
     Registry()
     {
-        if (const char *env = std::getenv("MGX_FAILPOINTS"))
-            parseListLocked(env);
-    }
-
-    /** Ctor-only: no registered points yet, everything is pending. */
-    void parseListLocked(const std::string &list)
-    {
-        std::size_t pos = 0;
-        while (pos < list.size()) {
-            std::size_t end = list.find(',', pos);
-            if (end == std::string::npos)
-                end = list.size();
-            const std::string entry = list.substr(pos, end - pos);
-            const std::size_t eq = entry.find('=');
-            if (eq != std::string::npos && eq > 0)
-                pending_[entry.substr(0, eq)] = entry.substr(eq + 1);
-            pos = end + 1;
-        }
+        // No point has registered yet, so every entry is held. A
+        // malformed entry is fatal: a misspelled fault drill must not
+        // run as a drill that injects nothing.
+        const char *env = std::getenv("MGX_FAILPOINTS");
+        std::string error;
+        if (env != nullptr &&
+            !forEachEntry(env, &error,
+                          [this](const std::string &name,
+                                 const std::string &spec) {
+                              pending_[name] = spec;
+                          }))
+            fatal("MGX_FAILPOINTS: %s", error.c_str());
     }
 
     std::mutex mu_;
@@ -173,17 +200,12 @@ Point::fire()
     switch (state_->mode) {
     case Mode::Off:
         break;
-    case Mode::Times:
-        if (state_->n > 0) {
-            --state_->n;
-            hit = true;
-        }
+    case Mode::Once:
+        hit = state_->n > 0;
+        state_->n = 0;
         break;
     case Mode::EveryN:
         hit = state_->evaluations % state_->n == 0;
-        break;
-    case Mode::Prob:
-        hit = lcgNext(&state_->rng) % 1000000u < state_->probPermille;
         break;
     case Mode::Always:
         hit = true;
@@ -197,52 +219,13 @@ Point::fire()
 bool
 Point::arm(const std::string &spec)
 {
-    Mode mode;
+    Mode mode = Mode::Off;
     u64 n = 0;
-    u32 prob = 0;
-    u64 seed = fnv1a(name_);
-    if (spec == "off") {
-        mode = Mode::Off;
-    } else if (spec == "once") {
-        mode = Mode::Times;
-        n = 1;
-    } else if (spec == "always") {
-        mode = Mode::Always;
-    } else if (spec.rfind("times:", 0) == 0) {
-        mode = Mode::Times;
-        char *end = nullptr;
-        n = std::strtoull(spec.c_str() + 6, &end, 10);
-        if (end == nullptr || *end != '\0' || n == 0)
-            return false;
-    } else if (spec.rfind("every:", 0) == 0) {
-        mode = Mode::EveryN;
-        char *end = nullptr;
-        n = std::strtoull(spec.c_str() + 6, &end, 10);
-        if (end == nullptr || *end != '\0' || n == 0)
-            return false;
-    } else if (spec.rfind("prob:", 0) == 0) {
-        mode = Mode::Prob;
-        char *end = nullptr;
-        const double p = std::strtod(spec.c_str() + 5, &end);
-        if (end == nullptr || p < 0.0 || p > 1.0)
-            return false;
-        if (*end == ':') {
-            char *seedEnd = nullptr;
-            seed = std::strtoull(end + 1, &seedEnd, 10);
-            if (seedEnd == nullptr || *seedEnd != '\0')
-                return false;
-        } else if (*end != '\0') {
-            return false;
-        }
-        prob = static_cast<u32>(p * 1000000.0);
-    } else {
+    if (!parseSpec(spec, &mode, &n))
         return false;
-    }
     std::lock_guard<std::mutex> lk(state_->mu);
     state_->mode = mode;
     state_->n = n;
-    state_->probPermille = prob;
-    state_->rng = seed;
     state_->spec = spec;
     return true;
 }
@@ -280,27 +263,11 @@ Point::hits() const
 bool
 armSpecList(const std::string &list, std::string *error)
 {
-    std::size_t pos = 0;
-    while (pos < list.size()) {
-        std::size_t end = list.find(',', pos);
-        if (end == std::string::npos)
-            end = list.size();
-        const std::string entry = list.substr(pos, end - pos);
-        pos = end + 1;
-        if (entry.empty())
-            continue;
-        const std::size_t eq = entry.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            if (error != nullptr)
-                *error = "bad failpoint entry '" + entry +
-                         "' (want name=spec)";
-            return false;
-        }
-        if (!Registry::instance().armSpec(
-                entry.substr(0, eq), entry.substr(eq + 1), error))
-            return false;
-    }
-    return true;
+    return forEachEntry(list, error,
+                        [](const std::string &name,
+                           const std::string &spec) {
+                            Registry::instance().armSpec(name, spec);
+                        });
 }
 
 void

@@ -11,17 +11,17 @@
  * `MGX_FAILPOINTS` environment variable, which is parsed once when
  * the registry first initializes:
  *
- *   MGX_FAILPOINTS="trace_io.write.enospc=once,serve.recv.fail=times:5"
+ *   MGX_FAILPOINTS="trace_io.write.enospc=once,serve.recv.fail=every:2"
  *
  * Arm specs:
  *   off          never fires (default)
- *   once         fires on the first evaluation only (= times:1)
- *   times:N      fires on the first N evaluations (EINTR storms)
+ *   once         fires on the first evaluation only
  *   every:N      fires on every Nth evaluation (N >= 1)
- *   prob:P       fires with probability P in [0,1], from a
- *   prob:P:SEED  deterministic per-point LCG (seeded by the point
- *                name unless SEED is given)
  *   always       fires on every evaluation
+ *
+ * Both lists go through one parser. A malformed entry in
+ * `MGX_FAILPOINTS` is fatal, naming the entry, so a misspelled fault
+ * drill cannot pass by injecting nothing.
  *
  * Points register themselves on first `Point::get(name)` — usually
  * from a namespace-scope `static Point &` in the file that owns the
@@ -90,8 +90,9 @@ struct PointInfo {
 /**
  * Arm a comma-separated `name=spec` list (the MGX_FAILPOINTS
  * grammar). Unknown names are held and applied when the point
- * registers. Returns false and fills `error` on a malformed entry;
- * earlier entries in the list stay armed.
+ * registers. Returns false and fills `error` on a malformed entry,
+ * whether or not its point has registered; earlier entries in the
+ * list stay armed.
  */
 bool armSpecList(const std::string &list, std::string *error = nullptr);
 

@@ -29,14 +29,6 @@ Trace::push_back(const Phase &p)
     phases_.push_back(rec);
 }
 
-void
-Trace::appendAccess(const LogicalAccess &acc)
-{
-    // The last phase's run is the arena tail, so extending it is O(1).
-    accesses_.push_back(acc);
-    ++phases_.back().accessCount;
-}
-
 u64
 traceDataBytes(const Trace &trace)
 {

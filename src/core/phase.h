@@ -67,12 +67,6 @@ class Trace
     /** Append one phase; its name is interned, accesses packed. */
     void push_back(const Phase &p);
 
-    /**
-     * Append one access to the last pushed phase — the streaming
-     * build path (trace parsers). The trace must not be empty.
-     */
-    void appendAccess(const LogicalAccess &acc);
-
     /** Pre-size the arenas (counts are hints, not limits). */
     void
     reserve(std::size_t phases, std::size_t accesses = 0)
@@ -130,13 +124,6 @@ class Trace
     const_iterator end() const { return {this, phases_.size()}; }
     iterator begin() { return {this, 0}; }
     iterator end() { return {this, phases_.size()}; }
-
-    /** All accesses of all phases, flat (analysis passes). */
-    std::span<const LogicalAccess>
-    allAccesses() const
-    {
-        return {accesses_.data(), accesses_.size()};
-    }
 
     /**
      * Total data bytes moved (excludes protection metadata). Summed

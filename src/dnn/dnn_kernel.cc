@@ -27,6 +27,13 @@ constexpr u64 kGradientRegion = 8ull << 30;
  *  adjacent tensors never share a MAC block. */
 constexpr u64 kTensorAlign = 4096;
 
+/** Bytes RegionAllocator::alloc reserves for @p bytes at kTensorAlign. */
+u64
+reservedBytes(u64 bytes)
+{
+    return alignUp(std::max<u64>(bytes, 1), kTensorAlign);
+}
+
 /**
  * Byte range of slice @p i of @p parts over a @p total-byte tensor,
  * with slice boundaries aligned to kTensorAlign so disjoint slices
@@ -162,6 +169,52 @@ DnnKernel::prunedBytes(u64 bytes) const
                    64);
 }
 
+u64
+DnnKernel::inputTensorBytes() const
+{
+    return static_cast<u64>(batch_) *
+           model_.layers.front().inputElems() * accel_.elemBytes;
+}
+
+u64
+DnnKernel::outputTensorBytes(std::size_t idx) const
+{
+    return static_cast<u64>(batch_) * model_.layers[idx].outputElems() *
+           accel_.elemBytes;
+}
+
+u64
+DnnKernel::featureRegionBytes()
+{
+    return kFeatureRegion;
+}
+
+u64
+DnnKernel::featureDemandBytes() const
+{
+    // Mirrors beginRun(), emitForwardLayer() and the backward pass:
+    // pruning shrinks a gradient below its dense output, never above
+    // it once aligned, so dense sizes bound every tensor.
+    const std::size_t n = model_.layers.size();
+    u64 demand = reservedBytes(std::max<u64>(inputTensorBytes(), 64));
+    std::vector<bool> consumed(n, false);
+    for (std::size_t i = 0; i < n; ++i) {
+        demand += reservedBytes(outputTensorBytes(i));
+        for (int p : model_.layers[i].inputs)
+            if (p >= 0)
+                consumed[static_cast<std::size_t>(p)] = true;
+    }
+    if (task_ == DnnTask::Training) {
+        // The loss gradient, then at most one input gradient per
+        // output some layer consumes.
+        demand += reservedBytes(outputTensorBytes(n - 1));
+        for (std::size_t i = 0; i < n; ++i)
+            if (consumed[i])
+                demand += reservedBytes(outputTensorBytes(i));
+    }
+    return demand;
+}
+
 Vn
 DnnKernel::bumpFeatureVn()
 {
@@ -215,7 +268,7 @@ DnnKernel::emitForwardLayer(std::size_t idx, core::PhaseSink &sink)
 {
     const Layer &l = model_.layers[idx];
     const u64 eb = accel_.elemBytes;
-    const u64 out_full = static_cast<u64>(batch_) * l.outputElems() * eb;
+    const u64 out_full = outputTensorBytes(idx);
     const u64 out_bytes = prunedBytes(out_full);
 
     // Allocate the output buffer (full size; pruning shrinks traffic,
@@ -538,7 +591,7 @@ DnnKernel::beginRun()
     features_.assign(n, {});
     gradients_.assign(n, {});
     remainingUses_.assign(n, 0);
-    featureAlloc_.emplace(kFeatureBase, kFeatureRegion);
+    featureAlloc_.emplace(kFeatureBase, kFeatureRegion, kTensorAlign);
     state_.makeTable("VN_F", n);
     state_.makeTable("VN_G", n);
     if (state_.counter("VN_W") == 0)
@@ -552,8 +605,7 @@ DnnKernel::beginRun()
                 ++remainingUses_[static_cast<std::size_t>(p)];
 
     // The external input tensor.
-    inputBytes_ = static_cast<u64>(batch_) *
-                  model_.layers.front().inputElems() * accel_.elemBytes;
+    inputBytes_ = inputTensorBytes();
     inputAddr_ = featureAlloc_->alloc(std::max<u64>(inputBytes_, 64));
 }
 

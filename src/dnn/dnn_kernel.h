@@ -87,12 +87,6 @@ class DnnKernel : public core::Kernel
      *  phases per chunk. */
     std::unique_ptr<core::PhaseSource> stream() override;
 
-    /** Per-layer output tensor info after generate() (tests). */
-    const std::vector<TensorInfo> &featureTensors() const
-    {
-        return features_;
-    }
-
     /** On-chip VN state footprint in bytes (paper: ~1 KB / 127 layers). */
     u64 vnStateBytes() const { return state_.onChipBytes(); }
 
@@ -106,6 +100,19 @@ class DnnKernel : public core::Kernel
 
     const Model &model() const { return model_; }
     u32 batch() const { return batch_; }
+
+    /**
+     * Feature-region bytes one run allocates, summed as if nothing
+     * were ever freed: the input, every layer output and, in training,
+     * the loss gradient and each input gradient, each at its aligned
+     * size. When this is at most featureRegionBytes(), first-fit
+     * allocation cannot fail: the region's untouched top always holds
+     * everything still to be allocated.
+     */
+    u64 featureDemandBytes() const;
+
+    /** Size of the region feature and gradient tensors share. */
+    static u64 featureRegionBytes();
 
   private:
     class Source; // the streaming producer (dnn_kernel.cc)
@@ -131,6 +138,12 @@ class DnnKernel : public core::Kernel
 
     /** Scale bytes by the pruning density (64 B floor). */
     u64 prunedBytes(u64 bytes) const;
+
+    /** Bytes of the external input tensor at this batch. */
+    u64 inputTensorBytes() const;
+
+    /** Dense bytes of layer @p idx's output at this batch. */
+    u64 outputTensorBytes(std::size_t idx) const;
 
     Model model_;
     DnnAccelConfig accel_;

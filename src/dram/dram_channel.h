@@ -10,8 +10,8 @@
  * streaming-accelerator bandwidth.
  *
  * Hot-path notes: statistics bump plain channel-local integers (no
- * per-access map lookups; DramSystem aggregates them into its
- * StatGroup on read), the refresh phase is derived from a cached
+ * per-access map lookups; DramSystem::counters() sums them on
+ * demand), the refresh phase is derived from a cached
  * tREFI window (no per-access division in steady state), and
  * same-open-row same-direction bursts take a short fast path that
  * skips the activate/precharge state machine — all
@@ -38,8 +38,8 @@
 namespace mgx::dram {
 
 /**
- * Channel-local event counters as plain integers. DramSystem sums them
- * into its named "dram" StatGroup on demand.
+ * Channel-local event counters as plain integers. DramSystem::counters()
+ * sums them over the channels.
  */
 struct ChannelCounters
 {

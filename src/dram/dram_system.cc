@@ -7,7 +7,7 @@
 namespace mgx::dram {
 
 DramSystem::DramSystem(const Ddr4Config &cfg)
-    : cfg_(cfg), map_(cfg), stats_("dram")
+    : cfg_(cfg), map_(cfg)
 {
     channels_.reserve(cfg_.channels);
     for (u32 c = 0; c < cfg_.channels; ++c)
@@ -70,8 +70,8 @@ DramSystem::lastCompletion() const
     return t;
 }
 
-const StatGroup &
-DramSystem::stats() const
+ChannelCounters
+DramSystem::counters() const
 {
     ChannelCounters sum;
     for (const auto &ch : channels_) {
@@ -83,13 +83,7 @@ DramSystem::stats() const
         sum.writes += c.writes;
         sum.refreshStallCycles += c.refreshStallCycles;
     }
-    stats_.set("row_hits", sum.rowHits);
-    stats_.set("row_misses", sum.rowMisses);
-    stats_.set("row_conflicts", sum.rowConflicts);
-    stats_.set("reads", sum.reads);
-    stats_.set("writes", sum.writes);
-    stats_.set("refresh_stall_cycles", sum.refreshStallCycles);
-    return stats_;
+    return sum;
 }
 
 } // namespace mgx::dram

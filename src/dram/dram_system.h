@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "address_map.h"
-#include "common/stats.h"
 #include "ddr4_timing.h"
 #include "dram_channel.h"
 #include "request.h"
@@ -82,12 +81,8 @@ class DramSystem
     /** Number of block accesses served so far. */
     u64 accessCount() const { return accessCount_; }
 
-    /**
-     * Aggregate statistics (row hits, misses, refresh stalls, ...).
-     * Channels count events locally; the named group is synced from
-     * them on each call.
-     */
-    const StatGroup &stats() const;
+    /** Every channel's event counters, summed (see ChannelCounters). */
+    ChannelCounters counters() const;
 
     /** Block (column access) size in bytes. */
     u32 blockBytes() const { return map_.blockBytes(); }
@@ -100,8 +95,6 @@ class DramSystem
   private:
     Ddr4Config cfg_;
     AddressMap map_;
-    /** Synced from the channels' local counters on stats() reads. */
-    mutable StatGroup stats_;
     std::vector<std::unique_ptr<DramChannel>> channels_;
     u64 accessCount_ = 0;
 };

@@ -19,6 +19,11 @@ failpoint::Point &fpBackendReset =
 /// Sweeps over the ring order before a /run answers 503.
 constexpr int kFailoverPasses = 3;
 
+/// Workers a /run may lose before it is answered 502 as a poison
+/// request: one death may be a coincidence, two in a row are the
+/// request's doing, and a third attempt would only kill another.
+constexpr int kPoisonLimit = 2;
+
 std::string
 trimmed(std::string s)
 {
@@ -184,6 +189,7 @@ Proxy::handleRun(const serve::HttpRequest &req, int *status_out)
 
     std::string last_error = "no attempt made";
     int attempts = 0;
+    int lost = 0; // attempts that reached a worker and got no answer
     for (int pass = 0; pass < kFailoverPasses; ++pass) {
         if (pass > 0)
             std::this_thread::sleep_for(
@@ -210,6 +216,17 @@ Proxy::handleRun(const serve::HttpRequest &req, int *status_out)
                 metrics_.partialResponses.fetch_add(
                     1, std::memory_order_relaxed);
             last_error = a.error;
+            if ((a.failure == serve::GetFailure::Recv ||
+                 a.failure == serve::GetFailure::PartialResponse) &&
+                ++lost == kPoisonLimit) {
+                metrics_.poisonRequests.fetch_add(
+                    1, std::memory_order_relaxed);
+                *status_out = 502;
+                return serve::jsonError(
+                    "request lost " + std::to_string(lost) +
+                    " workers without an answer (last: " + last_error +
+                    "); not retried");
+            }
         }
     }
     metrics_.noBackend.fetch_add(1, std::memory_order_relaxed);
@@ -236,6 +253,7 @@ Proxy::statsJson() const
     out += ", \"backendErrors\": " + L(metrics_.backendErrors);
     out += ", \"partialResponses\": " + L(metrics_.partialResponses);
     out += ", \"noBackend\": " + L(metrics_.noBackend);
+    out += ", \"poisonRequests\": " + L(metrics_.poisonRequests);
     out += ", \"keepAliveReused\": " + L(metrics_.keepAliveReused);
     out += ", \"backendReused\": " + L(metrics_.backendReused);
     out += "},\n";

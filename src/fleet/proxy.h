@@ -9,10 +9,13 @@
  * Robustness model: the proxy buffers a backend's entire response
  * before relaying one byte to the client, so a worker SIGKILLed
  * mid-response costs a failover, never a truncated client read. On
- * any transport failure (connect refused, reset, deadline) it walks
- * the hash ring's failover order — in-rotation workers first, then
- * everyone (probe state lags reality) — across several passes with a
- * short pause, before finally answering 503.
+ * a transport failure (connect refused, reset, deadline) or a 503 it
+ * walks the hash ring's failover order — in-rotation workers first,
+ * then everyone (probe state lags reality) — across several passes
+ * with a short pause, before finally answering 503. A request that
+ * reaches two workers and gets no complete answer from either (each
+ * died or hung on it) is a poison request: it is answered 502 at
+ * once instead of being spread to the rest of the fleet.
  *
  * Endpoints, served through serve::FrontDoor (the same listener,
  * admission queue and keep-alive loop as mgx_serve): /run (routed),
@@ -61,6 +64,7 @@ struct ProxyMetrics : serve::FrontDoorMetrics
     std::atomic<u64> backendErrors{0}; ///< failed backend attempts
     std::atomic<u64> partialResponses{0}; ///< backend died mid-body
     std::atomic<u64> noBackend{0};    ///< 503: every attempt failed
+    std::atomic<u64> poisonRequests{0}; ///< 502: lost two workers
     std::atomic<u64> backendReused{0}; ///< pooled backend conn reused
 };
 

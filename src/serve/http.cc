@@ -265,27 +265,6 @@ HttpRequestParser::parseBuffered()
     return status_;
 }
 
-bool
-parseHttpResponse(const std::string &raw, HttpResponse *out,
-                  std::string *error)
-{
-    std::string_view line, fields;
-    const std::size_t body_start = splitHeaderBlock(raw, &line, &fields);
-    HttpResponse resp;
-    const char *malformed = body_start == std::string_view::npos
-                                ? "no header terminator"
-                                : parseResponseHead(line, fields, &resp);
-    if (malformed) {
-        if (error)
-            *error = malformed;
-        return false;
-    }
-    resp.body = raw.substr(body_start);
-    if (out)
-        *out = std::move(resp);
-    return true;
-}
-
 HttpResponseParser::Status
 HttpResponseParser::fail(const std::string &message)
 {
@@ -376,6 +355,7 @@ httpReason(int status)
       case 429: return "Too Many Requests";
       case 431: return "Request Header Fields Too Large";
       case 500: return "Internal Server Error";
+      case 502: return "Bad Gateway";
       case 503: return "Service Unavailable";
       default: return "Unknown";
     }

@@ -109,14 +109,6 @@ struct HttpResponse
 };
 
 /**
- * Parse a complete raw response (read to EOF — the service always
- * closes after one response). Returns false with @p error set on
- * malformed input.
- */
-bool parseHttpResponse(const std::string &raw, HttpResponse *out,
-                       std::string *error);
-
-/**
  * Incremental response parser for connection reuse: feed() bytes off
  * the socket; once the header block and Content-Length bytes of body
  * have arrived the status flips to Complete without waiting for EOF —

@@ -8,55 +8,6 @@
 #include "sim/workload_registry.h"
 
 namespace mgx::serve {
-namespace {
-
-/** The same platform vocabulary mgx_run accepts. */
-bool
-platformByName(const std::string &name, sim::Platform &out)
-{
-    if (name == "cloud")
-        out = sim::cloudPlatform();
-    else if (name == "edge")
-        out = sim::edgePlatform();
-    else if (name == "graph")
-        out = sim::graphPlatform();
-    else if (name == "genome")
-        out = sim::genomePlatform();
-    else
-        return false;
-    return true;
-}
-
-/** Non-fatal sibling of sim::schemeByName. */
-bool
-schemeByNameNoFatal(const std::string &name, protection::Scheme &out)
-{
-    for (protection::Scheme s : protection::kAllSchemes) {
-        if (name == protection::schemeName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::vector<std::string>
-splitCommas(const std::string &arg)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-        std::size_t pos = arg.find(',', start);
-        if (pos == std::string::npos)
-            pos = arg.size();
-        if (pos > start)
-            parts.push_back(arg.substr(start, pos - start));
-        start = pos + 1;
-    }
-    return parts;
-}
-
-} // namespace
 
 std::string
 CellKey::key() const
@@ -148,7 +99,7 @@ Server::handleRun(const HttpRequest &req, int *status_out)
 {
     std::vector<std::string> workloads;
     for (const auto &v : req.queryValues("workload"))
-        for (auto &w : splitCommas(v))
+        for (auto &w : sim::splitCommas(v))
             workloads.push_back(w);
     if (workloads.empty()) {
         *status_out = 400;
@@ -165,9 +116,9 @@ Server::handleRun(const HttpRequest &req, int *status_out)
 
     std::vector<sim::Platform> platforms;
     if (auto p = req.queryValue("platforms")) {
-        for (const auto &name : splitCommas(*p)) {
+        for (const auto &name : sim::splitCommas(*p)) {
             sim::Platform platform;
-            if (!platformByName(name, platform)) {
+            if (!sim::platformByName(name, platform)) {
                 *status_out = 400;
                 return jsonError("unknown platform '" + name +
                                  "' (expected cloud, edge, graph or "
@@ -179,9 +130,9 @@ Server::handleRun(const HttpRequest &req, int *status_out)
 
     std::vector<protection::Scheme> schemes;
     if (auto s = req.queryValue("schemes")) {
-        for (const auto &name : splitCommas(*s)) {
+        for (const auto &name : sim::splitCommas(*s)) {
             protection::Scheme scheme;
-            if (!schemeByNameNoFatal(name, scheme)) {
+            if (!sim::schemeByName(name, scheme)) {
                 *status_out = 400;
                 return jsonError("unknown scheme '" + name +
                                  "' (expected NP, MGX, MGX_VN, "

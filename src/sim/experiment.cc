@@ -127,20 +127,6 @@ ResultSet::schemes() const
     return ss;
 }
 
-SchemeComparison
-ResultSet::comparison(const std::string &workload,
-                      const std::string &platform) const
-{
-    SchemeComparison cmp;
-    for (const auto &r : records_)
-        if (r.key.workload == workload && r.key.platform == platform)
-            cmp.results[r.key.scheme] = r.result;
-    if (cmp.results.empty())
-        fatal("ResultSet has no runs of '%s' on '%s'",
-              workload.c_str(), platform.c_str());
-    return cmp;
-}
-
 Experiment &
 Experiment::workload(const std::string &name)
 {

@@ -93,13 +93,6 @@ class ResultSet
     /** Schemes in first-seen order. */
     std::vector<protection::Scheme> schemes() const;
 
-    /**
-     * Legacy bridge: the (workload, platform) slice as a
-     * SchemeComparison. Fatal if no such cells exist.
-     */
-    SchemeComparison comparison(const std::string &workload,
-                                const std::string &platform) const;
-
   private:
     std::vector<RunRecord> records_;
 };

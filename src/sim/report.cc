@@ -3,8 +3,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "common/log.h"
-
 namespace mgx::sim {
 namespace {
 
@@ -49,17 +47,6 @@ jsonOptional(const std::optional<double> &v)
 }
 
 } // namespace
-
-protection::Scheme
-schemeByName(const std::string &name)
-{
-    for (protection::Scheme s : protection::kAllSchemes)
-        if (name == protection::schemeName(s))
-            return s;
-    fatal("unknown scheme '%s' (expected NP, MGX, MGX_VN, MGX_MAC "
-          "or BP)",
-          name.c_str());
-}
 
 void
 printTable(const ResultSet &rs, std::FILE *out)

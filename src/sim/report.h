@@ -22,9 +22,6 @@
 
 namespace mgx::sim {
 
-/** Parse a scheme name ("NP", "MGX_VN", ...); fatal on unknown. */
-protection::Scheme schemeByName(const std::string &name);
-
 /**
  * Print @p rs as a fixed-width table, one row per grid cell:
  * workload, platform, scheme, time, normalized time, traffic ratio.

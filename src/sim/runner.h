@@ -1,15 +1,14 @@
 /**
  * @file
- * Platform definitions and the legacy single-trace scheme-comparison
- * harness. New code should use the Experiment builder (experiment.h),
- * which runs whole workload x platform x scheme grids in parallel;
- * compareSchemes() remains as a thin serial-looking wrapper over it.
+ * The grid's axes: accelerator platforms, scheme sets, and the names
+ * the CLI and the service accept for them. Grids themselves run
+ * through the Experiment builder (experiment.h).
  */
 
 #ifndef MGX_SIM_RUNNER_H
 #define MGX_SIM_RUNNER_H
 
-#include <map>
+#include <string>
 #include <vector>
 
 #include "core/phase.h"
@@ -26,37 +25,6 @@ struct Platform
     double clockMhz = 700.0; ///< accelerator clock
     dram::Ddr4Config dram;   ///< channel count etc.
 };
-
-/**
- * Results per scheme, plus normalization against NP.
- *
- * Legacy surface: ResultSet (experiment.h) supersedes this and
- * reports a missing NP baseline explicitly via std::optional. Here
- * the normalized accessors *assert* that both runs exist — asking for
- * a ratio without a baseline is a caller bug, not a 0.0.
- */
-struct SchemeComparison
-{
-    std::map<protection::Scheme, RunResult> results;
-
-    /** Execution time normalized to the no-protection run. */
-    double normalizedTime(protection::Scheme s) const;
-
-    /** Memory traffic normalized to the no-protection run. */
-    double trafficIncrease(protection::Scheme s) const;
-};
-
-/**
- * Run @p trace once per scheme in @p schemes on @p platform,
- * instantiating a fresh DRAM system and protection engine per run so
- * state never leaks between schemes.
- * @param base protection parameters shared by all schemes (granularity,
- *             cache size, ...); the scheme field is overwritten per run
- */
-SchemeComparison
-compareSchemes(const core::Trace &trace, const Platform &platform,
-               const protection::ProtectionConfig &base,
-               const std::vector<protection::Scheme> &schemes);
 
 /** The paper's default scheme set: NP, MGX, MGX_VN, MGX_MAC, BP. */
 std::vector<protection::Scheme> allSchemes();
@@ -75,6 +43,21 @@ Platform graphPlatform();
 
 /** Darwin/GACT genome platform (800 MHz, 4 channels). */
 Platform genomePlatform();
+
+/**
+ * The platform named @p name: cloud, edge, graph or genome.
+ * @return false (leaving @p out untouched) on any other name.
+ */
+bool platformByName(const std::string &name, Platform &out);
+
+/**
+ * The scheme named @p name: NP, MGX, MGX_VN, MGX_MAC or BP.
+ * @return false (leaving @p out untouched) on any other name.
+ */
+bool schemeByName(const std::string &name, protection::Scheme &out);
+
+/** The non-empty items of comma-separated @p list ("a,,b": a, b). */
+std::vector<std::string> splitCommas(const std::string &list);
 
 } // namespace mgx::sim
 

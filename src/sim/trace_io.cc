@@ -12,6 +12,7 @@
 
 #include "common/checksum.h"
 #include "common/failpoint.h"
+#include "protection/scheme.h"
 
 namespace mgx::sim {
 namespace {
@@ -31,6 +32,10 @@ failpoint::Point &fpWriteShort =
 failpoint::Point &fpWriteTorn =
     failpoint::Point::get("trace_io.write.torn");
 
+/** Largest access a trace line may hold: the default protected region.
+ *  Every registry access is far smaller. */
+constexpr u64 kMaxAccessBytes = protection::ProtectionConfig{}.protectedBytes;
+
 [[noreturn]] void
 raise(const char *fmt, ...)
 {
@@ -40,6 +45,39 @@ raise(const char *fmt, ...)
     std::vsnprintf(buf, sizeof buf, fmt, args);
     va_end(args);
     throw TraceIoError(buf);
+}
+
+/**
+ * Field @p token of trace line @p line as an unsigned number in
+ * @p base (10 or 16) no larger than @p max: digits only, so no sign,
+ * no `0x` and no suffix — the writer emits none of them, and `>>`
+ * would read "-1" as 2^64-1. Raises otherwise.
+ */
+u64
+number(const std::string &token, unsigned base, u64 max,
+       const char *field, unsigned line)
+{
+    u64 value = 0;
+    bool ok = !token.empty();
+    for (char c : token) {
+        unsigned digit = base; // not a digit unless set below
+        if (c >= '0' && c <= '9')
+            digit = static_cast<unsigned>(c - '0');
+        else if (base == 16 && c >= 'a' && c <= 'f')
+            digit = static_cast<unsigned>(c - 'a' + 10);
+        else if (base == 16 && c >= 'A' && c <= 'F')
+            digit = static_cast<unsigned>(c - 'A' + 10);
+        if (digit >= base || digit > max ||
+            value > (max - digit) / base) {
+            ok = false;
+            break;
+        }
+        value = value * base + digit;
+    }
+    if (!ok)
+        raise("trace line %u: bad %s '%.40s'", line, field,
+              token.c_str());
+    return value;
 }
 
 const char *
@@ -122,17 +160,25 @@ class TraceParser
         std::istringstream ss(line);
         std::string tag;
         ss >> tag;
+        std::string f[6]; // the record's fields after its tag
+        const auto fields = [&](int n, const char *record) {
+            for (int i = 0; i < n; ++i)
+                ss >> f[i];
+            std::string extra;
+            if (ss.fail() || ss >> extra)
+                raise("trace line %u: malformed %s", lineNo_, record);
+        };
         if (tag == "M") {
-            std::string magic;
-            unsigned version = 0;
-            ss >> magic >> version;
-            if (lineNo_ != 1 || ss.fail() || magic != "mgx-trace")
+            fields(2, "format header");
+            const u64 version =
+                number(f[1], 10, ~u64{0}, "format version", lineNo_);
+            if (lineNo_ != 1 || f[0] != "mgx-trace")
                 raise("trace line %u: malformed format header",
                       lineNo_);
             if (version != kTraceFormatVersion)
                 raise("trace line %u: unsupported trace format "
-                      "version %u",
-                      lineNo_, version);
+                      "version %llu",
+                      lineNo_, static_cast<unsigned long long>(version));
             checksummed_ = true;
             return false;
         }
@@ -144,13 +190,11 @@ class TraceParser
                 std::swap(scratch_, completed_);
                 emitted = true;
             }
-            scratch_.name.clear();
             scratch_.accesses.clear();
-            ss >> scratch_.name >> scratch_.computeCycles;
-            if (ss.fail())
-                raise("trace line %u: malformed phase header", lineNo_);
-            if (scratch_.name == "-")
-                scratch_.name.clear();
+            fields(2, "phase header");
+            scratch_.name = f[0] == "-" ? std::string() : f[0];
+            scratch_.computeCycles =
+                number(f[1], 10, ~u64{0}, "compute cycles", lineNo_);
             open_ = true;
             return emitted;
         }
@@ -158,28 +202,33 @@ class TraceParser
             if (!open_)
                 raise("trace line %u: access before any phase",
                       lineNo_);
-            char rw = 0;
-            std::string cls;
-            core::LogicalAccess acc;
-            ss >> rw >> std::hex >> acc.addr >> std::dec >> acc.bytes >>
-                cls >> std::hex >> acc.vn >> std::dec >>
-                acc.macGranularity;
-            if (ss.fail() || (rw != 'r' && rw != 'w'))
+            fields(6, "access");
+            if (f[0] != "r" && f[0] != "w")
                 raise("trace line %u: malformed access", lineNo_);
-            acc.type = rw == 'w' ? AccessType::Write : AccessType::Read;
-            acc.cls = classFromToken(cls, lineNo_);
+            core::LogicalAccess acc;
+            acc.type = f[0] == "w" ? AccessType::Write : AccessType::Read;
+            acc.addr = number(f[1], 16, ~u64{0}, "address", lineNo_);
+            acc.bytes = number(f[2], 10, kMaxAccessBytes, "byte count",
+                               lineNo_);
+            if (acc.addr + acc.bytes < acc.addr)
+                raise("trace line %u: access runs past the end of the "
+                      "address space",
+                      lineNo_);
+            acc.cls = classFromToken(f[3], lineNo_);
+            acc.vn = number(f[4], 16, ~u64{0}, "VN", lineNo_);
+            acc.macGranularity = static_cast<u32>(
+                number(f[5], 10, ~u32{0}, "MAC granularity", lineNo_));
             scratch_.accesses.push_back(acc);
             return false;
         }
         if (tag == "C") {
             if (!checksummed_)
                 raise("trace line %u: unknown record 'C'", lineNo_);
-            u32 expectedCrc = 0;
-            u64 expectedBytes = 0;
-            ss >> std::hex >> expectedCrc >> std::dec >> expectedBytes;
-            if (ss.fail())
-                raise("trace line %u: malformed checksum footer",
-                      lineNo_);
+            fields(2, "checksum footer");
+            const u32 expectedCrc = static_cast<u32>(
+                number(f[0], 16, ~u32{0}, "checksum", lineNo_));
+            const u64 expectedBytes =
+                number(f[1], 10, ~u64{0}, "payload size", lineNo_);
             if (fpReadCorrupt.fire() || expectedCrc != crc_ ||
                 expectedBytes != payloadBytes_)
                 raise("trace checksum mismatch (file corrupt): "
@@ -284,19 +333,8 @@ readTraceFile(const std::string &path)
 }
 
 // ---------------------------------------------------------------------------
-// Streaming writers
+// Streaming writer
 // ---------------------------------------------------------------------------
-
-void
-TraceWriteSink::consume(const core::Phase &phase)
-{
-    writePhaseHeader(*out_, phase.name, phase.computeCycles);
-    for (const auto &acc : phase.accesses) {
-        writeAccessLine(*out_, acc);
-        dataBytes_ += acc.bytes;
-    }
-    ++phases_;
-}
 
 struct TraceFileWriteSink::Impl
 {

@@ -9,6 +9,12 @@
  *   P <name> <computeCycles>
  *   A <r|w> <addr-hex> <bytes> <class> <vn-hex> <macGran>
  *
+ * The parser is as strict as the writer: every numeric field is plain
+ * digits (hex digits where marked), with no sign, no `0x` and no
+ * trailing field; an access moves at most 16 GiB (the default
+ * protected region) and addr + bytes may not wrap. Anything else is a
+ * TraceIoError naming the line.
+ *
  * Files written by TraceFileWriteSink (and writeTraceFile, which
  * wraps it) carry an integrity envelope around that payload — a
  * versioned magic header and a running CRC32 footer:
@@ -26,13 +32,12 @@
  * writeTrace/traceToString stay envelope-free so dumps remain
  * diffable and content comparisons format-agnostic.
  *
- * Both directions stream: TraceWriteSink / TraceFileWriteSink are
- * PhaseSinks that serialize phases as a producer emits them (so a
- * kernel stream can be archived without materializing), and
- * FilePhaseSource replays a serialized trace as a pull-based
- * PhaseSource holding one phase in memory at a time. The
- * whole-trace read/write functions are thin wrappers over the same
- * line format, so the two paths cannot drift.
+ * Both directions stream: TraceFileWriteSink is a PhaseSink that
+ * serializes phases as a producer emits them (so a kernel stream can
+ * be archived without materializing), and FilePhaseSource replays a
+ * serialized trace as a pull-based PhaseSource holding one phase in
+ * memory at a time. The whole-trace read/write functions share the
+ * same line writer and parser, so the two paths cannot drift.
  *
  * Every filesystem boundary in this file is a named failpoint (see
  * common/failpoint.h, `trace_io.*`), so tests can deterministically
@@ -97,23 +102,6 @@ core::Trace readTraceFile(const std::string &path);
  * TraceIoError on IO errors.
  */
 void writeTraceFile(const core::Trace &trace, const std::string &path);
-
-/** PhaseSink that serializes each consumed phase to a stream. */
-class TraceWriteSink final : public core::PhaseSink
-{
-  public:
-    explicit TraceWriteSink(std::ostream &out) : out_(&out) {}
-
-    void consume(const core::Phase &phase) override;
-
-    u64 phases() const { return phases_; }
-    u64 dataBytes() const { return dataBytes_; }
-
-  private:
-    std::ostream *out_;
-    u64 phases_ = 0;
-    u64 dataBytes_ = 0;
-};
 
 /**
  * Streaming equivalent of writeTraceFile(): consumes phases into a

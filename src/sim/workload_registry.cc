@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/bitops.h"
 #include "common/log.h"
 #include "common/parse.h"
 #include "core/matmul_kernel.h"
@@ -173,7 +174,7 @@ struct ParsedName
     std::string domain;
     std::vector<std::string> path;
     Query query;
-    /** Construct the kernel; false checks the name and builds nothing. */
+    /** Return the kernel; false only checks the name. */
     bool build = true;
 };
 
@@ -248,11 +249,22 @@ makeDnn(const std::string &name, ParsedName &p, bool edge_platform)
     const double density = p.query.fraction("density", 1.0);
     p.query.finish();
 
-    if (!p.build)
-        return nullptr;
+    // Per-parameter ranges do not bound a heavy model's tensors: its
+    // feature buffers must fit the kernel's region as well.
     auto kernel = std::make_unique<dnn::DnnKernel>(
         dnn::modelByName(model),
         edge ? dnn::edgeAccel() : dnn::cloudAccel(), task, batch, seed);
+    const u64 demand = kernel->featureDemandBytes();
+    const u64 region = dnn::DnnKernel::featureRegionBytes();
+    if (demand > region)
+        badWorkload("workload '%s': parameter batch=%u needs %llu MiB "
+                    "of feature buffers, more than the %llu MiB feature "
+                    "region",
+                    name.c_str(), kernel->batch(),
+                    static_cast<unsigned long long>(divCeil(demand, 1 << 20)),
+                    static_cast<unsigned long long>(region >> 20));
+    if (!p.build)
+        return nullptr;
     if (density < 1.0)
         kernel->setFeatureDensity(density);
     return kernel;

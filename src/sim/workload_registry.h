@@ -62,8 +62,10 @@ std::unique_ptr<core::Kernel> makeKernel(const std::string &name,
 
 /**
  * Check @p name exactly as makeKernel would, without building the
- * kernel: any registry error — malformed name, unknown workload, a
- * parameter that is unknown, malformed or out of its range — returns
+ * kernel (a DNN kernel is constructed to size its tensors, never
+ * streamed): any registry error — malformed name, unknown workload, a
+ * parameter that is unknown, malformed or out of its range, a DNN
+ * batch whose tensors overflow the kernel's feature region — returns
  * false with @p error set (the message makeKernel would have died
  * with) instead of exiting the process. Experiment::run checks every
  * registry workload through this before it runs any cell, and the

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the common substrate: bit utilities, the deterministic
- * RNG, the stats counters, and strict command-line number parsing.
+ * RNG, and strict command-line number parsing.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "common/bitops.h"
 #include "common/parse.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/types.h"
 
 namespace mgx {
@@ -118,75 +117,6 @@ TEST(Rng, ParetoHeavyTail)
     mean /= n;
     EXPECT_GE(max_seen, 50u);  // heavy tail produces large outliers
     EXPECT_LT(mean, 10.0);     // but the bulk is small
-}
-
-TEST(Stats, AddSetGet)
-{
-    StatGroup stats("test");
-    EXPECT_EQ(stats.get("missing"), 0u);
-    stats.add("hits");
-    stats.add("hits", 4);
-    EXPECT_EQ(stats.get("hits"), 5u);
-    stats.set("hits", 2);
-    EXPECT_EQ(stats.get("hits"), 2u);
-}
-
-TEST(Stats, Ratio)
-{
-    StatGroup stats("test");
-    stats.set("num", 30);
-    stats.set("den", 60);
-    EXPECT_DOUBLE_EQ(stats.ratio("num", "den"), 0.5);
-    EXPECT_DOUBLE_EQ(stats.ratio("num", "zero"), 0.0);
-}
-
-TEST(Stats, HandleAndStringApiShareSlots)
-{
-    StatGroup stats("test");
-    StatGroup::Counter hits = stats.counter("hits");
-    EXPECT_TRUE(hits.valid());
-    hits.add();
-    hits += 4;
-    ++hits;
-    EXPECT_EQ(stats.get("hits"), 6u);   // handle bumps visible by name
-    stats.add("hits", 10);
-    EXPECT_EQ(hits.value(), 16u);       // and vice versa
-    // Resolving the same name twice yields the same slot.
-    StatGroup::Counter again = stats.counter("hits");
-    again.add();
-    EXPECT_EQ(hits.value(), 17u);
-}
-
-TEST(Stats, NullCounterIsASafeSink)
-{
-    StatGroup::Counter null;
-    EXPECT_FALSE(null.valid());
-    null.add(42); // must not crash
-    ++null;
-    EXPECT_EQ(null.value(), 0u);
-}
-
-TEST(Stats, ClearKeepsHandlesValid)
-{
-    StatGroup stats("test");
-    StatGroup::Counter c = stats.counter("events");
-    c += 7;
-    stats.clear();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(stats.get("events"), 0u);
-    c.add(3); // handle survives the clear
-    EXPECT_EQ(stats.get("events"), 3u);
-}
-
-TEST(Stats, CountersSnapshotIsSortedByKey)
-{
-    StatGroup stats("test");
-    stats.counter("b_second").add(2);
-    stats.counter("a_first").add(1);
-    auto snap = stats.counters();
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap.begin()->first, "a_first");
-    EXPECT_EQ(snap.at("b_second"), 2u);
 }
 
 TEST(Types, DataClassNames)

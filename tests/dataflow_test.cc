@@ -10,7 +10,7 @@
 
 #include "dnn/dnn_kernel.h"
 #include "dnn/models.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
 
 namespace mgx::dnn {
 namespace {
@@ -107,17 +107,19 @@ TEST(Dataflow, ProtectionConclusionsHoldForEveryMapping)
                         Dataflow::InputStationary}) {
         DnnAccelConfig cfg = withDataflow(df);
         DnnKernel kernel(alexnet(), cfg);
-        protection::ProtectionConfig base;
-        auto cmp = sim::compareSchemes(kernel.generate(),
-                                       sim::cloudPlatform(), base,
-                                       {protection::Scheme::NP,
-                                        protection::Scheme::MGX,
-                                        protection::Scheme::BP});
-        EXPECT_LT(cmp.normalizedTime(protection::Scheme::MGX), 1.10)
-            << "dataflow " << static_cast<int>(df);
-        EXPECT_GT(cmp.normalizedTime(protection::Scheme::BP),
-                  cmp.normalizedTime(protection::Scheme::MGX))
-            << "dataflow " << static_cast<int>(df);
+        sim::ResultSet rs = sim::Experiment()
+                                .trace("alexnet", kernel.generate())
+                                .platform(sim::cloudPlatform())
+                                .schemes(sim::trafficSchemes())
+                                .run();
+        const double mgx =
+            rs.normalizedTime("alexnet", "Cloud", protection::Scheme::MGX)
+                .value();
+        const double bp =
+            rs.normalizedTime("alexnet", "Cloud", protection::Scheme::BP)
+                .value();
+        EXPECT_LT(mgx, 1.10) << "dataflow " << static_cast<int>(df);
+        EXPECT_GT(bp, mgx) << "dataflow " << static_cast<int>(df);
     }
 }
 

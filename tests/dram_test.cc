@@ -309,7 +309,7 @@ TEST(DramChannel, RowHitIsFasterThanMiss)
     const Cycles miss_latency = t1;
     const Cycles hit_latency = t2 - t1;
     EXPECT_LT(hit_latency, miss_latency);
-    EXPECT_EQ(sys.stats().get("row_hits"), 1u);
+    EXPECT_EQ(sys.counters().rowHits, 1u);
 }
 
 TEST(DramChannel, RowConflictCostsPrechargeActivate)
@@ -331,7 +331,7 @@ TEST(DramChannel, RowConflictCostsPrechargeActivate)
     ASSERT_NE(conflict, 0u);
     Cycles t1 = sys.access({0, false, 0});
     Cycles t2 = sys.access({conflict, false, t1});
-    EXPECT_EQ(sys.stats().get("row_conflicts"), 1u);
+    EXPECT_EQ(sys.counters().rowConflicts, 1u);
     // Conflict pays tRAS residue + tRP + tRCD + CL; far more than a hit.
     EXPECT_GT(t2 - t1, static_cast<Cycles>(cfg.tRP + cfg.tRCD));
 }
@@ -365,15 +365,15 @@ TEST(DramChannel, RefreshStallsAppear)
     DramSystem sys(cfg);
     // Stream long enough to cross several tREFI windows.
     sys.accessRange(0, 8ull << 20, false, 0);
-    EXPECT_GT(sys.stats().get("refresh_stall_cycles"), 0u);
+    EXPECT_GT(sys.counters().refreshStallCycles, 0u);
 }
 
 TEST(DramChannel, WritesTracked)
 {
     DramSystem sys(ddr4_2400(1));
     sys.accessRange(0, 1024, true, 0);
-    EXPECT_EQ(sys.stats().get("writes"), 16u);
-    EXPECT_EQ(sys.stats().get("reads"), 0u);
+    EXPECT_EQ(sys.counters().writes, 16u);
+    EXPECT_EQ(sys.counters().reads, 0u);
 }
 
 TEST(DramSystem, AccessRangeCountsBlocks)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Experiment-API tests: registry round trip (every listed workload
- * constructs and generates a non-empty trace), experiment /
- * compareSchemes equivalence (bitwise-identical results, serial and
+ * constructs and generates a non-empty trace), registry-cell /
+ * explicit-trace equivalence (bitwise-identical results, serial and
  * parallel), explicit missing-baseline reporting, and the JSON golden.
  */
 
@@ -20,7 +20,6 @@
 namespace mgx::sim {
 namespace {
 
-using protection::ProtectionConfig;
 using protection::Scheme;
 
 // ---------------------------------------------------------------------
@@ -241,36 +240,78 @@ TEST(RegistryFuzz, MutatedNamesAreRejectedOrBuild)
     EXPECT_EQ(built.size(), kMaxBuilds);
 }
 
+TEST(Registry, LargestAcceptedDnnBatchStreamsToTheEnd)
+{
+    // checkWorkload bounds a DNN run's feature buffers by their sum, as
+    // if no tensor were ever freed. For every listed model and task,
+    // bisect for the largest batch it accepts and stream that run to
+    // its end: the kernel's fatal-on-exhaustion allocator must never
+    // fire.
+    std::string error;
+    for (const auto &w : listWorkloads()) {
+        if (w.rfind("dnn/", 0) != 0)
+            continue;
+        const auto name = [&](u64 batch) {
+            return w + "&batch=" + std::to_string(batch);
+        };
+        u64 accepted = 1, rejected = 65537; // past the batch range
+        ASSERT_TRUE(checkWorkload(name(accepted), &error)) << error;
+        while (rejected - accepted > 1) {
+            const u64 mid = accepted + (rejected - accepted) / 2;
+            if (checkWorkload(name(mid), &error))
+                accepted = mid;
+            else
+                rejected = mid;
+        }
+        auto kernel = makeKernel(name(accepted));
+        auto source = kernel->stream();
+        CountingSink sink;
+        while (source->nextChunk(sink)) {
+        }
+        EXPECT_GT(sink.phases, 0u) << name(accepted);
+    }
+    // The documented edge for ResNet training, and the message one
+    // sample past it.
+    EXPECT_TRUE(checkWorkload("dnn/ResNet?task=training&batch=127", &error));
+    EXPECT_FALSE(
+        checkWorkload("dnn/ResNet?task=training&batch=128", &error));
+    EXPECT_NE(error.find("batch=128 needs"), std::string::npos) << error;
+}
+
 // ---------------------------------------------------------------------
-// Experiment vs compareSchemes equivalence
+// Registry cell vs explicit trace() cell equivalence
 // ---------------------------------------------------------------------
 
 TEST(Experiment, MatchesCompareSchemesBitwise)
 {
+    // A registry workload's cells and the cells of an explicit trace()
+    // entry holding that kernel's trace agree bitwise, serial and
+    // parallel.
     const std::string w = "core/matmul?m=256&n=256&k=256";
-    core::Trace trace = makeKernel(w)->generate();
-    ProtectionConfig base;
-    SchemeComparison legacy =
-        compareSchemes(trace, edgePlatform(), base, allSchemes());
+    const ResultSet reference = Experiment()
+                                    .trace("trace", makeKernel(w)->generate())
+                                    .platform(edgePlatform())
+                                    .threads(1)
+                                    .run();
 
     for (u32 threads : {1u, 4u}) {
         ResultSet rs = Experiment()
                            .workload(w)
                            .platform(edgePlatform())
                            .schemes(allSchemes())
-                           .config(base)
                            .threads(threads)
                            .run();
         ASSERT_EQ(rs.records().size(), allSchemes().size());
         for (Scheme s : allSchemes()) {
             const RunResult *r = rs.find(w, "Edge", s);
+            const RunResult *t = reference.find("trace", "Edge", s);
             ASSERT_NE(r, nullptr);
-            EXPECT_EQ(r->totalCycles, legacy.results[s].totalCycles)
+            ASSERT_NE(t, nullptr);
+            EXPECT_EQ(r->totalCycles, t->totalCycles)
                 << "threads=" << threads;
-            EXPECT_EQ(r->traffic.totalBytes(),
-                      legacy.results[s].traffic.totalBytes())
+            EXPECT_EQ(r->traffic.totalBytes(), t->traffic.totalBytes())
                 << "threads=" << threads;
-            EXPECT_EQ(r->dramAccesses, legacy.results[s].dramAccesses)
+            EXPECT_EQ(r->dramAccesses, t->dramAccesses)
                 << "threads=" << threads;
         }
     }
@@ -387,14 +428,6 @@ TEST(ExperimentDeathTest, DuplicateTraceLabelsAreFatal)
                      .schemes({Scheme::NP})
                      .run(),
                  "two different traces");
-}
-
-TEST(ResultSetDeathTest, LegacyWrapperAssertsOnMissingBaseline)
-{
-    SchemeComparison cmp;
-    cmp.results[Scheme::MGX] = RunResult{};
-    EXPECT_DEATH(cmp.normalizedTime(Scheme::MGX), "baseline");
-    EXPECT_DEATH(cmp.trafficIncrease(Scheme::MGX), "baseline");
 }
 
 TEST(ResultSetTest, GridOrderIsDeterministic)
@@ -521,13 +554,33 @@ TEST(Report, JsonEscapesWorkloadNames)
 
 TEST(Report, SchemeByNameRoundTrips)
 {
-    for (Scheme s : protection::kAllSchemes)
-        EXPECT_EQ(schemeByName(protection::schemeName(s)), s);
+    for (Scheme s : protection::kAllSchemes) {
+        Scheme parsed = Scheme::NP;
+        EXPECT_TRUE(schemeByName(protection::schemeName(s), parsed));
+        EXPECT_EQ(parsed, s);
+    }
 }
 
 TEST(ReportDeathTest, SchemeByNameRejectsUnknown)
 {
-    EXPECT_DEATH(schemeByName("XYZ"), "unknown scheme");
+    // Unknown names are the caller's to report (mgx_run prints usage,
+    // mgx_serve answers 400), so the lookup fails without dying.
+    Scheme parsed = Scheme::MGX;
+    EXPECT_FALSE(schemeByName("XYZ", parsed));
+    EXPECT_FALSE(schemeByName("mgx", parsed)); // names are exact
+    EXPECT_EQ(parsed, Scheme::MGX);
+}
+
+TEST(Report, PlatformNamesAndCommaListsParse)
+{
+    Platform p;
+    ASSERT_TRUE(platformByName("edge", p));
+    EXPECT_EQ(p.name, "Edge");
+    EXPECT_FALSE(platformByName("Edge", p));
+    EXPECT_FALSE(platformByName("", p));
+    EXPECT_EQ(splitCommas("NP,,BP,"),
+              (std::vector<std::string>{"NP", "BP"}));
+    EXPECT_TRUE(splitCommas("").empty());
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 #include "core/invariant_checker.h"
 #include "core/matmul_kernel.h"
@@ -17,7 +18,7 @@
 #include "dnn/models.h"
 #include "dram/dram_system.h"
 #include "graph/graph_kernel.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
 #include "sim/trace_io.h"
 
 namespace mgx {
@@ -74,11 +75,15 @@ TEST(Rekey, CostIsMeasurable)
     core::RekeyManager manager;
     core::Trace trace = manager.planRekey(
         {{0, 64 << 20, DataClass::Weight, 3}});
-    protection::ProtectionConfig cfg;
-    auto cmp = sim::compareSchemes(trace, sim::edgePlatform(), cfg,
-                                   {protection::Scheme::MGX});
-    const auto &traffic =
-        cmp.results[protection::Scheme::MGX].traffic;
+    sim::ResultSet rs = sim::Experiment()
+                            .trace("rekey", std::move(trace))
+                            .platform(sim::edgePlatform())
+                            .schemes({protection::Scheme::MGX})
+                            .run();
+    const sim::RunResult *mgx =
+        rs.find("rekey", "Edge", protection::Scheme::MGX);
+    ASSERT_NE(mgx, nullptr);
+    const auto &traffic = mgx->traffic;
     EXPECT_EQ(traffic.dataBytes, 2ull * (64 << 20));
     EXPECT_GT(traffic.macBytes, 0u);
 }
@@ -210,13 +215,17 @@ TEST(TraceIo, ReplayedTraceSimulatesIdentically)
     core::Trace original = kernel.generate();
     core::Trace replayed =
         sim::traceFromString(sim::traceToString(original));
-    protection::ProtectionConfig cfg;
-    auto a = sim::compareSchemes(original, sim::edgePlatform(), cfg,
-                                 sim::trafficSchemes());
-    auto b = sim::compareSchemes(replayed, sim::edgePlatform(), cfg,
-                                 sim::trafficSchemes());
-    for (auto s : sim::trafficSchemes())
-        EXPECT_EQ(a.results[s].totalCycles, b.results[s].totalCycles);
+    sim::ResultSet rs = sim::Experiment()
+                            .trace("original", std::move(original))
+                            .trace("replayed", std::move(replayed))
+                            .platform(sim::edgePlatform())
+                            .schemes(sim::trafficSchemes())
+                            .run();
+    for (auto s : sim::trafficSchemes()) {
+        ASSERT_NE(rs.find("original", "Edge", s), nullptr);
+        EXPECT_EQ(rs.find("original", "Edge", s)->totalCycles,
+                  rs.find("replayed", "Edge", s)->totalCycles);
+    }
 }
 
 // -- DRAM turnaround ------------------------------------------------------------------

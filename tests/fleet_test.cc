@@ -31,6 +31,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/failpoint.h"
 #include "fleet/backend.h"
 #include "fleet/fleet.h"
 #include "fleet/hash_ring.h"
@@ -350,6 +351,47 @@ TEST(ProxyTest, OutOfRotationOwnerIsSkippedWithoutAFailover)
     proxy.shutdown();
 }
 
+TEST(ProxyTest, RequestThatLosesTwoWorkersIsAnswered502)
+{
+    // fleet.backend.reset=always makes every worker look as if it died
+    // mid-response. The proxy tries the owner and one failover, then
+    // answers 502 instead of spreading the request to the third
+    // worker. Refused connects are not deaths: they keep the failover
+    // passes and end in 503.
+    MiniFleet mini(3, "poison");
+    ProxyOptions popts;
+    popts.listen.unixPath = testSocketPath("poison-proxy");
+    popts.failoverPauseMs = 10;
+    Proxy proxy(popts, &mini.dir);
+    proxy.start();
+    const serve::SocketAddress addr{popts.listen.unixPath,
+                                    "127.0.0.1", 0};
+    serve::HttpResponse resp;
+    std::string error;
+
+    ASSERT_TRUE(failpoint::armSpecList("fleet.backend.reset=always"));
+    ASSERT_TRUE(serve::httpGet(addr, kTarget, &resp, &error)) << error;
+    failpoint::disarmAll();
+    EXPECT_EQ(resp.status, 502) << resp.body;
+    u64 cells = 0;
+    for (const auto &r : mini.runs)
+        cells += r->load();
+    EXPECT_EQ(cells, 2u); // exactly two backend attempts ran the cell
+    EXPECT_EQ(proxy.metrics().backendErrors.load(), 2u);
+    EXPECT_EQ(proxy.metrics().partialResponses.load(), 2u);
+    EXPECT_EQ(proxy.metrics().poisonRequests.load(), 1u);
+    EXPECT_NE(proxy.statsJson().find("\"poisonRequests\": 1"),
+              std::string::npos);
+
+    ASSERT_TRUE(failpoint::armSpecList("fleet.backend.connect=always"));
+    ASSERT_TRUE(serve::httpGet(addr, kTarget, &resp, &error)) << error;
+    failpoint::disarmAll();
+    EXPECT_EQ(resp.status, 503) << resp.body;
+    EXPECT_EQ(proxy.metrics().poisonRequests.load(), 1u);
+    EXPECT_EQ(proxy.metrics().noBackend.load(), 1u);
+    proxy.shutdown();
+}
+
 TEST(ProxyTest, StatsAggregateProxyCountersAndWorkerDocuments)
 {
     MiniFleet mini(2, "stats");
@@ -452,7 +494,12 @@ rawExchange(const std::string &path, const std::string &bytes,
     for (ssize_t n; (n = ::recv(fd, buf, sizeof buf, 0)) > 0;)
         raw.append(buf, static_cast<std::size_t>(n));
     ::close(fd);
-    return serve::parseHttpResponse(raw, out, nullptr);
+    serve::HttpResponseParser parser;
+    parser.feed(raw.data(), raw.size());
+    if (parser.finishEof() != serve::HttpResponseParser::Status::Complete)
+        return false;
+    *out = parser.response();
+    return true;
 }
 
 TEST(ProxyTest, FrontDoorAnswersMalformedRequestsLikeAWorker)

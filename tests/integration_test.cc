@@ -40,73 +40,77 @@
 namespace mgx {
 namespace {
 
-using protection::ProtectionConfig;
 using protection::Scheme;
-using sim::SchemeComparison;
 
 // -- DNN end-to-end -------------------------------------------------------------
 
-SchemeComparison
+/** All five schemes over @p model's trace, as workload "dnn" on the
+ *  Edge or Cloud platform. */
+sim::ResultSet
 runDnn(const dnn::Model &model, dnn::DnnTask task, bool edge)
 {
     dnn::DnnKernel kernel(model, edge ? dnn::edgeAccel()
                                       : dnn::cloudAccel(),
                           task);
-    core::Trace trace = kernel.generate();
-    ProtectionConfig base;
-    return sim::compareSchemes(trace,
-                               edge ? sim::edgePlatform()
-                                    : sim::cloudPlatform(),
-                               base, sim::allSchemes());
+    return sim::Experiment()
+        .trace("dnn", kernel.generate())
+        .platform(edge ? sim::edgePlatform() : sim::cloudPlatform())
+        .run();
 }
 
 TEST(IntegrationDnn, AlexNetCloudInferenceOverheads)
 {
     // Cloud is memory-bound (600+ MACs/byte roofline), so protection
     // overhead shows up fully in execution time there.
-    SchemeComparison cmp =
+    sim::ResultSet rs =
         runDnn(dnn::alexnet(), dnn::DnnTask::Inference, false);
-    const double mgx = cmp.normalizedTime(Scheme::MGX);
-    const double bp = cmp.normalizedTime(Scheme::BP);
+    const double mgx = rs.normalizedTime("dnn", "Cloud", Scheme::MGX).value();
+    const double bp = rs.normalizedTime("dnn", "Cloud", Scheme::BP).value();
     EXPECT_LT(mgx, 1.10);       // near-zero overhead
     EXPECT_GT(bp, 1.08);        // baseline pays real cost
     EXPECT_LT(bp, 1.60);
-    EXPECT_LE(mgx, cmp.normalizedTime(Scheme::MGX_VN) + 1e-9);
-    EXPECT_LE(cmp.normalizedTime(Scheme::MGX_MAC), bp + 1e-9);
+    EXPECT_LE(mgx,
+              rs.normalizedTime("dnn", "Cloud", Scheme::MGX_VN).value() +
+                  1e-9);
+    EXPECT_LE(rs.normalizedTime("dnn", "Cloud", Scheme::MGX_MAC).value(),
+              bp + 1e-9);
 }
 
 TEST(IntegrationDnn, EdgeComputeBoundHidesMoreOverhead)
 {
     // The Edge config has 64x fewer PEs: compute hides a larger share
     // of the metadata traffic, so BP's slowdown shrinks vs Cloud.
-    SchemeComparison edge =
+    sim::ResultSet edge =
         runDnn(dnn::alexnet(), dnn::DnnTask::Inference, true);
-    SchemeComparison cloud =
+    sim::ResultSet cloud =
         runDnn(dnn::alexnet(), dnn::DnnTask::Inference, false);
-    EXPECT_LT(edge.normalizedTime(Scheme::BP),
-              cloud.normalizedTime(Scheme::BP));
-    EXPECT_LT(edge.normalizedTime(Scheme::MGX), 1.05);
+    EXPECT_LT(edge.normalizedTime("dnn", "Edge", Scheme::BP).value(),
+              cloud.normalizedTime("dnn", "Cloud", Scheme::BP).value());
+    EXPECT_LT(edge.normalizedTime("dnn", "Edge", Scheme::MGX).value(),
+              1.05);
 }
 
 TEST(IntegrationDnn, ResNetCloudTrainingOrdering)
 {
-    SchemeComparison cmp =
+    sim::ResultSet rs =
         runDnn(dnn::resnet50(), dnn::DnnTask::Training, false);
-    EXPECT_LT(cmp.normalizedTime(Scheme::MGX),
-              cmp.normalizedTime(Scheme::BP));
-    EXPECT_GT(cmp.trafficIncrease(Scheme::BP), 1.15);
-    EXPECT_LT(cmp.trafficIncrease(Scheme::MGX), 1.08);
+    EXPECT_LT(rs.normalizedTime("dnn", "Cloud", Scheme::MGX).value(),
+              rs.normalizedTime("dnn", "Cloud", Scheme::BP).value());
+    EXPECT_GT(rs.trafficIncrease("dnn", "Cloud", Scheme::BP).value(),
+              1.15);
+    EXPECT_LT(rs.trafficIncrease("dnn", "Cloud", Scheme::MGX).value(),
+              1.08);
 }
 
 TEST(IntegrationDnn, DlrmIsWorstCaseForBaseline)
 {
     // DLRM's random embedding gathers defeat the VN/MAC cache.
-    SchemeComparison dlrm =
+    sim::ResultSet dlrm =
         runDnn(dnn::dlrm(1u << 18, 64), dnn::DnnTask::Inference, false);
-    SchemeComparison vgg =
+    sim::ResultSet vgg =
         runDnn(dnn::vgg16(), dnn::DnnTask::Inference, false);
-    EXPECT_GT(dlrm.trafficIncrease(Scheme::BP),
-              vgg.trafficIncrease(Scheme::BP));
+    EXPECT_GT(dlrm.trafficIncrease("dnn", "Cloud", Scheme::BP).value(),
+              vgg.trafficIncrease("dnn", "Cloud", Scheme::BP).value());
 }
 
 // -- Graph end-to-end -------------------------------------------------------------
@@ -118,17 +122,21 @@ TEST(IntegrationGraph, PageRankOverheadOrdering)
         graph::buildTiles(spec, 1 << 17, 1 << 17, 3);
     graph::GraphKernel kernel(tiles, graph::GraphAlgorithm::PageRank,
                               3);
-    core::Trace trace = kernel.generate();
-    ProtectionConfig base;
-    SchemeComparison cmp = sim::compareSchemes(
-        trace, sim::graphPlatform(), base, sim::allSchemes());
+    sim::ResultSet rs = sim::Experiment()
+                            .trace("pagerank", kernel.generate())
+                            .platform(sim::graphPlatform())
+                            .run();
 
-    const double mgx = cmp.normalizedTime(Scheme::MGX);
-    const double bp = cmp.normalizedTime(Scheme::BP);
+    const double mgx =
+        rs.normalizedTime("pagerank", "Graph", Scheme::MGX).value();
+    const double bp =
+        rs.normalizedTime("pagerank", "Graph", Scheme::BP).value();
     EXPECT_LT(mgx, 1.10);
     EXPECT_GT(bp, mgx);
-    EXPECT_LT(cmp.trafficIncrease(Scheme::MGX), 1.05);
-    EXPECT_GT(cmp.trafficIncrease(Scheme::BP), 1.15);
+    EXPECT_LT(rs.trafficIncrease("pagerank", "Graph", Scheme::MGX).value(),
+              1.05);
+    EXPECT_GT(rs.trafficIncrease("pagerank", "Graph", Scheme::BP).value(),
+              1.15);
 }
 
 // -- the paper's shape over the whole grid ----------------------------------------

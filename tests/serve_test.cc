@@ -141,9 +141,11 @@ TEST(Http, ResponseRoundTrip)
 {
     const std::string raw =
         httpResponse(429, "application/json", "{\"error\": \"full\"}");
-    HttpResponse resp;
-    std::string error;
-    ASSERT_TRUE(parseHttpResponse(raw, &resp, &error)) << error;
+    HttpResponseParser parser;
+    ASSERT_EQ(parser.feed(raw.data(), raw.size()),
+              HttpResponseParser::Status::Complete)
+        << parser.error();
+    const HttpResponse &resp = parser.response();
     EXPECT_EQ(resp.status, 429);
     EXPECT_EQ(resp.reason, "Too Many Requests");
     EXPECT_EQ(resp.body, "{\"error\": \"full\"}");
@@ -587,6 +589,21 @@ TEST(ServerTest, OutOfRangeParameterAnswers400AndServingGoesOn)
               std::string::npos)
         << resp.body;
 
+    // Each batch is in range, but its model's feature buffers would
+    // overflow the DNN kernel's region, whose allocator is fatal on
+    // exhaustion.
+    for (const char *w : {"dnn/BERT?task=training&batch=65536",
+                          "dnn/MobileNet?task=inference&batch=65536",
+                          "dnn/VGG?batch=4096",
+                          "dnn/ResNet?task=training&batch=512"}) {
+        ASSERT_TRUE(httpGet(addr, "/run?workload=" + percentEncode(w),
+                            &resp, &error))
+            << error;
+        EXPECT_EQ(resp.status, 400) << w;
+        EXPECT_NE(resp.body.find("of feature buffers"), std::string::npos)
+            << resp.body;
+    }
+
     // The same daemon serves the next valid request.
     ASSERT_TRUE(httpGet(addr, "/run?workload=core%2Fmatmul&schemes=NP",
                         &resp, &error))
@@ -594,7 +611,7 @@ TEST(ServerTest, OutOfRangeParameterAnswers400AndServingGoesOn)
     EXPECT_EQ(resp.status, 200) << resp.body;
 
     const auto s = server.metricsSnapshot();
-    EXPECT_EQ(s.badRequests, 1u);
+    EXPECT_EQ(s.badRequests, 5u);
     EXPECT_EQ(s.cellsRun, 1u);
     server.shutdown();
 }

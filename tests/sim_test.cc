@@ -1,13 +1,14 @@
 /**
  * @file
  * Performance-model and runner tests: compute/memory overlap, clock
- * conversion, scheme comparison plumbing, and platform definitions.
+ * conversion, scheme comparison over an explicit trace, and platform
+ * definitions.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/matmul_kernel.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
 
 namespace mgx::sim {
 namespace {
@@ -96,18 +97,19 @@ TEST(Runner, CompareSchemesNormalizes)
     params.m = params.n = params.k = 256;
     params.kTiles = 2;
     core::MatMulKernel kernel(params);
-    Trace trace = kernel.generate();
 
-    ProtectionConfig base;
-    SchemeComparison cmp =
-        compareSchemes(trace, edgePlatform(), base, allSchemes());
-    ASSERT_EQ(cmp.results.size(), 5u);
-    EXPECT_DOUBLE_EQ(cmp.normalizedTime(Scheme::NP), 1.0);
-    EXPECT_GE(cmp.normalizedTime(Scheme::MGX), 1.0);
-    EXPECT_GE(cmp.normalizedTime(Scheme::BP),
-              cmp.normalizedTime(Scheme::MGX));
-    EXPECT_GT(cmp.trafficIncrease(Scheme::BP),
-              cmp.trafficIncrease(Scheme::MGX));
+    ResultSet rs = Experiment()
+                       .trace("mm", kernel.generate())
+                       .platform(edgePlatform())
+                       .run();
+    ASSERT_EQ(rs.records().size(), 5u);
+    EXPECT_DOUBLE_EQ(rs.normalizedTime("mm", "Edge", Scheme::NP).value(),
+                     1.0);
+    EXPECT_GE(rs.normalizedTime("mm", "Edge", Scheme::MGX).value(), 1.0);
+    EXPECT_GE(rs.normalizedTime("mm", "Edge", Scheme::BP).value(),
+              rs.normalizedTime("mm", "Edge", Scheme::MGX).value());
+    EXPECT_GT(rs.trafficIncrease("mm", "Edge", Scheme::BP).value(),
+              rs.trafficIncrease("mm", "Edge", Scheme::MGX).value());
 }
 
 TEST(Runner, PlatformDefinitionsMatchPaper)
@@ -121,17 +123,22 @@ TEST(Runner, PlatformDefinitionsMatchPaper)
 
 TEST(Runner, FreshStatePerScheme)
 {
-    // Two identical compareSchemes calls must agree exactly: no state
-    // leaks between runs.
-    Trace trace = syntheticTrace(4, 1000, 1 << 20);
-    ProtectionConfig base;
-    SchemeComparison a =
-        compareSchemes(trace, edgePlatform(), base, trafficSchemes());
-    SchemeComparison b =
-        compareSchemes(trace, edgePlatform(), base, trafficSchemes());
+    // Two identical experiments must agree exactly: no state leaks
+    // between runs.
+    const Trace trace = syntheticTrace(4, 1000, 1 << 20);
+    const auto run = [&] {
+        return Experiment()
+            .trace("t", trace)
+            .platform(edgePlatform())
+            .schemes(trafficSchemes())
+            .run();
+    };
+    const ResultSet a = run();
+    const ResultSet b = run();
     for (auto scheme : trafficSchemes()) {
-        EXPECT_EQ(a.results[scheme].totalCycles,
-                  b.results[scheme].totalCycles);
+        ASSERT_NE(a.find("t", "Edge", scheme), nullptr);
+        EXPECT_EQ(a.find("t", "Edge", scheme)->totalCycles,
+                  b.find("t", "Edge", scheme)->totalCycles);
     }
 }
 
