@@ -44,8 +44,10 @@ usage(std::FILE *out)
         "  --workers N            request handler threads (default 2)\n"
         "  --queue N              admission queue capacity before\n"
         "                         connections get 429 (default 16)\n"
-        "  --deadline-ms N        wall-clock budget per /run request;\n"
-        "                         503 on expiry (default 0 = none)\n"
+        "  --deadline-ms N        wall-clock budget per /run request:\n"
+        "                         on expiry the running cell stops\n"
+        "                         and the request gets 503 (default\n"
+        "                         0 = none)\n"
         "  --result-memo N        finished cells memoized in memory\n"
         "                         (LRU; warm repeats skip the engine;\n"
         "                         default 64, 0 disables)\n"

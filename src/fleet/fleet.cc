@@ -4,6 +4,10 @@
 
 namespace mgx::fleet {
 
+/// How long start() waits for the first worker to answer /healthz
+/// before serving anyway (workers may still be warming).
+constexpr int kReadyTimeoutMs = 10000;
+
 Fleet::Fleet(FleetOptions opts)
     : opts_(std::move(opts))
 {
@@ -23,11 +27,11 @@ Fleet::start()
         return;
     started_ = true;
     supervisor_->start();
-    if (!supervisor_->waitUntilReady(opts_.readyTimeoutMs))
+    if (!supervisor_->waitUntilReady(kReadyTimeoutMs))
         MGX_WARN("mgx_fleet: no worker became healthy within %d ms; "
                  "serving anyway (requests fail over until one "
                  "does)",
-                 opts_.readyTimeoutMs);
+                 kReadyTimeoutMs);
     proxy_->start();
 }
 

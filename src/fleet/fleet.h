@@ -20,9 +20,6 @@ struct FleetOptions
 {
     SupervisorOptions supervisor;
     ProxyOptions proxy;
-    /// How long start() waits for the first worker to answer
-    /// /healthz before serving anyway (workers may still be warming).
-    int readyTimeoutMs = 10000;
 };
 
 class Fleet

@@ -19,6 +19,9 @@ failpoint::Point &fpBackendReset =
 /// Sweeps over the ring order before a /run answers 503.
 constexpr int kFailoverPasses = 3;
 
+/// One backend attempt's budget.
+constexpr int kBackendTimeoutMs = 120000;
+
 /// Workers a /run may lose before it is answered 502 as a poison
 /// request: one death may be a coincidence, two in a row are the
 /// request's doing, and a third attempt would only kill another.
@@ -154,7 +157,7 @@ Proxy::fetchFromBackend(const std::string &name,
     }
     auto conn = checkoutConnection(name);
     a.ok = conn->get(target, &a.response, &a.error,
-                     opts_.backendTimeoutMs, &a.failure);
+                     kBackendTimeoutMs, &a.failure);
     if (a.ok && fpBackendReset.fire()) {
         // Simulated worker death after it sent part of the body: the
         // full response is discarded — the client must never see a
@@ -201,8 +204,8 @@ Proxy::handleRun(const serve::HttpRequest &req, int *status_out)
             ++attempts;
             BackendAttempt a = fetchFromBackend(order[i], req.target);
             if (a.ok && a.response.status == 503) {
-                // The worker is draining (or its deadline tripped):
-                // it answered, but another worker can do better.
+                // The worker is draining: it answered, but another
+                // worker can do better.
                 a.ok = false;
                 a.error = "backend answered 503";
             }

@@ -9,7 +9,7 @@
  * Robustness model: the proxy buffers a backend's entire response
  * before relaying one byte to the client, so a worker SIGKILLed
  * mid-response costs a failover, never a truncated client read. On
- * a transport failure (connect refused, reset, deadline) or a 503 it
+ * a transport failure (connect refused, reset, timeout) or a 503 it
  * walks the hash ring's failover order — in-rotation workers first,
  * then everyone (probe state lags reality) — across several passes
  * with a short pause, before finally answering 503. A request that
@@ -50,7 +50,6 @@ struct ProxyOptions : serve::FrontDoorOptions
         admissionCapacity = 32;
     }
 
-    int backendTimeoutMs = 120000; ///< one backend attempt's budget
     int failoverPauseMs = 100; ///< pause between sweeps over the ring
 };
 

@@ -26,6 +26,12 @@ failpoint::Point &fpForkFail =
 failpoint::Point &fpProbeTimeout =
     failpoint::Point::get("fleet.probe.timeout");
 
+/// Each worker's --queue: mgx_serve's own default.
+constexpr int kWorkerQueue = 16;
+
+/// Consecutive missed probes that take a worker out of rotation.
+constexpr int kProbeFailThreshold = 2;
+
 } // namespace
 
 const char *
@@ -128,13 +134,8 @@ Supervisor::spawnLocked(Worker &w)
                 binary_,
                 "--socket", w.socketPath,
                 "--workers", std::to_string(opts_.workerThreads),
-                "--queue", std::to_string(opts_.workerQueue),
+                "--queue", std::to_string(kWorkerQueue),
                 "--quiet"};
-            if (opts_.workerDeadlineMs > 0) {
-                args.push_back("--deadline-ms");
-                args.push_back(
-                    std::to_string(opts_.workerDeadlineMs));
-            }
             const pid_t pid = ::fork();
             if (pid < 0) {
                 w.pid = -1;
@@ -296,7 +297,7 @@ Supervisor::probeOne(int index)
             w.rapidDeaths = 0;
     } else {
         ++w.probeFailures;
-        if (++w.consecProbeMisses >= opts_.probeFailThreshold)
+        if (++w.consecProbeMisses >= kProbeFailThreshold)
             w.healthy = false;
     }
 }

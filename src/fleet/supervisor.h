@@ -52,12 +52,9 @@ struct SupervisorOptions
     int workers = 3;
     std::string socketDir;     ///< worker sockets live here
     u32 workerThreads = 2;       ///< --workers for each mgx_serve
-    std::size_t workerQueue = 16; ///< --queue for each mgx_serve
-    int workerDeadlineMs = 0;    ///< --deadline-ms for each mgx_serve
 
     int probeIntervalMs = 200;  ///< /healthz cadence per worker
     int probeTimeoutMs = 1000;
-    int probeFailThreshold = 2; ///< consecutive misses -> out of rotation
 
     int restartBackoffMs = 100;    ///< base; doubles per rapid death
     int restartBackoffMaxMs = 5000;

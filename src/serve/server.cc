@@ -1,6 +1,5 @@
 #include "server.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/log.h"
@@ -34,21 +33,12 @@ void
 Server::start()
 {
     if (!runner_) {
-        runner_ = [this](const CellKey &cell) {
-            return runCellWithEngine(cell);
+        runner_ = [this](const CellKey &cell,
+                         std::chrono::steady_clock::time_point deadline) {
+            return runCellWithEngine(cell, deadline);
         };
     }
     door_.start();
-}
-
-void
-Server::shutdown()
-{
-    door_.shutdown();
-    // Cells whose requests hit the deadline keep running detached;
-    // wait for them so no engine run is torn down mid-simulation.
-    // Unbounded by design — see SingleFlight::drainBackground().
-    flights_.drainBackground();
 }
 
 ServeMetrics::Snapshot
@@ -146,10 +136,11 @@ Server::handleRun(const HttpRequest &req, int *status_out)
 
     // One wall-clock budget for the whole request, not per cell: the
     // client asked one question, so the question has one deadline.
-    const bool deadlined = opts_.requestDeadlineMs > 0;
     const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(opts_.requestDeadlineMs);
+        opts_.requestDeadlineMs > 0
+            ? std::chrono::steady_clock::now() +
+                  std::chrono::milliseconds(opts_.requestDeadlineMs)
+            : std::chrono::steady_clock::time_point::max();
 
     // mgx_run's grid order (workloads x platforms x schemes, default
     // platform per workload when the axis is unset) so the assembled
@@ -170,40 +161,24 @@ Server::handleRun(const HttpRequest &req, int *status_out)
                     rs.add(std::move(*memo));
                     continue;
                 }
-                // The cell (not &: runFor's leader lambda outlives
-                // this frame when the deadline expires first).
-                const auto body = [this, cell]() -> sim::RunRecord {
-                    metrics_.cellsRun.fetch_add(
-                        1, std::memory_order_relaxed);
-                    return runner_(cell);
-                };
                 SingleFlight<sim::RunRecord>::Outcome outcome;
-                if (deadlined) {
-                    const auto left =
-                        std::chrono::duration_cast<
-                            std::chrono::milliseconds>(
-                            deadline -
-                            std::chrono::steady_clock::now());
-                    outcome = flights_.runFor(
-                        cell.key(), body,
-                        std::max(left,
-                                 std::chrono::milliseconds(0)));
-                    if (!outcome.value) {
-                        // Deadline hit. The cell finishes on its
-                        // background thread; a retry joins it
-                        // instead of paying for a second run.
-                        metrics_.deadlineExceeded.fetch_add(
+                try {
+                    outcome = flights_.run(cell.key(), [&] {
+                        metrics_.cellsRun.fetch_add(
                             1, std::memory_order_relaxed);
-                        *status_out = 503;
-                        return jsonError(
-                            "deadline exceeded after " +
-                            std::to_string(
-                                opts_.requestDeadlineMs) +
-                            " ms (cell " + cell.key() +
-                            " still running; retry to join it)");
-                    }
-                } else {
-                    outcome = flights_.run(cell.key(), body);
+                        return runner_(cell, deadline);
+                    });
+                } catch (const sim::DeadlineExceeded &) {
+                    // The cell stopped at a chunk boundary: nothing
+                    // is left running. Followers of its flight get
+                    // the same 503.
+                    metrics_.deadlineExceeded.fetch_add(
+                        1, std::memory_order_relaxed);
+                    *status_out = 503;
+                    return jsonError(
+                        "deadline exceeded after " +
+                        std::to_string(opts_.requestDeadlineMs) +
+                        " ms");
                 }
                 if (!outcome.leader)
                     metrics_.dedupCollapsed.fetch_add(
@@ -219,7 +194,8 @@ Server::handleRun(const HttpRequest &req, int *status_out)
 }
 
 sim::RunRecord
-Server::runCellWithEngine(const CellKey &cell)
+Server::runCellWithEngine(const CellKey &cell,
+                          std::chrono::steady_clock::time_point deadline)
 {
     // One serial cell per run (threads(1) never pipelines), so the
     // record is exactly what `mgx_run --no-pipeline` computes for it.
@@ -228,6 +204,7 @@ Server::runCellWithEngine(const CellKey &cell)
                             .platform(cell.platform)
                             .schemes({cell.scheme})
                             .threads(1)
+                            .deadline(deadline)
                             .run();
     if (rs.records().size() != 1)
         fatal("mgx_serve: single-cell experiment produced %zu records",

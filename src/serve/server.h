@@ -13,7 +13,8 @@
  *   GET /run?workload=W[&workload=W2...][&platforms=cloud,edge]
  *           [&schemes=NP,MGX,...]
  *       Run the grid; 200 with the resultset JSON, 400 on unknown
- *       workloads / platforms / schemes (the registry's own message).
+ *       workloads / platforms / schemes (the registry's own message),
+ *       503 once the request's deadline (--deadline-ms) stops a cell.
  *   GET /stats
  *       Operational counters as `mgx-servestats-v1` JSON.
  *   GET /healthz
@@ -37,15 +38,17 @@
  *               rest are followers (metrics.dedupCollapsed).
  *
  * Each cell runs on one engine thread, never pipelined, so response
- * bodies are byte-identical to `mgx_run --no-pipeline --json`.
+ * bodies are byte-identical to `mgx_run --no-pipeline --json`. A cell
+ * past its request's deadline stops at its next chunk boundary (see
+ * sim::Experiment::deadline()), so a 503 leaves nothing running.
  *
- * Graceful shutdown: the front door drains and joins, then the cells
- * that outlived their request deadline are waited for.
+ * Graceful shutdown: the front door drains and joins its workers.
  */
 
 #ifndef MGX_SERVE_SERVER_H
 #define MGX_SERVE_SERVER_H
 
+#include <chrono>
 #include <functional>
 #include <list>
 #include <map>
@@ -63,9 +66,8 @@ namespace mgx::serve {
 struct ServerOptions : FrontDoorOptions
 {
     /// Wall-clock budget for one /run request, 0 = none. On expiry
-    /// the request answers 503 immediately; the cell that was running
-    /// finishes on a background thread (engine runs cannot be
-    /// cancelled) so a retry joins it instead of duplicating work.
+    /// the running cell stops at its next chunk boundary and the
+    /// request answers 503; so do the requests that joined its flight.
     int requestDeadlineMs = 0;
     /// Finished-cell results memoized in memory (LRU, keyed like the
     /// singleflight); 0 disables the memo.
@@ -84,10 +86,13 @@ struct CellKey
 };
 
 /**
- * How a cell is simulated; injectable so tests can substitute a
- * deterministic (or deliberately blocking) runner.
+ * How a cell is simulated, given the request's deadline
+ * (time_point::max() when there is none); injectable so tests can
+ * substitute a deterministic (or deliberately blocking) runner. A
+ * runner stopped by the deadline throws sim::DeadlineExceeded.
  */
-using CellRunner = std::function<sim::RunRecord(const CellKey &)>;
+using CellRunner = std::function<sim::RunRecord(
+    const CellKey &, std::chrono::steady_clock::time_point deadline)>;
 
 /**
  * Bounded, thread-safe LRU memo from a string key to a value, shared
@@ -185,10 +190,10 @@ class Server
     /** Stop admission and begin draining; returns immediately. */
     void requestShutdown() { door_.requestShutdown(); }
 
-    /** Drain the front door, then wait for the cells still running
-     *  past their request deadline. Idempotent; also run by the
-     *  destructor. */
-    void shutdown();
+    /** Drain the front door and join its threads: in-flight and
+     *  queued requests finish first, each within its deadline when
+     *  one is set. Idempotent; also run by the destructor. */
+    void shutdown() { door_.shutdown(); }
 
     bool stopping() const { return door_.stopping(); }
 
@@ -206,7 +211,9 @@ class Server
   private:
     std::string handleRequest(const HttpRequest &req, int *status_out);
     std::string handleRun(const HttpRequest &req, int *status_out);
-    sim::RunRecord runCellWithEngine(const CellKey &cell);
+    sim::RunRecord
+    runCellWithEngine(const CellKey &cell,
+                      std::chrono::steady_clock::time_point deadline);
 
     ServerOptions opts_;
     ServeMetrics metrics_;

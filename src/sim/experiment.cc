@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -15,8 +17,10 @@ namespace {
 
 /**
  * Run body(0..n-1) on up to @p threads workers. Work is claimed from
- * one atomic counter, so any body(i) runs exactly once; callers must
- * make bodies independent and write to disjoint slots.
+ * one atomic counter, so any body(i) runs at most once; callers must
+ * make bodies independent and write to disjoint slots. A body that
+ * throws stops further claims; every worker is joined, then the first
+ * exception is rethrown.
  */
 template <typename Body>
 void
@@ -32,10 +36,19 @@ parallelFor(std::size_t n, u32 threads, const Body &body)
         return;
     }
     std::atomic<std::size_t> next{0};
+    std::mutex errorMu;
+    std::exception_ptr error;
     auto worker = [&] {
-        for (std::size_t i = next.fetch_add(1); i < n;
-             i = next.fetch_add(1))
-            body(i);
+        try {
+            for (std::size_t i = next.fetch_add(1); i < n;
+                 i = next.fetch_add(1))
+                body(i);
+        } catch (...) {
+            next.store(n);
+            std::lock_guard<std::mutex> lock(errorMu);
+            if (!error)
+                error = std::current_exception();
+        }
     };
     std::vector<std::thread> pool;
     pool.reserve(workers);
@@ -43,7 +56,33 @@ parallelFor(std::size_t n, u32 threads, const Body &body)
         pool.emplace_back(worker);
     for (auto &t : pool)
         t.join();
+    if (error)
+        std::rethrow_exception(error);
 }
+
+/** A cell's phase source that stops at the first chunk boundary past
+ *  its deadline. */
+class DeadlineSource final : public core::PhaseSource
+{
+  public:
+    DeadlineSource(std::unique_ptr<core::PhaseSource> inner,
+                   std::chrono::steady_clock::time_point deadline)
+        : inner_(std::move(inner)), deadline_(deadline)
+    {
+    }
+
+    bool
+    nextChunk(core::PhaseSink &sink) override
+    {
+        if (std::chrono::steady_clock::now() >= deadline_)
+            throw DeadlineExceeded();
+        return inner_->nextChunk(sink);
+    }
+
+  private:
+    std::unique_ptr<core::PhaseSource> inner_;
+    std::chrono::steady_clock::time_point deadline_;
+};
 
 } // namespace
 
@@ -191,6 +230,13 @@ Experiment::pipelined(bool on)
     return *this;
 }
 
+Experiment &
+Experiment::deadline(std::chrono::steady_clock::time_point when)
+{
+    deadline_ = when;
+    return *this;
+}
+
 ResultSet
 Experiment::run() const
 {
@@ -254,18 +300,25 @@ Experiment::run() const
     // is deterministic whatever the scheduling. Pipelined cells build
     // the same source on their engine thread, consume the identical
     // stream and differ only in their scheduling-dependent pipeline
-    // diagnostics.
+    // diagnostics. The deadline check wraps the source, so a serial
+    // cell stops in PerfModel::run and a pipelined one on its engine
+    // thread, whose exception runPipelined rethrows here.
     std::vector<RunResult> results(cells.size());
     parallelFor(cells.size(), replayWorkers, [&](std::size_t i) {
         const Cell &cell = cells[i];
         std::unique_ptr<core::Kernel> kernel;
         const auto makeSource =
             [&]() -> std::unique_ptr<core::PhaseSource> {
-            if (cell.entry->isExplicitTrace)
-                return std::make_unique<core::TracePhaseSource>(
+            std::unique_ptr<core::PhaseSource> source;
+            if (cell.entry->isExplicitTrace) {
+                source = std::make_unique<core::TracePhaseSource>(
                     cell.entry->explicitTrace);
-            kernel = makeKernel(cell.entry->label, cell.platform);
-            return kernel->stream();
+            } else {
+                kernel = makeKernel(cell.entry->label, cell.platform);
+                source = kernel->stream();
+            }
+            return std::make_unique<DeadlineSource>(std::move(source),
+                                                    deadline_);
         };
 
         protection::ProtectionConfig cfg = config_;

@@ -22,12 +22,19 @@
  * RunResult::peakPhaseBytes reports the high-water mark. Results are
  * deterministic and independent of the thread count and of the
  * replay mode (serial or pipelined).
+ *
+ * A cell keeps no state beyond its own fresh kernel and engine, so it
+ * can be dropped at any chunk boundary: with a deadline() set, every
+ * cell checks it before each chunk it pulls, and run() throws
+ * DeadlineExceeded once it has passed.
  */
 
 #ifndef MGX_SIM_EXPERIMENT_H
 #define MGX_SIM_EXPERIMENT_H
 
+#include <chrono>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -97,6 +104,16 @@ class ResultSet
     std::vector<RunRecord> records_;
 };
 
+/**
+ * Thrown by Experiment::run() once its deadline has passed: the run
+ * stopped at a chunk boundary, and every thread it started has been
+ * joined. A stopped run has no result, not even a partial one.
+ */
+struct DeadlineExceeded : std::runtime_error
+{
+    DeadlineExceeded() : std::runtime_error("deadline exceeded") {}
+};
+
 /** Builder for one workload x platform x scheme run grid. */
 class Experiment
 {
@@ -151,7 +168,20 @@ class Experiment
      */
     Experiment &pipelined(bool on);
 
-    /** Expand the grid, simulate every cell, return the results. */
+    /**
+     * Stop at @p when: each cell checks the clock before it pulls its
+     * next chunk of phases (usually one phase), so a cell overruns
+     * @p when by at most one chunk, plus its kernel's construction if
+     * the deadline passes before the first chunk. Unset, no cell ever
+     * stops.
+     */
+    Experiment &deadline(std::chrono::steady_clock::time_point when);
+
+    /**
+     * Expand the grid, simulate every cell, return the results. Throws
+     * DeadlineExceeded (after joining every thread) once the deadline
+     * has passed.
+     */
     ResultSet run() const;
 
   private:
@@ -168,6 +198,8 @@ class Experiment
     protection::ProtectionConfig config_;
     u32 threads_ = 0;
     std::optional<bool> pipelined_; ///< unset = automatic (see pipelined())
+    std::chrono::steady_clock::time_point deadline_ =
+        std::chrono::steady_clock::time_point::max();
 };
 
 } // namespace mgx::sim

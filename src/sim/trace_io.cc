@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include "common/bitops.h"
 #include "common/checksum.h"
 #include "common/failpoint.h"
 #include "protection/scheme.h"
@@ -35,6 +36,10 @@ failpoint::Point &fpWriteTorn =
 /** Largest access a trace line may hold: the default protected region.
  *  Every registry access is far smaller. */
 constexpr u64 kMaxAccessBytes = protection::ProtectionConfig{}.protectedBytes;
+
+/** Smallest nonzero per-access MAC granularity: one 64-byte line, the
+ *  finest any kernel emits. */
+constexpr u32 kMinMacGranularity = 64;
 
 [[noreturn]] void
 raise(const char *fmt, ...)
@@ -218,6 +223,14 @@ class TraceParser
             acc.vn = number(f[4], 16, ~u64{0}, "VN", lineNo_);
             acc.macGranularity = static_cast<u32>(
                 number(f[5], 10, ~u32{0}, "MAC granularity", lineNo_));
+            // 0 defers to the scheme; the model aligns to anything
+            // else, so it must be a power of two of at least a line.
+            if (acc.macGranularity != 0 &&
+                (acc.macGranularity < kMinMacGranularity ||
+                 !isPow2(acc.macGranularity)))
+                raise("trace line %u: MAC granularity %u is not 0 or a "
+                      "power of two of at least %u",
+                      lineNo_, acc.macGranularity, kMinMacGranularity);
             scratch_.accesses.push_back(acc);
             return false;
         }

@@ -12,8 +12,9 @@
  * The parser is as strict as the writer: every numeric field is plain
  * digits (hex digits where marked), with no sign, no `0x` and no
  * trailing field; an access moves at most 16 GiB (the default
- * protected region) and addr + bytes may not wrap. Anything else is a
- * TraceIoError naming the line.
+ * protected region), addr + bytes may not wrap, and a MAC granularity
+ * is 0 (the scheme's default) or a power of two of at least 64.
+ * Anything else is a TraceIoError naming the line.
  *
  * Files written by TraceFileWriteSink (and writeTraceFile, which
  * wraps it) carry an integrity envelope around that payload — a

@@ -3,16 +3,21 @@
  * Experiment-API tests: registry round trip (every listed workload
  * constructs and generates a non-empty trace), registry-cell /
  * explicit-trace equivalence (bitwise-identical results, serial and
- * parallel), explicit missing-baseline reporting, and the JSON golden.
+ * parallel), deadlines that stop a run, explicit missing-baseline
+ * reporting, and the JSON golden.
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
 #include <random>
 #include <set>
 
+#include "dram/dram_system.h"
+#include "protection/protection_engine.h"
 #include "sim/experiment.h"
+#include "sim/perf_model.h"
 #include "sim/report.h"
 #include "sim/trace_io.h"
 #include "sim/workload_registry.h"
@@ -368,6 +373,117 @@ TEST(Experiment, DeterministicAcrossThreadsAndPipeline)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Deadlines
+// ---------------------------------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+/** A two-workload, four-cell grid under a deadline. */
+ResultSet
+deadlinedGrid(u32 threads, std::optional<Clock::time_point> deadline)
+{
+    Experiment e;
+    e.workloads({"core/matmul?m=128&n=128&k=128", "video/h264?frames=4"})
+        .platform(edgePlatform())
+        .schemes({Scheme::NP, Scheme::BP})
+        .threads(threads);
+    if (deadline)
+        e.deadline(*deadline);
+    return e.run();
+}
+
+TEST(Experiment, PassedDeadlineStopsEveryReplayMode)
+{
+    const Clock::time_point past = Clock::now() - std::chrono::seconds(1);
+    for (u32 threads : {1u, 4u})
+        EXPECT_THROW(deadlinedGrid(threads, past), DeadlineExceeded)
+            << "threads=" << threads;
+    // A pipelined cell stops on its engine thread; runPipelined joins
+    // that thread and rethrows here.
+    EXPECT_THROW(Experiment()
+                     .workload("video/h264?frames=4")
+                     .platform(edgePlatform())
+                     .schemes({Scheme::BP})
+                     .threads(2)
+                     .pipelined(true)
+                     .deadline(past)
+                     .run(),
+                 DeadlineExceeded);
+}
+
+TEST(Experiment, DistantDeadlineChangesNoByte)
+{
+    const Clock::time_point later = Clock::now() + std::chrono::hours(1);
+    for (u32 threads : {1u, 4u})
+        EXPECT_EQ(toJson(deadlinedGrid(threads, later)),
+                  toJson(deadlinedGrid(threads, std::nullopt)))
+            << "threads=" << threads;
+}
+
+/** Times each chunk its source emits (the sink's replay included). */
+class ChunkTimer final : public core::PhaseSource
+{
+  public:
+    explicit ChunkTimer(std::unique_ptr<core::PhaseSource> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    bool
+    nextChunk(core::PhaseSink &sink) override
+    {
+        const Clock::time_point t0 = Clock::now();
+        const bool more = inner_->nextChunk(sink);
+        longest = std::max(longest, Clock::now() - t0);
+        return more;
+    }
+
+    Clock::duration longest{};
+
+  private:
+    std::unique_ptr<core::PhaseSource> inner_;
+};
+
+TEST(Experiment, DeadlineStopsARunningCellWithinAFewChunks)
+{
+    // A cell that runs far past its deadline (hundreds of ms), built
+    // in microseconds, so the deadline falls while it replays.
+    const std::string w = "video/h264?frames=256";
+    const Platform platform = defaultPlatform(w);
+
+    // Its longest chunk (generation plus BP replay), measured alone.
+    std::unique_ptr<core::Kernel> kernel = makeKernel(w, platform);
+    ChunkTimer source(kernel->stream());
+    dram::DramSystem dram(platform.dram);
+    protection::ProtectionConfig cfg;
+    cfg.scheme = Scheme::BP;
+    protection::ProtectionEngine engine(cfg, &dram);
+    PerfModel(&engine, platform.clockMhz).run(source);
+
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::milliseconds(50);
+    EXPECT_THROW(Experiment()
+                     .workload(w)
+                     .platform(platform)
+                     .schemes({Scheme::BP})
+                     .threads(1)
+                     .deadline(deadline)
+                     .run(),
+                 DeadlineExceeded);
+    const Clock::duration late = Clock::now() - deadline;
+    // Ten chunks, with a floor for a preempted thread on a busy host.
+    const Clock::duration bound = std::max<Clock::duration>(
+        10 * source.longest, std::chrono::milliseconds(100));
+    EXPECT_LT(late, bound)
+        << "stopped "
+        << std::chrono::duration<double, std::milli>(late).count()
+        << " ms late; longest chunk "
+        << std::chrono::duration<double, std::milli>(source.longest)
+               .count()
+        << " ms";
 }
 
 TEST(Experiment, TraceCacheSharesAcrossPlatforms)

@@ -205,6 +205,24 @@ TEST(TraceIo, MalformedInputThrowsTraceIoError)
         message("P p 1\nA r 0 64 nonsense 1 0\n").find("unknown data "
                                                        "class"),
         std::string::npos);
+    // A MAC granularity is 0 (the scheme's default) or a power of two
+    // of at least one 64-byte line: the model aligns to it.
+    for (const char *gran : {"3", "32", "4294967295"}) {
+        const std::string text =
+            std::string("P p0 100\nA w 0 4096 feature 1 ") + gran + "\n";
+        const std::string msg = message(text.c_str());
+        EXPECT_NE(msg.find("trace line 2: MAC granularity"),
+                  std::string::npos)
+            << msg;
+    }
+    for (const char *gran : {"0", "64", "512"}) {
+        const std::string text =
+            std::string("P p0 100\nA w 0 4096 feature 1 ") + gran + "\n";
+        const core::Trace trace = sim::traceFromString(text);
+        ASSERT_EQ(trace.size(), 1u) << gran;
+        ASSERT_EQ(trace[0].accesses.size(), 1u) << gran;
+        EXPECT_EQ(trace[0].accesses[0].macGranularity, std::stoul(gran));
+    }
 }
 
 TEST(TraceIo, ReplayedTraceSimulatesIdentically)

@@ -26,6 +26,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/bitops.h"
 #include "common/checksum.h"
 #include "common/failpoint.h"
 #include "fleet/backend.h"
@@ -34,6 +35,7 @@
 #include "protection/scheme.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "sim/experiment.h"
 #include "sim/trace_io.h"
 #include "sim/workload_registry.h"
 
@@ -41,6 +43,7 @@ namespace mgx {
 namespace {
 
 namespace fs = std::filesystem;
+using Deadline = std::chrono::steady_clock::time_point;
 
 /** Small and fast, but real: one matmul cell, NP only. */
 constexpr const char *kWorkload = "core/matmul?m=256&n=256&k=256";
@@ -387,7 +390,8 @@ TEST(TraceFuzz, MutatedTracesAreRejectedOrParse)
     // one checksummed trace file. Each mutant is parsed whole
     // (traceFromString) and streamed (FilePhaseSource over a file):
     // either both raise TraceIoError, or both yield the same phases,
-    // whose accesses stay inside the parser's bounds and whose
+    // whose accesses stay inside the parser's bounds (size, no wrap, a
+    // MAC granularity of 0 or a power of two of at least 64) and whose
     // canonical text parses back to itself.
     TempDir dir("fuzz");
     const std::string file = (dir.path / "m.trace").string();
@@ -437,6 +441,10 @@ TEST(TraceFuzz, MutatedTracesAreRejectedOrParse)
             for (const auto &acc : phase.accesses) {
                 ASSERT_LE(acc.bytes, max_bytes) << text;
                 ASSERT_GE(acc.addr + acc.bytes, acc.addr) << text;
+                ASSERT_TRUE(acc.macGranularity == 0 ||
+                            (acc.macGranularity >= 64 &&
+                             isPow2(acc.macGranularity)))
+                    << text;
             }
     }
     // Both outcomes are exercised.
@@ -470,7 +478,7 @@ eventually(Pred pred, int timeout_ms = 10000)
 }
 
 sim::RunRecord
-syntheticOutcome(const serve::CellKey &cell)
+syntheticOutcome(const serve::CellKey &cell, Deadline = {})
 {
     sim::RunRecord out;
     out.key = {cell.workload, cell.platform.name, cell.scheme};
@@ -486,14 +494,19 @@ TEST(ServeFault, ExpiredDeadlineAnswers503AndFreesTheWorker)
     opts.requestDeadlineMs = 50;
     serve::Server server(opts);
 
-    std::atomic<bool> release{false};
+    // A runner that stops itself the way an engine cell does: it polls
+    // its deadline and throws once it has passed.
     std::atomic<int> runs{0};
-    server.setCellRunnerForTest([&](const serve::CellKey &cell) {
-        runs.fetch_add(1);
-        while (!release.load(std::memory_order_acquire))
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        return syntheticOutcome(cell);
-    });
+    std::atomic<int> running{0};
+    server.setCellRunnerForTest(
+        [&](const serve::CellKey &, Deadline deadline) -> sim::RunRecord {
+            runs.fetch_add(1);
+            running.fetch_add(1);
+            while (std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            running.fetch_sub(1);
+            throw sim::DeadlineExceeded();
+        });
     server.start();
     const serve::SocketAddress addr{opts.listen.unixPath, "127.0.0.1",
                                     0};
@@ -505,26 +518,108 @@ TEST(ServeFault, ExpiredDeadlineAnswers503AndFreesTheWorker)
     ASSERT_TRUE(serve::httpGet(addr, target, &resp, &error)) << error;
     EXPECT_EQ(resp.status, 503);
     EXPECT_NE(resp.body.find("deadline exceeded"), std::string::npos);
+    // The 503 is sent after the cell stopped: nothing is left running.
+    EXPECT_EQ(running.load(), 0);
 
     // The worker is free again — with one worker, only a freed worker
-    // can answer this — while the cell still runs in the background.
+    // can answer this.
     ASSERT_TRUE(serve::httpGet(addr, "/stats", &resp, &error))
         << error;
     EXPECT_EQ(resp.status, 200);
     EXPECT_NE(resp.body.find("\"deadlineExceeded\": 1"),
               std::string::npos);
-    EXPECT_EQ(server.cellFlights().backgroundRuns(), 1u);
 
-    // A retry joins the background flight instead of re-running the
-    // engine: still one runner invocation.
+    // No flight outlived its request, so a retry runs the cell afresh
+    // under its own deadline.
     ASSERT_TRUE(serve::httpGet(addr, target, &resp, &error)) << error;
     EXPECT_EQ(resp.status, 503);
-    EXPECT_EQ(runs.load(), 1);
+    EXPECT_EQ(runs.load(), 2);
+    EXPECT_EQ(running.load(), 0);
 
-    release.store(true, std::memory_order_release);
-    server.shutdown(); // must drain the background run, then join
-    EXPECT_EQ(server.cellFlights().backgroundRuns(), 0u);
+    server.shutdown();
     EXPECT_EQ(server.metricsSnapshot().deadlineExceeded, 2u);
+}
+
+TEST(ServeFault, FollowersOfAStoppedCellGetTheSame503)
+{
+    serve::ServerOptions opts;
+    opts.listen.unixPath = testSocketPath("deadline-followers");
+    opts.workers = 2;
+    opts.requestDeadlineMs = 60000;
+    serve::Server server(opts);
+
+    // The leader's cell stops once a second request has joined its
+    // flight, as if its deadline had passed.
+    const serve::CellKey cell{"core/matmul",
+                              sim::defaultPlatform("core/matmul"),
+                              protection::Scheme::NP};
+    std::atomic<int> runs{0};
+    server.setCellRunnerForTest(
+        [&](const serve::CellKey &, Deadline) -> sim::RunRecord {
+            runs.fetch_add(1);
+            eventually([&] {
+                return server.cellFlights().waiters(cell.key()) > 0;
+            });
+            throw sim::DeadlineExceeded();
+        });
+    server.start();
+    const serve::SocketAddress addr{opts.listen.unixPath, "127.0.0.1",
+                                    0};
+
+    std::atomic<int> answered503{0};
+    std::vector<std::thread> clients;
+    for (int i = 0; i < 2; ++i)
+        clients.emplace_back([&] {
+            serve::HttpResponse resp;
+            std::string error;
+            if (serve::httpGet(addr,
+                               "/run?workload=core%2Fmatmul&schemes=NP",
+                               &resp, &error) &&
+                resp.status == 503 &&
+                resp.body.find("deadline exceeded") != std::string::npos)
+                answered503.fetch_add(1);
+        });
+    for (auto &t : clients)
+        t.join();
+
+    EXPECT_EQ(answered503.load(), 2);
+    EXPECT_EQ(runs.load(), 1);
+    server.shutdown();
+    EXPECT_EQ(server.metricsSnapshot().deadlineExceeded, 2u);
+}
+
+TEST(ServeFault, ExpiredDeadlineStopsARealCell)
+{
+    // A real engine cell that runs for seconds: the deadline stops it
+    // at a chunk boundary, so shutting down right after the 503 has no
+    // cell to wait for.
+    serve::ServerOptions opts;
+    opts.listen.unixPath = testSocketPath("deadline-real");
+    opts.workers = 1;
+    opts.requestDeadlineMs = 100;
+    serve::Server server(opts);
+    server.start();
+    const serve::SocketAddress addr{opts.listen.unixPath, "127.0.0.1",
+                                    0};
+
+    serve::HttpResponse resp;
+    std::string error;
+    ASSERT_TRUE(serve::httpGet(
+        addr,
+        "/run?workload=" +
+            serve::percentEncode(
+                "graph/pokec/pagerank?scale=1&vector=random") +
+            "&schemes=BP",
+        &resp, &error))
+        << error;
+    EXPECT_EQ(resp.status, 503);
+    EXPECT_NE(resp.body.find("deadline exceeded"), std::string::npos);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    server.shutdown();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(1));
+    EXPECT_EQ(server.metricsSnapshot().deadlineExceeded, 1u);
 }
 
 TEST(ServeFault, StuckClientIsTimedOutAndTheWorkerFreed)

@@ -45,6 +45,7 @@ namespace mgx::fleet {
 namespace {
 
 namespace fs = std::filesystem;
+using Deadline = std::chrono::steady_clock::time_point;
 
 std::string
 testSocketPath(const std::string &tag)
@@ -81,7 +82,7 @@ eventually(Pred pred, int timeout_ms = 10000)
 }
 
 sim::RunRecord
-syntheticOutcome(const serve::CellKey &cell)
+syntheticOutcome(const serve::CellKey &cell, Deadline = {})
 {
     sim::RunRecord out;
     out.key = {cell.workload, cell.platform.name, cell.scheme};
@@ -220,7 +221,7 @@ struct MiniFleet
                 std::make_unique<serve::Server>(opts));
             auto *counter = runs[static_cast<std::size_t>(i)].get();
             servers.back()->setCellRunnerForTest(
-                [counter](const serve::CellKey &cell) {
+                [counter](const serve::CellKey &cell, Deadline) {
                     counter->fetch_add(1);
                     return syntheticOutcome(cell);
                 });

@@ -41,6 +41,7 @@ namespace mgx::serve {
 namespace {
 
 using Parser = HttpRequestParser;
+using Deadline = std::chrono::steady_clock::time_point;
 
 // ---------------------------------------------------------------------
 // HTTP framing units
@@ -435,7 +436,7 @@ eventually(Pred pred, int timeout_ms = 10000)
 
 /** A cheap deterministic record for injected cell runners. */
 sim::RunRecord
-syntheticOutcome(const CellKey &cell)
+syntheticOutcome(const CellKey &cell, Deadline = {})
 {
     sim::RunRecord out;
     out.key = {cell.workload, cell.platform.name, cell.scheme};
@@ -630,7 +631,7 @@ TEST(ServerTest, DedupCollapsesConcurrentRequestsExactly)
     // request has joined the flight — so the collapse is exact, not a
     // lucky race.
     std::atomic<bool> release{false};
-    server.setCellRunnerForTest([&](const CellKey &cell) {
+    server.setCellRunnerForTest([&](const CellKey &cell, Deadline) {
         while (!release.load(std::memory_order_acquire))
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         return syntheticOutcome(cell);
@@ -691,7 +692,7 @@ TEST(ServerTest, FullAdmissionQueueRejectsWith429)
     Server server(opts);
 
     std::atomic<bool> release{false};
-    server.setCellRunnerForTest([&](const CellKey &cell) {
+    server.setCellRunnerForTest([&](const CellKey &cell, Deadline) {
         while (!release.load(std::memory_order_acquire))
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         return syntheticOutcome(cell);
@@ -748,7 +749,7 @@ TEST(ServerTest, GracefulShutdownDrainsQueuedRequests)
     Server server(opts);
 
     std::atomic<bool> release{false};
-    server.setCellRunnerForTest([&](const CellKey &cell) {
+    server.setCellRunnerForTest([&](const CellKey &cell, Deadline) {
         while (!release.load(std::memory_order_acquire))
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         return syntheticOutcome(cell);
@@ -933,7 +934,7 @@ TEST(ClientRetry, ExhaustedBackpressureReturnsTheLastStatus)
     Server server(opts);
 
     std::atomic<bool> release{false};
-    server.setCellRunnerForTest([&](const CellKey &cell) {
+    server.setCellRunnerForTest([&](const CellKey &cell, Deadline) {
         while (!release.load(std::memory_order_acquire))
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         return syntheticOutcome(cell);
@@ -1124,7 +1125,7 @@ TEST(ServerTest, ResultMemoWarmRepeatSkipsEngine)
     opts.listen.unixPath = testSocketPath("memo");
     Server server(opts);
     std::atomic<int> runs{0};
-    server.setCellRunnerForTest([&](const CellKey &cell) {
+    server.setCellRunnerForTest([&](const CellKey &cell, Deadline) {
         runs.fetch_add(1);
         return syntheticOutcome(cell);
     });
@@ -1164,7 +1165,7 @@ TEST(ServerTest, ResultMemoEvictsLeastRecentlyUsed)
     opts.resultMemoCapacity = 1;
     Server server(opts);
     std::atomic<int> runs{0};
-    server.setCellRunnerForTest([&](const CellKey &cell) {
+    server.setCellRunnerForTest([&](const CellKey &cell, Deadline) {
         runs.fetch_add(1);
         return syntheticOutcome(cell);
     });
@@ -1217,7 +1218,7 @@ TEST(ServerTest, ResultMemoDisabledRunsEveryTime)
     opts.resultMemoCapacity = 0;
     Server server(opts);
     std::atomic<int> runs{0};
-    server.setCellRunnerForTest([&](const CellKey &cell) {
+    server.setCellRunnerForTest([&](const CellKey &cell, Deadline) {
         runs.fetch_add(1);
         return syntheticOutcome(cell);
     });
