@@ -31,7 +31,7 @@ main()
     // tables) vs suppressed (tables use the sweep granularity).
     core::Trace fine_trace = sim::makeKernel("dnn/DLRM")->generate();
     core::Trace coarse_trace = fine_trace;
-    for (auto phase : coarse_trace) // mutable views into the trace
+    for (auto &phase : coarse_trace) // edit the stored phases
         for (auto &acc : phase.accesses)
             acc.macGranularity = 0; // default for every access
 

@@ -59,8 +59,9 @@ struct CellResult
     std::string platform;
     protection::Scheme scheme = protection::Scheme::NP;
     /**
-     * Measurement axis: "replay" times the materialized hot path,
-     * "stream" generates + replays serially per rep, "pipeline" runs
+     * Measurement axis: "replay" times the hot path alone, replaying
+     * a trace generated once through core::TracePhaseSource;
+     * "stream" generates + replays serially per rep; "pipeline" runs
      * the same end-to-end stream split at the engine/DRAM boundary:
      * generation and engine expansion on one thread, DRAM timing on
      * another (sim/pipeline.h).
@@ -201,7 +202,6 @@ measureCell(const std::string &workload, const sim::Platform &platform,
     cell.workload = workload;
     cell.platform = platform.name;
     cell.scheme = scheme;
-    cell.traceBytes = trace.memoryBytes();
     cell.tracePhases = trace.size();
 
     protection::ProtectionConfig cfg;
@@ -215,10 +215,12 @@ measureCell(const std::string &workload, const sim::Platform &platform,
         dram::DramSystem dram(platform.dram);
         protection::ProtectionEngine engine(cfg, &dram);
         sim::PerfModel model(&engine, platform.clockMhz);
-        const sim::RunResult r = model.run(trace);
+        core::TracePhaseSource source(trace);
+        const sim::RunResult r = model.run(source);
         if (reps == 0) {
             cycles = r.totalCycles;
             lines = dram.accessCount();
+            cell.traceBytes = r.traceBytes; // streamed estimate
         } else if (cycles != r.totalCycles ||
                    lines != dram.accessCount()) {
             std::fprintf(stderr,

@@ -30,7 +30,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -322,8 +321,7 @@ main(int argc, char **argv)
             return s;
         };
         if (arg == "--clients")
-            opt.clients = static_cast<unsigned>(
-                number(std::numeric_limits<unsigned>::max()));
+            opt.clients = static_cast<unsigned>(number(kMaxFlagThreads));
         else if (arg == "--seconds")
             opt.seconds = seconds();
         else if (arg == "--workload")
@@ -333,7 +331,7 @@ main(int argc, char **argv)
         else if (arg == "--fleet")
             opt.fleet = true;
         else if (arg == "--fleet-workers")
-            opt.fleetWorkers = static_cast<int>(number(INT_MAX));
+            opt.fleetWorkers = static_cast<int>(number(kMaxFlagProcesses));
         else if (arg == "--kill-every-ms")
             opt.killEveryMs = static_cast<int>(number(INT_MAX));
         else {

@@ -48,11 +48,11 @@ usage(std::FILE *out)
         "  --port N               proxy TCP port (0 = kernel-assigned;\n"
         "                         printed on startup)\n"
         "  --workers N            mgx_serve worker processes\n"
-        "                         (default 3)\n"
+        "                         (default 3, at most 64)\n"
         "  --socket-dir DIR       where worker sockets live (default:\n"
         "                         alongside --socket, else /tmp)\n"
         "  --worker-threads N     handler threads per worker\n"
-        "                         (default 2)\n"
+        "                         (default 2, at most 1024)\n"
         "  --serve-binary PATH    the mgx_serve executable (default:\n"
         "                         found next to mgx_fleet)\n"
         "  --probe-interval-ms N  /healthz cadence (default 200)\n"
@@ -103,12 +103,13 @@ main(int argc, char **argv)
             opts.proxy.listen.port = static_cast<u16>(
                 number(std::numeric_limits<u16>::max()));
         } else if (arg == "--workers") {
-            opts.supervisor.workers = static_cast<int>(number(INT_MAX));
+            opts.supervisor.workers =
+                static_cast<int>(number(kMaxFlagProcesses));
         } else if (arg == "--socket-dir") {
             socket_dir = value();
         } else if (arg == "--worker-threads") {
-            opts.supervisor.workerThreads = static_cast<u32>(
-                number(std::numeric_limits<u32>::max()));
+            opts.supervisor.workerThreads =
+                static_cast<u32>(number(kMaxFlagThreads));
         } else if (arg == "--serve-binary") {
             opts.supervisor.serveBinary = value();
         } else if (arg == "--probe-interval-ms") {

@@ -41,7 +41,8 @@ usage(std::FILE *out)
         "                         TCP loopback)\n"
         "  --port N               TCP port (0 = kernel-assigned; the\n"
         "                         bound port is printed on startup)\n"
-        "  --workers N            request handler threads (default 2)\n"
+        "  --workers N            request handler threads (default 2,\n"
+        "                         at most 1024)\n"
         "  --queue N              admission queue capacity before\n"
         "                         connections get 429 (default 16)\n"
         "  --deadline-ms N        wall-clock budget per /run request:\n"
@@ -101,8 +102,7 @@ main(int argc, char **argv)
             opts.listen.port = static_cast<u16>(
                 number(std::numeric_limits<u16>::max()));
         } else if (arg == "--workers") {
-            opts.workers = static_cast<u32>(
-                number(std::numeric_limits<u32>::max()));
+            opts.workers = static_cast<u32>(number(kMaxFlagThreads));
         } else if (arg == "--queue") {
             opts.admissionCapacity =
                 number(std::numeric_limits<std::size_t>::max());

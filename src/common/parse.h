@@ -17,6 +17,15 @@
 namespace mgx {
 
 /**
+ * Bounds for the flags that size thread pools and process counts: far
+ * above any count this simulator puts to use, far below one that
+ * would exhaust the host's thread or process ids. A value over its
+ * bound is rejected before any thread or process starts.
+ */
+inline constexpr u64 kMaxFlagThreads = 1024;
+inline constexpr u64 kMaxFlagProcesses = 64;
+
+/**
  * Parse @p text as a non-negative decimal integer no larger than
  * @p max: one or more digits, with no sign, whitespace or suffix.
  * @return false (leaving @p out untouched) on anything else.

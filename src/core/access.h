@@ -21,8 +21,8 @@ namespace mgx::core {
 /**
  * One contiguous data transfer with its generated version number.
  * Field order packs the struct into 32 bytes (the 8-byte members
- * first); traces hold millions of these, so the layout is part of the
- * trace memory budget reported by Trace::memoryBytes().
+ * first); a workload emits millions of these, and phaseArenaBytes()
+ * (core/phase_stream.h) charges sizeof(LogicalAccess) per access.
  */
 struct LogicalAccess
 {

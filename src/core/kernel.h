@@ -11,9 +11,10 @@
  * Production is streaming-first: subclasses implement stream(), a
  * pull-based chunked PhaseSource, so consumers can replay a workload
  * without ever materializing it (the memory ceiling that used to cap
- * workload size at RAM). generate() remains for every caller that
- * wants a whole Trace — it simply drains the stream into an arena, so
- * the two paths emit identical phases by construction.
+ * workload size at RAM). generate() is for the callers that want a
+ * whole Trace to inspect or edit — it simply keeps every phase the
+ * stream emits, so the two paths emit identical phases by
+ * construction.
  */
 
 #ifndef MGX_CORE_KERNEL_H
@@ -49,8 +50,9 @@ class Kernel
 
     /**
      * Run the kernel's schedule and materialize the phase trace:
-     * stream() drained into an arena. Same state-advance semantics as
-     * stream(); needs O(workload) memory, unlike the stream path.
+     * stream() drained into a Trace (TraceBuildSink). Same
+     * state-advance semantics as stream(); needs O(workload) memory,
+     * unlike the stream path.
      */
     Trace generate();
 

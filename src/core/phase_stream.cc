@@ -16,14 +16,8 @@ bool
 TracePhaseSource::nextChunk(PhaseSink &sink)
 {
     const std::size_t n = trace_->size();
-    for (std::size_t i = 0; i < chunk_ && next_ < n; ++i, ++next_) {
-        const PhaseView view = (*trace_)[next_];
-        scratch_.name.assign(view.name);
-        scratch_.computeCycles = view.computeCycles;
-        scratch_.accesses.assign(view.accesses.begin(),
-                                 view.accesses.end());
-        sink.consume(scratch_);
-    }
+    for (std::size_t i = 0; i < chunk_ && next_ < n; ++i, ++next_)
+        sink.consume((*trace_)[next_]);
     return next_ < n;
 }
 

@@ -8,14 +8,15 @@
  * pull side of that pipeline: the consumer repeatedly asks for the
  * next chunk, and the source pushes the chunk's phases into a
  * `PhaseSink`. Memory stays bounded by one chunk (in practice one
- * phase: sources reuse one scratch `Phase` between emissions), so
- * workload size is no longer capped by RAM.
+ * phase: kernel sources reuse one scratch `Phase` between emissions),
+ * so workload size is not capped by RAM.
  *
- * The materialized path still exists — `Kernel::generate()` is now
- * "stream into an arena" (TraceBuildSink) and `TracePhaseSource`
- * replays an existing arena-backed Trace — and both paths are
- * bitwise-identical by construction: they emit the same phases in the
- * same order to the same consumers.
+ * A materialized Trace is that stream kept: `Kernel::generate()`
+ * drains a kernel's stream into one (TraceBuildSink), and
+ * `TracePhaseSource` replays one by handing each stored phase to the
+ * sink. Both emit the same phases in the same order to the same
+ * consumers, so a replay of either is bitwise-identical by
+ * construction.
  */
 
 #ifndef MGX_CORE_PHASE_STREAM_H
@@ -73,7 +74,7 @@ class PhaseSource
     }
 };
 
-/** Sink that materializes the stream into an arena-backed Trace. */
+/** Sink that materializes the stream: appends each phase to a Trace. */
 class TraceBuildSink final : public PhaseSink
 {
   public:
@@ -86,11 +87,11 @@ class TraceBuildSink final : public PhaseSink
 };
 
 /**
- * Source over an already-materialized Trace: emits @p chunkPhases
- * phases per nextChunk() through one reused scratch Phase. Used to
- * feed trace files and edited traces into streaming consumers, and by
- * the chunk-boundary property tests (results must be invariant under
- * the chunk size).
+ * Source over an already-materialized Trace: hands @p chunkPhases
+ * stored phases per nextChunk() straight to the sink. Used to replay
+ * edited and explicit traces, and by the chunk-boundary property
+ * tests (results must be invariant under the chunk size). The Trace
+ * must outlive the source and stay unmodified while it runs.
  */
 class TracePhaseSource final : public PhaseSource
 {
@@ -108,28 +109,31 @@ class TracePhaseSource final : public PhaseSource
     const Trace *trace_;
     std::size_t next_ = 0;
     std::size_t chunk_;
-    Phase scratch_;
 };
 
 /**
- * Arena bytes this phase would add to a materialized Trace (packed
- * access records, name characters, one phase record). Size-based and
- * deterministic. Summed over a stream it estimates the materialized
- * footprint the streaming path avoided (RunResult::traceBytes); its
- * per-phase maximum is the buffered high-water mark
- * (RunResult::peakPhaseBytes) — so peak <= total by construction.
+ * Bytes this phase is charged in the footprint estimate: one 32-byte
+ * LogicalAccess per access, its name's characters and 32 for the
+ * phase record. The formula is fixed, not measured from any in-memory
+ * layout: it lands in every mgx-resultset-v1 record (traceBytes,
+ * peakPhaseBytes) and in reference bodies pinned byte for byte, so it
+ * must not move when a container's layout does. Summed over a stream
+ * it estimates what holding the whole trace would cost
+ * (RunResult::traceBytes); its per-phase maximum is the buffered
+ * high-water mark (RunResult::peakPhaseBytes), so peak <= total by
+ * construction.
  */
 inline u64
 phaseArenaBytes(const Phase &phase)
 {
     return phase.accesses.size() * sizeof(LogicalAccess) +
-           phase.name.size() + 32; // 32 = sizeof(Trace::PhaseRec)
+           phase.name.size() + 32;
 }
 
 /** phaseArenaBytes() summed and maximized over a stream. */
 struct PhaseFootprint
 {
-    u64 streamedBytes = 0; ///< arena bytes a materialization would hold
+    u64 streamedBytes = 0; ///< estimate for holding the whole stream
     u64 peakBytes = 0;     ///< largest phase buffer seen at once
 
     void

@@ -13,7 +13,6 @@ using core::AccessList;
 using core::LogicalAccess;
 using core::makeVn;
 using core::Phase;
-using core::Trace;
 
 namespace {
 

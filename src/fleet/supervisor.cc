@@ -104,7 +104,11 @@ Supervisor::start()
         for (int i = 0; i < opts_.workers; ++i) {
             Worker &w = workers_[static_cast<std::size_t>(i)];
             w.id = i;
-            w.name = "w" + std::to_string(i);
+            // Appended, not "w" + std::to_string(i): GCC 12 flags that
+            // with a -Wrestrict false positive (PR105651).
+            std::string name = "w";
+            name += std::to_string(i);
+            w.name = std::move(name);
             w.socketPath =
                 opts_.socketDir + "/" + w.name + ".sock";
             spawnLocked(w);

@@ -11,7 +11,6 @@ namespace mgx::genome {
 
 using core::makeVn;
 using core::Phase;
-using core::Trace;
 
 GenomeKernel::GenomeKernel(GactWorkload workload, GactConfig config,
                            u64 seed)

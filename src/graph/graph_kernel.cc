@@ -10,7 +10,6 @@ namespace mgx::graph {
 
 using core::makeVn;
 using core::Phase;
-using core::Trace;
 
 GraphKernel::GraphKernel(GraphTiles tiles, GraphAlgorithm algorithm,
                          u32 iterations, SpmvEngineConfig engine,

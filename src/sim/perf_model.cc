@@ -57,73 +57,56 @@ PerfModel::PerfModel(protection::ProtectionEngine *engine,
 {
 }
 
-void
-PerfModel::step(PhaseClock &clock, Cycles compute_cycles,
-                std::span<const core::LogicalAccess> accesses)
-{
-    const Cycles issue = clock.issue();
-    Cycles data_ready = issue;
-    for (const auto &acc : accesses)
-        data_ready = std::max(data_ready, engine_->access(acc, issue));
-    clock.close(data_ready, compute_cycles);
-}
+namespace {
 
-RunResult
-PerfModel::finish(const PhaseClock &clock, u64 trace_bytes,
-                  u64 peak_phase_bytes)
-{
-    RunResult result;
-    clock.finish(engine_->flush(clock.issue()), result);
-    recordEngineCounters(*engine_, result);
-    result.dramAccesses = engine_->dram().accessCount();
-    result.traceBytes = trace_bytes;
-    result.peakPhaseBytes = peak_phase_bytes;
-    return result;
-}
-
-RunResult
-PerfModel::run(const core::Trace &trace)
-{
-    PhaseClock clock(accelMhz_, ctrlMhz_);
-    for (const auto &phase : trace)
-        step(clock, phase.computeCycles, phase.accesses);
-    // The whole trace is resident while it replays.
-    return finish(clock, trace.memoryBytes(), trace.memoryBytes());
-}
-
-/** Feeds each streamed phase into step() the moment it arrives. */
-class PerfModel::StreamSink final : public core::PhaseSink
+/**
+ * Replays each streamed phase the moment it arrives: the serialized
+ * memory stream plus the overlap rule.
+ */
+class StreamSink final : public core::PhaseSink
 {
   public:
-    StreamSink(PerfModel &model, PhaseClock &clock)
-        : model_(&model), clock_(&clock)
+    StreamSink(protection::ProtectionEngine &engine, PhaseClock &clock)
+        : engine_(&engine), clock_(&clock)
     {
     }
 
     void
     consume(const core::Phase &phase) override
     {
-        model_->step(*clock_, phase.computeCycles,
-                     {phase.accesses.data(), phase.accesses.size()});
+        const Cycles issue = clock_->issue();
+        Cycles data_ready = issue;
+        for (const auto &acc : phase.accesses)
+            data_ready =
+                std::max(data_ready, engine_->access(acc, issue));
+        clock_->close(data_ready, phase.computeCycles);
         footprint_.add(phase);
     }
 
     const core::PhaseFootprint &footprint() const { return footprint_; }
 
   private:
-    PerfModel *model_;
+    protection::ProtectionEngine *engine_;
     PhaseClock *clock_;
     core::PhaseFootprint footprint_;
 };
+
+} // namespace
 
 RunResult
 PerfModel::run(core::PhaseSource &source)
 {
     PhaseClock clock(accelMhz_, ctrlMhz_);
-    StreamSink sink(*this, clock);
+    StreamSink sink(*engine_, clock);
     source.drainTo(sink);
-    return finish(clock, sink.footprint().streamedBytes,
-                  sink.footprint().peakBytes);
+
+    RunResult result;
+    clock.finish(engine_->flush(clock.issue()), result);
+    recordEngineCounters(*engine_, result);
+    result.dramAccesses = engine_->dram().accessCount();
+    result.traceBytes = sink.footprint().streamedBytes;
+    result.peakPhaseBytes = sink.footprint().peakBytes;
+    return result;
 }
 
 } // namespace mgx::sim

@@ -15,19 +15,15 @@
  *
  * Total time is max(e_N, c_N) plus the final metadata flush.
  *
- * Two entry points share one per-phase step, so they are
- * bitwise-identical by construction: run(const Trace&) replays a
- * materialized trace, run(PhaseSource&) pulls phases straight off a
- * producer (a streaming kernel or trace file) and never holds more
- * than the producer's chunk in memory — the peak is reported as
- * RunResult::peakPhaseBytes. The recurrence itself is PhaseClock, which
- * the engine/DRAM split replay (sim/pipeline.h) shares.
+ * run(PhaseSource&) is the one entry point: it pulls phases straight
+ * off a producer (a streaming kernel, a trace file, or a materialized
+ * Trace through core::TracePhaseSource) and never holds more than the
+ * producer's chunk in memory. The recurrence itself is PhaseClock,
+ * which the engine/DRAM split replay (sim/pipeline.h) shares.
  */
 
 #ifndef MGX_SIM_PERF_MODEL_H
 #define MGX_SIM_PERF_MODEL_H
-
-#include <span>
 
 #include "core/phase.h"
 #include "core/phase_stream.h"
@@ -44,11 +40,11 @@ struct RunResult
     protection::TrafficBreakdown traffic;
     u64 dramAccesses = 0;     ///< 64 B DRAM requests actually issued
     u64 logicalAccesses = 0;  ///< kernel-level requests into the engine
-    u64 traceBytes = 0;       ///< trace footprint: resident (materialized
-                              ///< replay) or cumulative-streamed estimate
-    u64 peakPhaseBytes = 0;   ///< high-water mark of phase bytes buffered
-                              ///< at once (streamed: one chunk; whole
-                              ///< trace when materialized)
+    u64 traceBytes = 0;       ///< streamed estimate of the whole trace:
+                              ///< core::phaseArenaBytes() summed
+    u64 peakPhaseBytes = 0;   ///< largest one phase's estimate: the
+                              ///< high-water mark of phase bytes
+                              ///< buffered at once
     u64 metaCacheHits = 0;       ///< metadata-cache hits (BP/MGX_MAC)
     u64 metaCacheMisses = 0;     ///< metadata-cache misses
     u64 metaCacheWritebacks = 0; ///< dirty metadata evictions
@@ -142,28 +138,14 @@ class PerfModel
     PerfModel(protection::ProtectionEngine *engine, double accel_mhz,
               double ctrl_mhz = kDefaultCtrlMhz);
 
-    /** Simulate @p trace from cycle 0; returns the aggregate result. */
-    RunResult run(const core::Trace &trace);
-
     /**
      * Simulate a phase stream from cycle 0, consuming chunks as the
-     * producer emits them. Identical cycle/traffic results to running
-     * the materialized equivalent; memory stays bounded by the
-     * producer's chunk (RunResult::peakPhaseBytes).
+     * producer emits them, and return the aggregate result. Memory
+     * stays bounded by the producer's chunk (RunResult::peakPhaseBytes).
      */
     RunResult run(core::PhaseSource &source);
 
   private:
-    class StreamSink; // PhaseSink feeding step() (perf_model.cc)
-
-    /** Replay one phase: the serialized memory stream + overlap rule. */
-    void step(PhaseClock &clock, Cycles compute_cycles,
-              std::span<const core::LogicalAccess> accesses);
-
-    /** Flush the engine and package the aggregate result. */
-    RunResult finish(const PhaseClock &clock, u64 trace_bytes,
-                     u64 peak_phase_bytes);
-
     protection::ProtectionEngine *engine_;
     double accelMhz_;
     double ctrlMhz_;

@@ -74,8 +74,8 @@ printTable(const ResultSet &rs, std::FILE *out)
             std::fprintf(out, "%10.3f ", *traffic);
         else
             std::fprintf(out, "%10s ", "n/a");
-        // The replay's phase-buffer high-water mark: one chunk when
-        // streamed, the whole trace when materialized.
+        // The replay's phase-buffer high-water mark: the largest one
+        // phase's estimated bytes (core::phaseArenaBytes).
         std::fprintf(out, "%10.1f ",
                      static_cast<double>(r.result.peakPhaseBytes) /
                          1024.0);

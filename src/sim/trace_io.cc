@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <istream>
-#include <ostream>
 #include <sstream>
 
 #include <unistd.h>
@@ -127,8 +125,8 @@ writeAccessLine(std::ostream &out, const core::LogicalAccess &acc)
 }
 
 /**
- * Incremental line-by-line parser shared by the materializing reader
- * and the streaming FilePhaseSource: accumulates the open phase in a
+ * Incremental line-by-line parser shared by traceFromString() and
+ * the streaming FilePhaseSource: accumulates the open phase in a
  * reused scratch buffer and reports when a phase completed (the next
  * "P" line arrived, the checksum footer closed the file, or input
  * ended).
@@ -297,29 +295,24 @@ class TraceParser
 
 } // namespace
 
-void
-writeTrace(const core::Trace &trace, std::ostream &out)
+std::string
+traceToString(const core::Trace &trace)
 {
+    std::ostringstream out;
     for (const auto &phase : trace) {
         writePhaseHeader(out, phase.name, phase.computeCycles);
         for (const auto &acc : phase.accesses)
             writeAccessLine(out, acc);
     }
-}
-
-std::string
-traceToString(const core::Trace &trace)
-{
-    std::ostringstream ss;
-    writeTrace(trace, ss);
-    return ss.str();
+    return out.str();
 }
 
 core::Trace
-readTrace(std::istream &in)
+traceFromString(const std::string &text)
 {
     core::Trace trace;
     TraceParser parser;
+    std::istringstream in(text);
     std::string line;
     while (std::getline(in, line))
         if (parser.feed(line))
@@ -327,22 +320,6 @@ readTrace(std::istream &in)
     if (parser.finish())
         trace.push_back(parser.completed());
     return trace;
-}
-
-core::Trace
-traceFromString(const std::string &text)
-{
-    std::istringstream ss(text);
-    return readTrace(ss);
-}
-
-core::Trace
-readTraceFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (fpReadOpen.fire() || !in)
-        raise("cannot read trace file '%s'", path.c_str());
-    return readTrace(in);
 }
 
 // ---------------------------------------------------------------------------
@@ -468,15 +445,6 @@ TraceFileWriteSink::finish()
               impl_->path.c_str(), ec.message().c_str());
     }
     impl_->finished = true;
-}
-
-void
-writeTraceFile(const core::Trace &trace, const std::string &path)
-{
-    TraceFileWriteSink sink(path);
-    core::TracePhaseSource source(trace);
-    source.drainTo(sink);
-    sink.finish();
 }
 
 // ---------------------------------------------------------------------------

@@ -16,29 +16,28 @@
  * is 0 (the scheme's default) or a power of two of at least 64.
  * Anything else is a TraceIoError naming the line.
  *
- * Files written by TraceFileWriteSink (and writeTraceFile, which
- * wraps it) carry an integrity envelope around that payload — a
- * versioned magic header and a running CRC32 footer:
+ * Files are written by TraceFileWriteSink and read by
+ * FilePhaseSource, the one writer and the one reader. The file
+ * carries an integrity envelope around that payload — a versioned
+ * magic header and a running CRC32 footer:
  *
  *   M mgx-trace 2
  *   P ...                        | payload, CRC32-covered
  *   A ...                        | byte for byte
  *   C <crc32-hex> <payloadBytes>
  *
- * Readers verify the envelope when present: a CRC or byte-count
+ * Both stream: TraceFileWriteSink is a PhaseSink that serializes
+ * phases as a producer emits them (so a kernel stream is archived
+ * without materializing), and FilePhaseSource replays a file as a
+ * pull-based PhaseSource holding one phase in memory at a time. The
+ * reader verifies the envelope when present: a CRC or byte-count
  * mismatch, a missing footer (truncation), or any malformed line
  * raises TraceIoError instead of killing the process, so a caller
  * holding a corrupt or truncated file learns so before trusting a
- * replay of it. Headerless streams still parse —
- * writeTrace/traceToString stay envelope-free so dumps remain
- * diffable and content comparisons format-agnostic.
- *
- * Both directions stream: TraceFileWriteSink is a PhaseSink that
- * serializes phases as a producer emits them (so a kernel stream can
- * be archived without materializing), and FilePhaseSource replays a
- * serialized trace as a pull-based PhaseSource holding one phase in
- * memory at a time. The whole-trace read/write functions share the
- * same line writer and parser, so the two paths cannot drift.
+ * replay of it. Headerless text still parses — traceToString()
+ * writes no envelope, so dumps stay diffable and content comparisons
+ * format-agnostic — and traceFromString() parses with the same
+ * parser as FilePhaseSource, so the two cannot drift.
  *
  * Every filesystem boundary in this file is a named failpoint (see
  * common/failpoint.h, `trace_io.*`), so tests can deterministically
@@ -49,7 +48,6 @@
 #ifndef MGX_SIM_TRACE_IO_H
 #define MGX_SIM_TRACE_IO_H
 
-#include <iosfwd>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -76,10 +74,7 @@ class TraceIoError : public std::runtime_error
     }
 };
 
-/** Serialize @p trace to @p out (payload only, no envelope). */
-void writeTrace(const core::Trace &trace, std::ostream &out);
-
-/** Serialize to a string (tests / small traces). */
+/** Serialize @p trace to a string (payload only, no envelope). */
 std::string traceToString(const core::Trace &trace);
 
 /**
@@ -87,31 +82,17 @@ std::string traceToString(const core::Trace &trace);
  * has one. Throws TraceIoError on malformed or corrupt input with the
  * offending line number.
  */
-core::Trace readTrace(std::istream &in);
-
-/** Parse from a string. */
 core::Trace traceFromString(const std::string &text);
 
-/** Read a trace from @p path. Throws TraceIoError on IO or parse
- *  errors. */
-core::Trace readTraceFile(const std::string &path);
-
 /**
- * Atomically publish @p trace at @p path: serialize into a
- * process-unique temporary sibling, then rename it into place, so a
- * concurrent reader never observes a partially written trace. Throws
- * TraceIoError on IO errors.
- */
-void writeTraceFile(const core::Trace &trace, const std::string &path);
-
-/**
- * Streaming equivalent of writeTraceFile(): consumes phases into a
- * process-unique temporary and publishes it at @p path by atomic
- * rename when finish() is called, wrapped in the checksummed v2
- * envelope. Destroying the sink without finish() discards the
- * temporary (abandoned write). Throws TraceIoError on IO errors; a
- * failed consume() removes the temporary before throwing, so a full
- * disk never publishes (or leaks) anything.
+ * Trace-file writer: consumes phases into a process-unique temporary
+ * and publishes it at @p path by atomic rename when finish() is
+ * called, wrapped in the checksummed v2 envelope, so a concurrent
+ * reader never observes a partially written trace. Destroying the
+ * sink without finish() discards the temporary (abandoned write).
+ * Throws TraceIoError on IO errors; a failed consume() removes the
+ * temporary before throwing, so a full disk never publishes (or
+ * leaks) anything.
  */
 class TraceFileWriteSink final : public core::PhaseSink
 {
@@ -140,10 +121,9 @@ class TraceFileWriteSink final : public core::PhaseSink
  * nextChunk() through a reused scratch buffer, so replaying a
  * trace file needs memory for one phase, not the workload. Throws
  * TraceIoError on open failure and on malformed/corrupt input (with
- * the line number), like readTraceFile; note the checksum footer is
- * only reached by the *last* nextChunk(), so a corrupt tail
- * surfaces near the end of a replay — the partial run must be
- * discarded.
+ * the line number); note the checksum footer is only reached by the
+ * *last* nextChunk(), so a corrupt tail surfaces near the end of a
+ * replay — the partial run must be discarded.
  */
 class FilePhaseSource final : public core::PhaseSource
 {

@@ -7,7 +7,6 @@ namespace mgx::video {
 
 using core::makeVn;
 using core::Phase;
-using core::Trace;
 
 VideoKernel::VideoKernel(VideoConfig config) : config_(config)
 {

@@ -255,7 +255,6 @@ TEST(TraceEnvelope, TruncationIsDetected)
                   std::string::npos)
             << e.what();
     }
-    EXPECT_THROW(sim::readTraceFile(file), sim::TraceIoError);
 }
 
 TEST(TraceEnvelope, BitFlipIsDetected)
@@ -274,7 +273,6 @@ TEST(TraceEnvelope, BitFlipIsDetected)
         out << raw;
     }
     EXPECT_THROW(readVerified(file), sim::TraceIoError);
-    EXPECT_THROW(sim::readTraceFile(file), sim::TraceIoError);
 }
 
 TEST(TraceEnvelope, LegacyHeaderlessStreamsStillParse)
@@ -282,7 +280,7 @@ TEST(TraceEnvelope, LegacyHeaderlessStreamsStillParse)
     const core::Trace trace =
         sim::makeKernel(kWorkload)->generate();
     const std::string payload = sim::traceToString(trace);
-    // Envelope-free text (writeTrace / dumps) still parses.
+    // Envelope-free text (traceToString / dumps) still parses.
     const core::Trace again = sim::traceFromString(payload);
     EXPECT_EQ(sim::traceToString(again), payload);
 }
@@ -691,7 +689,8 @@ TEST(FailpointCoverage, EveryRegisteredFailpointFires)
 
         writeKernelTrace(file); // unarmed: a valid file to read back
         ASSERT_TRUE(failpoint::armSpecList("trace_io.read.open=once"));
-        EXPECT_THROW(sim::readTraceFile(file), sim::TraceIoError);
+        EXPECT_THROW(sim::FilePhaseSource source(file),
+                     sim::TraceIoError);
         failpoint::disarmAll();
         ASSERT_TRUE(
             failpoint::armSpecList("trace_io.read.corrupt=once"));

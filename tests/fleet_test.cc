@@ -47,6 +47,19 @@ namespace {
 namespace fs = std::filesystem;
 using Deadline = std::chrono::steady_clock::time_point;
 
+/**
+ * The supervisor's name for worker @p i: "w0", "w1", ... Built by
+ * appending, since GCC 12 flags "w" + std::to_string(i) with a
+ * -Wrestrict false positive (PR105651) once it is inlined.
+ */
+std::string
+workerName(std::size_t i)
+{
+    std::string name = "w";
+    name += std::to_string(i);
+    return name;
+}
+
 std::string
 testSocketPath(const std::string &tag)
 {
@@ -122,7 +135,7 @@ TEST(HashRing, OnlyTheRemovedNodesKeysMove)
     constexpr int kKeys = 2000;
     HashRing ring;
     for (int n = 0; n < kNodes; ++n)
-        ring.add("w" + std::to_string(n));
+        ring.add(workerName(n));
 
     std::map<std::string, std::string> before;
     for (int i = 0; i < kKeys; ++i) {
@@ -159,7 +172,7 @@ TEST(HashRing, RouteIsTheDistinctFailoverOrder)
 {
     HashRing ring;
     for (int n = 0; n < 4; ++n)
-        ring.add("w" + std::to_string(n));
+        ring.add(workerName(n));
 
     for (int i = 0; i < 64; ++i) {
         const std::string key = "cell/" + std::to_string(i);
@@ -226,7 +239,7 @@ struct MiniFleet
                     return syntheticOutcome(cell);
                 });
             servers.back()->start();
-            dir.add("w" + std::to_string(i),
+            dir.add(workerName(i),
                     {opts.listen.unixPath, "127.0.0.1", 0});
         }
     }
@@ -250,7 +263,7 @@ ownerIndex(int n)
 {
     HashRing ring;
     for (int i = 0; i < n; ++i)
-        ring.add("w" + std::to_string(i));
+        ring.add(workerName(i));
     const auto req =
         parseRequest(std::string("GET ") + kTarget + " HTTP/1.1\r\n\r\n");
     const std::string owner = ring.owner(Proxy::routingKey(req));
@@ -313,7 +326,7 @@ TEST(ProxyTest, FailsOverToTheNextRingNodeWhenTheOwnerIsDead)
     // not an arbitrary survivor.
     HashRing ring;
     for (int i = 0; i < 3; ++i)
-        ring.add("w" + std::to_string(i));
+        ring.add(workerName(i));
     const auto req = parseRequest(std::string("GET ") + kTarget +
                                   " HTTP/1.1\r\n\r\n");
     const auto order = ring.route(Proxy::routingKey(req));
@@ -330,7 +343,7 @@ TEST(ProxyTest, OutOfRotationOwnerIsSkippedWithoutAFailover)
 {
     MiniFleet mini(3, "rotation");
     const std::size_t owner = ownerIndex(3);
-    mini.dir.setInRotation("w" + std::to_string(owner), false);
+    mini.dir.setInRotation(workerName(owner), false);
 
     ProxyOptions popts;
     popts.listen.unixPath = testSocketPath("rotation-proxy");
@@ -700,7 +713,7 @@ TEST(FleetIntegration, SigkillingOwnersNeverFailsOrDriftsARequest)
     // the in-flight cell. The proxy must absorb every crash: zero
     // failed requests, zero drifted bodies.
     const std::size_t owner = ownerIndex(3);
-    const std::string owner_name = "w" + std::to_string(owner);
+    const std::string owner_name = workerName(owner);
     std::atomic<bool> stop{false};
     std::atomic<int> kills{0};
     std::thread killer([&] {

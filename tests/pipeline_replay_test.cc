@@ -416,8 +416,7 @@ TEST(PipelineReplay, RandomAccessSequencesMatchSerialReplay)
 {
     // Seeded property: for any access sequence, any scheme, platform
     // and ring geometry, the split equals PerfModel::run on every
-    // field but pipeline* — the footprint fields against the streamed
-    // overload, the timing fields also against the materialized one.
+    // field but pipeline*, the footprint fields included.
     const Platform platforms[] = {edgePlatform(), cloudPlatform()};
     // (ring chunks, chunk words)
     const std::pair<std::size_t, std::size_t> geometries[] = {
@@ -444,23 +443,12 @@ TEST(PipelineReplay, RandomAccessSequencesMatchSerialReplay)
             core::TracePhaseSource source(trace);
             const RunResult serial = model.run(source);
 
-            dram::DramSystem dram2(platform.dram);
-            ProtectionEngine engine2(cfg, &dram2);
-            PerfModel model2(&engine2, platform.clockMhz);
-            const RunResult materialized = model2.run(trace);
-
             const RunResult split = runPipelined(
                 [&] { return std::make_unique<core::TracePhaseSource>(
                           trace); },
                 cfg, platform, geometries[seed % 5].first,
                 geometries[seed % 5].second);
             expectBitwiseEqual(serial, split, label);
-            EXPECT_EQ(materialized.totalCycles, split.totalCycles)
-                << label;
-            EXPECT_EQ(materialized.memoryCycles, split.memoryCycles)
-                << label;
-            EXPECT_EQ(materialized.dramAccesses, split.dramAccesses)
-                << label;
         }
     }
 }
@@ -539,7 +527,11 @@ TEST(EvictionRace, MidReadUnlinkStillDrainsTheWholeTrace)
 
     core::Trace trace = makeKernel("video/h264?frames=6")->generate();
     ASSERT_GT(trace.size(), 4u);
-    writeTraceFile(trace, file);
+    {
+        TraceFileWriteSink sink(file);
+        core::TracePhaseSource(trace).drainTo(sink);
+        sink.finish();
+    }
 
     core::Trace rebuilt;
     core::TraceBuildSink sink(rebuilt);

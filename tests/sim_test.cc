@@ -46,7 +46,8 @@ runNp(const Trace &trace, double accel_mhz = 1200.0)
     cfg.scheme = Scheme::NP;
     protection::ProtectionEngine engine(cfg, &dram);
     PerfModel model(&engine, accel_mhz);
-    return model.run(trace);
+    core::TracePhaseSource source(trace);
+    return model.run(source);
 }
 
 TEST(PerfModel, ComputeBoundWorkloadHidesMemory)
