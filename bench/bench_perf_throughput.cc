@@ -28,7 +28,10 @@
  *   results:[
  *   {workload, platform, scheme, mode (replay|stream|pipeline),
  *    linesPerSecond, wallSeconds, replays, linesPerReplay,
- *    cyclesPerReplay, traceBytes, tracePhases}]}
+ *    cyclesPerReplay, traceBytes, peakPhaseBytes, tracePhases}]}
+ * where traceBytes and peakPhaseBytes are RunResult's streamed
+ * estimate of the whole trace and its largest phase, and tracePhases
+ * counts the phases of a materialized trace (0 when streamed).
  */
 
 #include <chrono>
@@ -73,6 +76,7 @@ struct CellResult
     u64 linesPerReplay = 0;
     Cycles cyclesPerReplay = 0;
     u64 traceBytes = 0;
+    u64 peakPhaseBytes = 0;
     u64 tracePhases = 0;
 };
 
@@ -168,8 +172,8 @@ measureStreamedCell(const std::string &workload,
         if (reps == 0) {
             cycles = r.totalCycles;
             lines = r.dramAccesses;
-            cell.traceBytes = r.peakPhaseBytes; // stream high-water mark
-            cell.tracePhases = 0; // never materialized
+            cell.traceBytes = r.traceBytes;
+            cell.peakPhaseBytes = r.peakPhaseBytes;
         } else if (cycles != r.totalCycles || lines != r.dramAccesses) {
             std::fprintf(stderr,
                          "bench_perf_throughput: %s rep %llu of "
@@ -220,7 +224,8 @@ measureCell(const std::string &workload, const sim::Platform &platform,
         if (reps == 0) {
             cycles = r.totalCycles;
             lines = dram.accessCount();
-            cell.traceBytes = r.traceBytes; // streamed estimate
+            cell.traceBytes = r.traceBytes;
+            cell.peakPhaseBytes = r.peakPhaseBytes;
         } else if (cycles != r.totalCycles ||
                    lines != dram.accessCount()) {
             std::fprintf(stderr,
@@ -274,6 +279,7 @@ writeJson(const std::vector<CellResult> &cells, const Calibration &cal,
             << ",\n     \"linesPerReplay\": " << c.linesPerReplay
             << ", \"cyclesPerReplay\": " << c.cyclesPerReplay
             << ", \"traceBytes\": " << c.traceBytes
+            << ", \"peakPhaseBytes\": " << c.peakPhaseBytes
             << ", \"tracePhases\": " << c.tracePhases << "}";
         first = false;
     }

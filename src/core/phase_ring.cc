@@ -1,102 +1,48 @@
 #include "phase_ring.h"
 
-#include <algorithm>
-
 namespace mgx::core {
 
 PhaseRing::PhaseRing(std::size_t capacity)
-    : slots_(std::max<std::size_t>(capacity, 1))
+    : SlotQueue(capacity), slots_(slots())
 {
 }
 
 bool
 PhaseRing::push(const Phase &phase)
 {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (count_ == slots_.size() && !consumerDone_) {
-        ++stats_.producerWaits;
-        notFull_.wait(lock);
-    }
-    if (consumerDone_)
+    std::size_t slot = 0;
+    if (!acquire(slot))
         return false;
     // Copy into the slot via assign so the slot's string/vector
     // capacity is reused across the run (no per-phase allocation once
     // the ring is warm).
-    Phase &slot = slots_[(head_ + count_) % slots_.size()];
-    slot.name.assign(phase.name);
-    slot.computeCycles = phase.computeCycles;
-    slot.accesses.assign(phase.accesses.begin(), phase.accesses.end());
-    ++count_;
-    ++stats_.phases;
-    stats_.maxOccupancy =
-        std::max<u64>(stats_.maxOccupancy, count_);
-    lock.unlock();
-    notEmpty_.notify_one();
+    Phase &dst = slots_[slot];
+    dst.name.assign(phase.name);
+    dst.computeCycles = phase.computeCycles;
+    dst.accesses.assign(phase.accesses.begin(), phase.accesses.end());
+    publish();
     return true;
-}
-
-void
-PhaseRing::closeProducer()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        producerDone_ = true;
-    }
-    notEmpty_.notify_one();
-}
-
-void
-PhaseRing::fail(std::exception_ptr error)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        error_ = std::move(error);
-        producerDone_ = true;
-    }
-    notEmpty_.notify_one();
 }
 
 bool
 PhaseRing::pop(Phase &out)
 {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (count_ == 0 && !producerDone_) {
-        ++stats_.consumerWaits;
-        notEmpty_.wait(lock);
-    }
-    if (count_ == 0) {
-        // Stream over: deliver the producer's failure, if any, only
-        // after the buffered prefix has drained.
-        if (error_ != nullptr)
-            std::rethrow_exception(error_);
+    std::size_t slot = 0;
+    if (!take(slot))
         return false;
-    }
-    const Phase &slot = slots_[head_];
-    out.name.assign(slot.name);
-    out.computeCycles = slot.computeCycles;
-    out.accesses.assign(slot.accesses.begin(), slot.accesses.end());
-    head_ = (head_ + 1) % slots_.size();
-    --count_;
-    lock.unlock();
-    notFull_.notify_one();
+    const Phase &src = slots_[slot];
+    out.name.assign(src.name);
+    out.computeCycles = src.computeCycles;
+    out.accesses.assign(src.accesses.begin(), src.accesses.end());
+    release();
     return true;
-}
-
-void
-PhaseRing::closeConsumer()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        consumerDone_ = true;
-    }
-    notFull_.notify_one();
 }
 
 PhaseRing::Stats
 PhaseRing::stats() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
+    const SlotQueue::Stats q = SlotQueue::stats();
+    return {q.published, q.producerWaits, q.consumerWaits, q.maxOccupancy};
 }
 
 } // namespace mgx::core

@@ -6,11 +6,12 @@
  * instead (sim/pipeline.h), where the work divides evenly; this ring
  * stays for the benchmark's traced replica (perfbench/).
  *
- * The ring owns a fixed number of `Phase` slots. push() copies the
- * producer's scratch phase into the next free slot (the slot's
- * std::string / std::vector capacity is reused across the whole run,
- * so a warmed-up ring allocates nothing per phase); pop() copies the
- * oldest slot into the consumer's scratch phase. Both ends block —
+ * The ring owns a fixed number of `Phase` slots behind a SlotQueue
+ * (common/slot_queue.h), the queue under sim::CommandRing too. push()
+ * copies the producer's scratch phase into the next free slot (the
+ * slot's std::string / std::vector capacity is reused across the whole
+ * run, so a warmed-up ring allocates nothing per phase); pop() copies
+ * the oldest slot into the consumer's scratch phase. Both ends block —
  * push() while the ring is full, pop() while it is empty — so the
  * ring is also the pipeline's back-pressure: a fast producer gets at
  * most `capacity` phases ahead of the replay.
@@ -22,33 +23,26 @@
  * serialize through the perf model's mem_free recurrence, which the
  * consumer alone advances).
  *
- * Shutdown is two-sided so neither thread can deadlock on the other:
- *  - closeProducer() marks the stream complete; pop() drains the
- *    buffered phases and then returns false.
- *  - fail(ptr) is closeProducer() for a producer that threw; pop()
- *    drains the buffered prefix and then rethrows the producer's
- *    exception on the consumer thread.
- *  - closeConsumer() makes every present and future push() return
- *    false, releasing a producer blocked on a full ring when the
- *    consumer stops early.
+ * Shutdown is the queue's and two-sided: closeProducer() ends the
+ * stream after the buffered phases; fail() does the same and then
+ * rethrows the producer's exception from pop(); closeConsumer() makes
+ * every present and future push() return false.
  */
 
 #ifndef MGX_CORE_PHASE_RING_H
 #define MGX_CORE_PHASE_RING_H
 
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
-#include <mutex>
 #include <vector>
 
+#include "common/slot_queue.h"
 #include "phase.h"
 #include "phase_stream.h"
 
 namespace mgx::core {
 
 /** Bounded SPSC phase queue with blocking push/pop and shutdown. */
-class PhaseRing
+class PhaseRing : private SlotQueue
 {
   public:
     /** Occupancy / stall counters, readable once both sides are done. */
@@ -63,39 +57,18 @@ class PhaseRing
     /** @param capacity slot count; 0 is clamped to 1. */
     explicit PhaseRing(std::size_t capacity);
 
-    PhaseRing(const PhaseRing &) = delete;
-    PhaseRing &operator=(const PhaseRing &) = delete;
-
-    /**
-     * Producer: copy @p phase into the ring, blocking while it is
-     * full. Returns false once the consumer has closed its end — the
-     * producer should stop generating.
-     */
+    /** Producer: copy @p phase into the ring; false once the consumer
+     *  has closed its end — the producer should stop generating. */
     bool push(const Phase &phase);
 
-    /** Producer: the stream is complete; wakes a blocked consumer. */
-    void closeProducer();
-
-    /**
-     * Producer: the stream failed. pop() rethrows @p error on the
-     * consumer thread after the buffered prefix drains. Implies
-     * closeProducer().
-     */
-    void fail(std::exception_ptr error);
-
-    /**
-     * Consumer: copy the oldest phase into @p out, blocking while the
-     * ring is empty. Returns false once the producer has closed and
-     * every buffered phase was delivered; rethrows the producer's
-     * exception (see fail()) once the buffered prefix is drained.
-     */
+    /** Consumer: copy the oldest phase into @p out; false (or the
+     *  producer's exception) once the buffered phases are drained. */
     bool pop(Phase &out);
 
-    /**
-     * Consumer: no further pop() calls will happen; wakes and turns
-     * away a producer blocked on a full ring.
-     */
-    void closeConsumer();
+    // Shutdown, as above.
+    using SlotQueue::closeConsumer;
+    using SlotQueue::closeProducer;
+    using SlotQueue::fail;
 
     std::size_t capacity() const { return slots_.size(); }
 
@@ -103,16 +76,7 @@ class PhaseRing
     Stats stats() const;
 
   private:
-    mutable std::mutex mu_;
-    std::condition_variable notFull_;  ///< producer waits here
-    std::condition_variable notEmpty_; ///< consumer waits here
     std::vector<Phase> slots_;
-    std::size_t head_ = 0;  ///< oldest buffered phase
-    std::size_t count_ = 0; ///< buffered phases
-    bool producerDone_ = false;
-    bool consumerDone_ = false;
-    std::exception_ptr error_;
-    Stats stats_;
 };
 
 /**

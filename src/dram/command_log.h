@@ -1,8 +1,9 @@
 /**
  * @file
- * The DRAM command log: DramSystem calls recorded as 8-byte words, so
- * that one thread can expand accesses into DRAM commands while another
- * times them (sim/pipeline.h).
+ * The DRAM command log: the protection engine's one output. The engine
+ * records every DRAM request as 8-byte words, and a CommandPlayer
+ * times them, on the engine's thread (a timed ProtectionEngine) or on
+ * the DRAM thread of a pipelined replay (sim/pipeline.h).
  *
  * Every word of a command carries, in its low four bits, the command's
  * kind, its direction and a crypto tag, and above them its
@@ -21,16 +22,20 @@
  * which the recorded pair keeps.
  *
  * The crypto tag marks commands that belong to a read under a
- * protected scheme: ProtectionEngine::access() adds the AES pipeline
- * latency to such an access's last completion, so a consumer that
- * only sees commands must add it per tagged completion instead.
+ * protected scheme: decryption trails the ciphertext by the AES
+ * pipeline latency, so the player adds that latency to each tagged
+ * completion.
  */
 
 #ifndef MGX_DRAM_COMMAND_LOG_H
 #define MGX_DRAM_COMMAND_LOG_H
 
+#include <cstddef>
+#include <span>
+
 #include "common/bitops.h"
 #include "common/types.h"
+#include "dram_system.h"
 
 namespace mgx::dram {
 namespace cmd {
@@ -142,6 +147,72 @@ class CommandRecorder
 
     u64 tag_ = 0;
     u32 blockBytes_;
+};
+
+/**
+ * The one consumer of Line and Range words. play() times them on a
+ * DramSystem in log order, every command at the arrival given to
+ * start(), and ready() is their data-ready cycle:
+ *
+ *   ready = max(arrival, max plain completion,
+ *               max crypto completion + crypto latency)
+ *
+ * play() stops at a Mark word, which is its caller's (sim/pipeline.h).
+ */
+class CommandPlayer
+{
+  public:
+    CommandPlayer(DramSystem &dram, Cycles crypto_latency)
+        : dram_(&dram), cryptoLatency_(crypto_latency)
+    {
+    }
+
+    /** Commands from now on arrive at @p arrival; ready() restarts. */
+    void
+    start(Cycles arrival)
+    {
+        arrival_ = arrival;
+        ready_ = arrival;
+    }
+
+    /**
+     * Time the Line and Range commands at the front of @p words, up
+     * to the first Mark word. @return the number of words played.
+     */
+    std::size_t play(std::span<const u64> words);
+
+    Cycles ready() const { return ready_; }
+
+    const DramSystem &dram() const { return *dram_; }
+
+  private:
+    DramSystem *dram_;
+    Cycles cryptoLatency_;
+    Cycles arrival_ = 0;
+    Cycles ready_ = 0;
+};
+
+/** A timed ProtectionEngine's recorder: the player plays its 8 KB
+ *  buffer whenever it fills and at finish(). */
+class TimedRecorder final : public CommandRecorder
+{
+  public:
+    TimedRecorder(DramSystem &dram, Cycles crypto_latency);
+
+    /** Play the recorded words. @return the player's ready(). */
+    Cycles
+    finish()
+    {
+        nextChunk();
+        return player.ready();
+    }
+
+    CommandPlayer player;
+
+  private:
+    void nextChunk() override;
+
+    u64 buffer_[1024];
 };
 
 } // namespace mgx::dram

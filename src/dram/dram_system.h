@@ -2,7 +2,8 @@
  * @file
  * Multi-channel DRAM system: the Ramulator stand-in. Decodes addresses,
  * routes each 64-byte access to its channel, and reports completion
- * times and aggregate statistics. A single line costs one decode and
+ * times and aggregate statistics; dram::CommandPlayer feeds it the
+ * protection engine's command log. A single line costs one decode and
  * one channel access. Ranges of several blocks decode incrementally
  * through AddressMap::LineWalker instead of re-deriving every line's
  * coordinates, and ranges long enough to give a channel several blocks
@@ -42,19 +43,6 @@ class DramSystem
     }
 
     /**
-     * Serve one access at pre-decoded coordinates — the hot path for
-     * callers that walk ranges with a LineWalker and for repeated
-     * accesses to the same line (read-modify-write pairs).
-     */
-    Cycles
-    accessCoord(const Coord &coord, bool is_write, Cycles arrival)
-    {
-        ++accessCount_;
-        return channels_[coord.channel]->access(coord, is_write,
-                                                arrival);
-    }
-
-    /**
      * Serve a contiguous @p bytes-long transfer starting at @p addr as a
      * run of block accesses all arriving at @p arrival. A range inside
      * one block is one access(). Ranges that give some channel two or
@@ -86,9 +74,6 @@ class DramSystem
 
     /** Block (column access) size in bytes. */
     u32 blockBytes() const { return map_.blockBytes(); }
-
-    /** The address map (range walkers for streaming callers). */
-    const AddressMap &map() const { return map_; }
 
     const Ddr4Config &config() const { return cfg_; }
 

@@ -318,8 +318,6 @@ Proxy::handleRequest(const serve::HttpRequest &req, int *status_out)
     }
     if (req.path == "/shutdown") {
         *status_out = 200;
-        if (shutdownHook_)
-            shutdownHook_();
         requestShutdown();
         return "{\"shutdown\": true}\n";
     }

@@ -21,14 +21,13 @@
  * admission queue and keep-alive loop as mgx_serve): /run (routed),
  * /stats (proxy counters + per-worker supervision state + live
  * worker stats), /healthz (ok while at least one worker is in
- * rotation), /shutdown (via callback).
+ * rotation), /shutdown (starts the drain; mgx_fleet polls stopping()).
  */
 
 #ifndef MGX_FLEET_PROXY_H
 #define MGX_FLEET_PROXY_H
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -89,13 +88,6 @@ class Proxy
         return door_.addressDescription();
     }
 
-    /** Invoked when a client GETs /shutdown (mgx_fleet hooks the
-     *  whole-fleet drain here). */
-    void setShutdownHook(std::function<void()> hook)
-    {
-        shutdownHook_ = std::move(hook);
-    }
-
     const ProxyMetrics &metrics() const { return metrics_; }
     std::string statsJson() const;
 
@@ -144,7 +136,6 @@ class Proxy
         std::vector<std::unique_ptr<serve::ClientConnection>>>>
         pool_;
 
-    std::function<void()> shutdownHook_;
     /// Last: its threads call into every member above.
     serve::FrontDoor door_;
 };

@@ -13,39 +13,17 @@ constexpr u32 kLine = MetadataLayout::kLineBytes;
 
 ProtectionEngine::ProtectionEngine(const ProtectionConfig &cfg,
                                    dram::DramSystem *dram)
-    : cfg_(cfg), layout_(cfg), dram_(dram),
-      blockBytes_(dram->blockBytes()),
-      cache_(cfg.metaCacheBytes, cfg.metaCacheWays)
+    : cfg_(cfg), layout_(cfg),
+      timed_(std::make_unique<dram::TimedRecorder>(*dram, cfg.cryptoLatency)),
+      recorder_(timed_.get()), cache_(cfg.metaCacheBytes, cfg.metaCacheWays)
 {
 }
 
 ProtectionEngine::ProtectionEngine(const ProtectionConfig &cfg,
                                    dram::CommandRecorder *recorder)
     : cfg_(cfg), layout_(cfg), recorder_(recorder),
-      blockBytes_(recorder->blockBytes()),
       cache_(cfg.metaCacheBytes, cfg.metaCacheWays)
 {
-}
-
-Cycles
-ProtectionEngine::issueRange(Addr addr, u64 bytes, bool is_write,
-                             Cycles arrival)
-{
-    if (recorder_ != nullptr) {
-        recorder_->range(addr, bytes, is_write);
-        return arrival;
-    }
-    return dram_->accessRange(addr, bytes, is_write, arrival);
-}
-
-Cycles
-ProtectionEngine::issueLine(Addr line, bool is_write, Cycles arrival)
-{
-    if (recorder_ != nullptr) {
-        recorder_->line(line, is_write);
-        return arrival;
-    }
-    return dram_->access({line, is_write, arrival});
 }
 
 u64 &
@@ -59,14 +37,13 @@ ProtectionEngine::trafficFor(MetaClass cls)
     return traffic_.treeBytes;
 }
 
-Cycles
+void
 ProtectionEngine::mgxMacPath(const core::LogicalAccess &acc, u32 gran,
-                             Cycles arrival, bool data_too)
+                             bool data_too)
 {
     const bool is_write = acc.type == AccessType::Write;
     const Addr begin = alignDown(acc.addr, gran);
     const Addr end = alignUp(acc.addr + acc.bytes, gran);
-    Cycles done = arrival;
 
     if (data_too) {
         // Verification (reads) and tag regeneration (writes) both need
@@ -77,63 +54,52 @@ ProtectionEngine::mgxMacPath(const core::LogicalAccess &acc, u32 gran,
         if (is_write && expand > 0) {
             // Partial edge blocks: fetch the untouched remainder first
             // so the new tags cover valid ciphertext (read-modify-write).
-            if (begin < acc.addr) {
-                done = std::max(done, issueRange(begin, acc.addr - begin,
-                                                 false, arrival));
-            }
+            if (begin < acc.addr)
+                recorder_->range(begin, acc.addr - begin, false);
             const Addr data_end = acc.addr + acc.bytes;
-            if (end > data_end) {
-                done = std::max(done, issueRange(data_end, end - data_end,
-                                                 false, arrival));
-            }
+            if (end > data_end)
+                recorder_->range(data_end, end - data_end, false);
         }
-        done = std::max(done,
-                        issueRange(begin, end - begin, is_write, arrival));
+        recorder_->range(begin, end - begin, is_write);
     }
 
-    // Tag lines covering [begin, end). tagsPerLine consecutive MAC
-    // blocks share one 64 B tag line. Consecutive tag lines are
-    // contiguous, so when timed they decode incrementally when they
-    // coincide with DRAM blocks (the ubiquitous 64 B case); otherwise
-    // each line is decoded from its address.
-    const u64 tags_per_line = kLine / cfg_.macBytes;
-    const u64 line_span = tags_per_line * gran; // data bytes per tag line
+    // Tag lines covering [begin, end): tagsPerLine consecutive MAC
+    // blocks share one 64 B tag line, and consecutive lines are
+    // contiguous. A read fetches every line; a write needs no fetch of
+    // a line it covers in full, and only its first and last line can
+    // be covered in part. In line order: the first line's
+    // read-modify-write, one run over the rest, the last line's RMW.
+    const u64 line_span = kLine / cfg_.macBytes * gran; // data per line
     const Addr first_line = layout_.macLineAddr(begin, gran);
     const Addr last_line = layout_.macLineAddr(end - 1, gran);
-    const bool walk = recorder_ == nullptr && blockBytes_ == kLine;
-    dram::AddressMap::LineWalker walker =
-        walk ? dram_->map().walkerAt(first_line)
-             : dram::AddressMap::LineWalker{};
-    for (Addr line = first_line; line <= last_line; line += kLine) {
-        const auto issueTag = [&](bool write) {
-            traffic_.macBytes += kLine;
-            return walk ? dram_->accessCoord(walker.coord(), write,
-                                             arrival)
-                        : issueLine(line, write, arrival);
-        };
-        if (!is_write) {
-            done = std::max(done, issueTag(false));
-        } else {
-            // A tag line fully regenerated by this write needs no
-            // fetch; a partially covered one is read-modify-written.
-            const u64 line_idx = (line - first_line) / kLine +
-                                 begin / line_span;
-            const Addr span_begin = line_idx * line_span;
-            const Addr span_end = span_begin + line_span;
-            const bool full = begin <= span_begin && end >= span_end;
-            if (!full)
-                done = std::max(done, issueTag(false));
-            done = std::max(done, issueTag(true));
-        }
-        if (walk)
-            walker.next();
-    }
-    return done;
+    const auto partial = [&](Addr line) {
+        const Addr span_begin =
+            ((line - first_line) / kLine + begin / line_span) * line_span;
+        return begin > span_begin || end < span_begin + line_span;
+    };
+    const bool rmw_first = is_write && partial(first_line);
+    const bool rmw_last =
+        is_write && last_line != first_line && partial(last_line);
+    const Addr run_begin = first_line + (rmw_first ? kLine : 0);
+    const Addr run_end = last_line + (rmw_last ? 0 : kLine);
+    traffic_.macBytes += (last_line - first_line) + kLine +
+                         (u64{rmw_first} + u64{rmw_last}) * kLine;
+
+    const auto rmw = [&](Addr line) {
+        recorder_->range(line, kLine, false);
+        recorder_->range(line, kLine, true);
+    };
+    if (rmw_first)
+        rmw(first_line);
+    if (run_end > run_begin)
+        recorder_->range(run_begin, run_end - run_begin, is_write);
+    if (rmw_last)
+        rmw(last_line);
 }
 
-Cycles
+void
 ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
-                               Cycles arrival, bool mac_per_block)
+                               bool mac_per_block)
 {
     const bool is_write = acc.type == AccessType::Write;
     const u32 gran = cfg_.baselineGranularity;
@@ -154,16 +120,15 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
     // Data blocks stream first, in address order, as one range. When
     // the protection block is not the DRAM block each protection block
     // is one request at its own address.
-    Cycles done = arrival;
-    if (gran == blockBytes_) {
-        done = issueRange(begin, end - begin, is_write, arrival);
+    if (gran == recorder_->blockBytes()) {
+        recorder_->range(begin, end - begin, is_write);
     } else {
         for (Addr block = begin; block < end; block += gran)
-            done = std::max(done, issueLine(block, is_write, arrival));
+            recorder_->line(block, is_write);
     }
     const auto issue = [&](Addr line, bool write, MetaClass cls) {
         trafficFor(cls) += kLine;
-        done = std::max(done, issueLine(line, write, arrival));
+        recorder_->line(line, write);
     };
     const auto defer = [&](Addr line, bool write, MetaClass cls) {
         trafficFor(cls) += kLine;
@@ -256,9 +221,7 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
         }
     }
     for (const u64 word : macWords_)
-        done = std::max(done, issueLine(word & ~u64{1}, (word & 1) != 0,
-                                        arrival));
-    return done;
+        recorder_->line(word & ~u64{1}, (word & 1) != 0);
 }
 
 Cycles
@@ -267,63 +230,55 @@ ProtectionEngine::access(const core::LogicalAccess &acc, Cycles arrival)
     if (acc.bytes == 0)
         return arrival;
     ++logicalAccesses_;
-    const bool decrypts =
-        acc.type == AccessType::Read && cfg_.scheme != Scheme::NP;
-    if (recorder_ != nullptr)
-        recorder_->setCrypto(decrypts);
+    if (timed_ != nullptr)
+        timed_->player.start(arrival);
+    // AES-CTR pipeline: decryption begins once ciphertext arrives; the
+    // keystream was precomputed from (addr, VN), so only the final XOR
+    // and MAC check trail the last burst. A protected read's commands
+    // carry the crypto tag, and the player adds this latency to their
+    // completions; every such read issues its data blocks.
+    recorder_->setCrypto(acc.type == AccessType::Read &&
+                         cfg_.scheme != Scheme::NP);
 
-    Cycles done = arrival;
     switch (cfg_.scheme) {
       case Scheme::NP:
         traffic_.dataBytes += acc.bytes;
-        done = issueRange(acc.addr, acc.bytes,
-                          acc.type == AccessType::Write, arrival);
+        recorder_->range(acc.addr, acc.bytes,
+                         acc.type == AccessType::Write);
         break;
       case Scheme::MGX:
       case Scheme::MGX_VN:
-        done = mgxMacPath(acc,
-                          cfg_.effectiveMacGranularity(acc.macGranularity),
-                          arrival, true);
+        mgxMacPath(acc, cfg_.effectiveMacGranularity(acc.macGranularity),
+                   true);
         break;
       case Scheme::BP:
-        done = baselinePath(acc, arrival, true);
+        baselinePath(acc, true);
         break;
       case Scheme::MGX_MAC:
-        done = baselinePath(acc, arrival, false);
-        done = std::max(
-            done,
-            mgxMacPath(acc,
-                       cfg_.effectiveMacGranularity(acc.macGranularity),
-                       arrival, false));
+        baselinePath(acc, false);
+        mgxMacPath(acc, cfg_.effectiveMacGranularity(acc.macGranularity),
+                   false);
         break;
     }
-
-    // AES-CTR pipeline: decryption begins once ciphertext arrives; the
-    // keystream was precomputed from (addr, VN), so only the final XOR
-    // and MAC check trail the last burst. Every protected read issues
-    // its data blocks, so a recorded one always carries crypto-tagged
-    // commands for the timer to add this latency to.
-    if (decrypts)
-        done += cfg_.cryptoLatency;
-    return done;
+    return timed_ != nullptr ? timed_->finish() : arrival;
 }
 
 Cycles
 ProtectionEngine::flush(Cycles arrival)
 {
-    Cycles done = arrival;
+    if (timed_ != nullptr)
+        timed_->player.start(arrival);
     if (cfg_.usesMetaCache()) {
         // Each dirty line writes back charged to its own metadata
         // class — a VN or MAC victim is not tree traffic.
         cache_.flush(flushScratch_);
-        if (recorder_ != nullptr)
-            recorder_->setCrypto(false);
+        recorder_->setCrypto(false);
         for (const MetaCache::FlushedLine &line : flushScratch_) {
             trafficFor(line.cls) += kLine;
-            done = std::max(done, issueLine(line.addr, true, arrival));
+            recorder_->line(line.addr, true);
         }
     }
-    return done;
+    return timed_ != nullptr ? timed_->finish() : arrival;
 }
 
 } // namespace mgx::protection

@@ -22,16 +22,20 @@
  *
  * Which metadata lines an access needs follows from on-chip state
  * alone (the metadata cache and the layout); DRAM timing only decides
- * when they arrive. So the engine can also run without a DramSystem,
- * recording every DRAM call into a dram::CommandRecorder for another
- * thread to time (the engine/DRAM split, sim/pipeline.h).
+ * when they arrive. So the engine's one output is the DRAM command log
+ * (dram/command_log.h): every path records Line and Range commands
+ * and tracks no completion time. A timed engine records into its own
+ * dram::TimedRecorder, which plays each access's commands at the
+ * access's arrival before access() returns; a recording engine writes
+ * into another thread's recorder (the engine/DRAM split,
+ * sim/pipeline.h).
  *
- * BP streams: each VN line and tree node goes to DRAM (or the
- * recorder) the moment the cache resolves it, with any dirty victim
- * that lookup evicts; only the per-block MAC lines wait, as 8-byte
- * words, until the access's VN/tree lines are out. Every channel sees
- * the data range, then VN/tree lines in block order, then MAC lines in
- * block order, and memory stays bounded by the MAC words of one access.
+ * BP streams: each VN line and tree node is recorded the moment the
+ * cache resolves it, with any dirty victim that lookup evicts; only
+ * the per-block MAC lines wait, as 8-byte words, until the access's
+ * VN/tree lines are out. Every channel sees the data range, then
+ * VN/tree lines in block order, then MAC lines in block order, and
+ * memory stays bounded by the MAC words of one access.
  */
 
 #ifndef MGX_PROTECTION_PROTECTION_ENGINE_H
@@ -42,7 +46,6 @@
 
 #include "core/access.h"
 #include "dram/command_log.h"
-#include "dram/dram_system.h"
 #include "meta_cache.h"
 #include "metadata_layout.h"
 #include "scheme.h"
@@ -86,7 +89,7 @@ class ProtectionEngine
      * Record every DRAM request into @p recorder instead of timing it.
      * Every counter of the engine (traffic, metadata cache, logical
      * accesses) is the same as on a DramSystem; access() and flush()
-     * time nothing, so their values are not completion times.
+     * time nothing and return their arrival.
      */
     ProtectionEngine(const ProtectionConfig &cfg,
                      dram::CommandRecorder *recorder);
@@ -115,32 +118,24 @@ class ProtectionEngine
      * The DRAM system behind this engine (real access counts). Not
      * available on a recording engine.
      */
-    const dram::DramSystem &dram() const { return *dram_; }
+    const dram::DramSystem &dram() const { return timed_->player.dram(); }
 
     const MetadataLayout &layout() const { return layout_; }
 
   private:
     /** Data+MAC path shared by MGX and MGX_VN (and MGX_MAC's MAC half). */
-    Cycles mgxMacPath(const core::LogicalAccess &acc, u32 gran,
-                      Cycles arrival, bool data_too);
+    void mgxMacPath(const core::LogicalAccess &acc, u32 gran, bool data_too);
 
     /** BP's per-64 B VN + tree (+ optional MAC) path. */
-    Cycles baselinePath(const core::LogicalAccess &acc, Cycles arrival,
-                        bool mac_per_block);
+    void baselinePath(const core::LogicalAccess &acc, bool mac_per_block);
 
     /** The traffic counter a @p cls metadata line is charged to. */
     u64 &trafficFor(MetaClass cls);
 
-    // The DRAM calls: timed on dram_, or recorded into recorder_ (then
-    // they return their arrival; see the recording constructor).
-    Cycles issueRange(Addr addr, u64 bytes, bool is_write, Cycles arrival);
-    Cycles issueLine(Addr line, bool is_write, Cycles arrival);
-
     ProtectionConfig cfg_;
     MetadataLayout layout_;
-    dram::DramSystem *dram_ = nullptr;
-    dram::CommandRecorder *recorder_ = nullptr;
-    u32 blockBytes_; ///< DRAM block (column access) size
+    std::unique_ptr<dram::TimedRecorder> timed_; ///< timed engines only
+    dram::CommandRecorder *recorder_;            ///< the one output
     MetaCache cache_;
     TrafficBreakdown traffic_;
     u64 logicalAccesses_ = 0;

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+
+#include "common/parse.h"
 
 namespace mgx::serve {
 namespace {
@@ -85,6 +86,32 @@ parseHeaderFields(std::string_view fields, HeaderFields *out)
     return true;
 }
 
+enum class Length { None, Valid, Malformed, OverCap };
+
+/**
+ * Read the Content-Length of @p headers into @p out: a plain digit
+ * string no larger than @p cap, which every repeated field repeats.
+ */
+Length
+contentLength(const HeaderFields &headers, u64 cap, u64 *out)
+{
+    const std::string *text = nullptr;
+    for (const auto &h : headers) {
+        if (h.first != "content-length")
+            continue;
+        if (text != nullptr && *text != h.second)
+            return Length::Malformed;
+        text = &h.second;
+    }
+    if (text == nullptr)
+        return Length::None;
+    if (text->empty() ||
+        text->find_first_not_of("0123456789") != std::string::npos)
+        return Length::Malformed;
+    return parseDecimal(text->c_str(), cap, *out) ? Length::Valid
+                                                   : Length::OverCap;
+}
+
 /** Parse a response's status line and header fields into @p resp;
  *  nullptr on success, else what was malformed. */
 const char *
@@ -100,10 +127,10 @@ parseResponseHead(std::string_view line, std::string_view fields,
     const std::string code(line.substr(
         sp1 + 1,
         sp2 == std::string_view::npos ? sp2 : sp2 - sp1 - 1));
-    char *end = nullptr;
-    resp->status = static_cast<int>(std::strtol(code.c_str(), &end, 10));
-    if (end == code.c_str() || *end != '\0')
+    u64 status = 0;
+    if (code.size() != 3 || !parseDecimal(code.c_str(), 999, status))
         return "malformed status code";
+    resp->status = static_cast<int>(status);
     if (sp2 != std::string_view::npos)
         resp->reason = std::string(line.substr(sp2 + 1));
     if (!parseHeaderFields(fields, &resp->headers))
@@ -237,16 +264,12 @@ HttpRequestParser::parseBuffered()
     if (!parseHeaderFields(fields, &req.headers))
         return fail("malformed header line");
 
-    std::size_t content_length = 0;
-    for (const auto &h : req.headers) {
-        if (h.first != "content-length")
-            continue;
-        char *end = nullptr;
-        content_length = std::strtoull(h.second.c_str(), &end, 10);
-        if (end == h.second.c_str() || *end != '\0')
-            return fail("malformed Content-Length");
-    }
-    if (content_length > kMaxRequestBytes) {
+    u64 content_length = 0;
+    const Length length =
+        contentLength(req.headers, kMaxRequestBytes, &content_length);
+    if (length == Length::Malformed)
+        return fail("malformed Content-Length");
+    if (length == Length::OverCap) {
         tooLarge_ = true;
         return fail("request exceeds 1 MiB");
     }
@@ -322,16 +345,11 @@ HttpResponseParser::parseBuffered()
         HttpResponse resp;
         if (const char *malformed = parseResponseHead(line, fields, &resp))
             return fail(malformed);
-        for (const auto &h : resp.headers) {
-            if (h.first != "content-length")
-                continue;
-            char *end = nullptr;
-            content_length_ =
-                std::strtoull(h.second.c_str(), &end, 10);
-            if (end == h.second.c_str() || *end != '\0')
-                return fail("malformed Content-Length");
-            has_length_ = true;
-        }
+        const Length length =
+            contentLength(resp.headers, ~u64{0}, &content_length_);
+        if (length == Length::Malformed || length == Length::OverCap)
+            return fail("malformed Content-Length");
+        has_length_ = length == Length::Valid;
         response_ = std::move(resp);
         headers_done_ = true;
     }

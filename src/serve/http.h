@@ -22,6 +22,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/types.h"
+
 namespace mgx::serve {
 
 /** One parsed request: request line, split query, headers, body. */
@@ -148,7 +150,7 @@ class HttpResponseParser
     Status status_ = Status::Incomplete;
     bool headers_done_ = false;
     bool has_length_ = false;
-    std::size_t content_length_ = 0;
+    u64 content_length_ = 0;
     std::size_t body_start_ = 0;
 };
 

@@ -9,108 +9,37 @@
 namespace mgx::sim {
 
 CommandRing::CommandRing(std::size_t chunks, std::size_t chunk_words)
-    : slots_(std::max<std::size_t>(chunks, 1)),
-      chunkWords_(std::max<std::size_t>(chunk_words, 2)),
+    : SlotQueue(chunks), chunkWords_(std::max<std::size_t>(chunk_words, 2)),
       // Left uninitialized: a chunk's words are read only after the
       // producer wrote them, and untouched pages cost nothing.
-      words_(std::make_unique_for_overwrite<u64[]>(slots_ * chunkWords_)),
-      sizes_(slots_)
+      words_(std::make_unique_for_overwrite<u64[]>(slots() * chunkWords_)),
+      sizes_(slots())
 {
 }
 
 u64 *
 CommandRing::acquire()
 {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (count_ == slots_ && !consumerDone_) {
-        ++stats_.producerWaits;
-        notFull_.wait(lock,
-                      [this] { return count_ < slots_ || consumerDone_; });
-    }
-    if (consumerDone_)
+    if (!SlotQueue::acquire(filling_))
         return nullptr;
-    // The producer alone adds to count_, so this slot stays free until
-    // it publishes.
-    return words_.get() + (head_ + count_) % slots_ * chunkWords_;
+    return words_.get() + filling_ * chunkWords_;
 }
 
 void
 CommandRing::publish(std::size_t words)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        sizes_[(head_ + count_) % slots_] = words;
-        ++count_;
-        stats_.maxOccupancy = std::max<u64>(stats_.maxOccupancy, count_);
-    }
-    notEmpty_.notify_one();
-}
-
-void
-CommandRing::closeProducer()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        producerDone_ = true;
-    }
-    notEmpty_.notify_one();
-}
-
-void
-CommandRing::fail(std::exception_ptr error)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        error_ = std::move(error);
-        producerDone_ = true;
-    }
-    notEmpty_.notify_one();
+    sizes_[filling_] = words;
+    SlotQueue::publish();
 }
 
 bool
 CommandRing::take(std::span<const u64> &words)
 {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (count_ == 0 && !producerDone_) {
-        ++stats_.consumerWaits;
-        notEmpty_.wait(lock,
-                       [this] { return count_ > 0 || producerDone_; });
-    }
-    if (count_ == 0) {
-        if (error_)
-            std::rethrow_exception(error_);
+    std::size_t slot = 0;
+    if (!SlotQueue::take(slot))
         return false;
-    }
-    words = {words_.get() + head_ * chunkWords_, sizes_[head_]};
+    words = {words_.get() + slot * chunkWords_, sizes_[slot]};
     return true;
-}
-
-void
-CommandRing::release()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        head_ = (head_ + 1) % slots_;
-        --count_;
-    }
-    notFull_.notify_one();
-}
-
-void
-CommandRing::closeConsumer()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        consumerDone_ = true;
-    }
-    notFull_.notify_one();
-}
-
-CommandRing::Stats
-CommandRing::stats() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
 }
 
 namespace {
@@ -194,7 +123,7 @@ class ExpandSink final : public core::PhaseSink
 };
 
 /**
- * The DRAM side: times recorded commands as they arrive, at their
+ * The DRAM side: plays recorded commands as they arrive, at their
  * phase's issue cycle, and closes each phase on the PhaseClock when
  * the next mark shows all of its commands were timed.
  */
@@ -203,32 +132,19 @@ class CommandTimer
   public:
     CommandTimer(dram::DramSystem &dram, PhaseClock &clock,
                  Cycles crypto_latency)
-        : dram_(&dram), clock_(&clock), cryptoLatency_(crypto_latency)
+        : player_(dram, crypto_latency), clock_(&clock)
     {
     }
 
     void
     time(std::span<const u64> words)
     {
-        namespace cmd = dram::cmd;
-        for (std::size_t i = 0; i < words.size(); ++i) {
-            const u64 w = words[i];
-            switch (cmd::kind(w)) {
-              case cmd::kLine:
-                fold(dram_->access({cmd::addr(w), cmd::isWrite(w), issue_}),
-                     cmd::isCrypto(w));
-                break;
-              case cmd::kRange:
-                fold(dram_->accessRange(cmd::addr(w), words[i + 1],
-                                        cmd::isWrite(w), issue_),
-                     cmd::isCrypto(w));
-                ++i;
-                break;
-              default: // cmd::kMark
-                beginSection(cmd::markCode(w), words[i + 1]);
-                ++i;
-                break;
-            }
+        // The player takes the Line and Range words; it stops at each
+        // Mark, which opens the next section.
+        std::size_t i = 0;
+        while ((i += player_.play(words.subspan(i))) < words.size()) {
+            beginSection(dram::cmd::markCode(words[i]), words[i + 1]);
+            i += 2;
         }
     }
 
@@ -237,33 +153,23 @@ class CommandTimer
     flushed() const
     {
         assert(!inPhase_ && "the engine thread always records a flush");
-        return ready_;
+        return player_.ready();
     }
 
   private:
-    void
-    fold(Cycles done, bool crypto)
-    {
-        ready_ = std::max(ready_, crypto ? done + cryptoLatency_ : done);
-    }
-
     /** Close the open phase; start the phase or flush marked @p code. */
     void
     beginSection(u64 code, u64 payload)
     {
         if (inPhase_)
-            clock_->close(ready_, compute_);
-        issue_ = clock_->issue();
-        ready_ = issue_;
+            clock_->close(player_.ready(), compute_);
+        player_.start(clock_->issue());
         inPhase_ = code == kPhaseMark;
         compute_ = payload;
     }
 
-    dram::DramSystem *dram_;
+    dram::CommandPlayer player_;
     PhaseClock *clock_;
-    Cycles cryptoLatency_;
-    Cycles issue_ = 0;   ///< issue cycle of the open section
-    Cycles ready_ = 0;   ///< its data_ready so far
     Cycles compute_ = 0; ///< the open phase's compute (accelerator cycles)
     bool inPhase_ = false;
 };

@@ -5,13 +5,15 @@
  *
  * In MGX the protection unit works out which metadata lines an access
  * needs from on-chip state alone; DRAM timing only decides when those
- * lines arrive (paper Fig. 2). So a producer thread runs the phase
- * source and the ProtectionEngine's expansion, recording every DRAM
- * command into the chunks of a bounded SPSC CommandRing
- * (dram/command_log.h). The calling thread owns the DramSystem: it
- * times each command as it reads it, at its phase's issue cycle,
- * through the same access / accessRange calls, and runs the PerfModel
- * phase recurrence (PhaseClock) with
+ * lines arrive (paper Fig. 2). So the ProtectionEngine's one output is
+ * the DRAM command log (dram/command_log.h), and its side is the same
+ * in both modes; only where the log is played differs. Serially, the
+ * engine's own dram::TimedRecorder plays each access's commands.
+ * Here, a producer thread runs the phase source and the engine into
+ * the chunks of a bounded SPSC CommandRing, and the calling thread
+ * owns the DramSystem: it plays each command as it reads it, through
+ * its own CommandPlayer, at its phase's issue cycle, and runs the
+ * PerfModel phase recurrence (PhaseClock) with
  *
  *   data_ready = max(issue, max plain completion,
  *                    max crypto completion + cryptoLatency)
@@ -23,7 +25,7 @@
  * command of a phase arrives at the same issue cycle, which the
  * completions of the phases before it alone fix; the engine never
  * reads a completion time, so its decisions and counters cannot
- * depend on when the timer runs; and the timer issues the engine's
+ * depend on when the timer runs; and the timer plays the engine's
  * commands in the engine's order, so every channel sees the same
  * command stream. Only RunResult::pipeline* (ring stalls and
  * occupancy, in chunks) depend on thread scheduling.
@@ -32,15 +34,13 @@
 #ifndef MGX_SIM_PIPELINE_H
 #define MGX_SIM_PIPELINE_H
 
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
+#include "common/slot_queue.h"
 #include "core/phase_stream.h"
 #include "runner.h"
 
@@ -50,26 +50,16 @@ namespace mgx::sim {
  * Bounded SPSC ring of command-log chunks: the seam between the
  * engine thread and the DRAM timer. The producer fills the chunk
  * acquire() hands it and publishes it; the consumer take()s the
- * oldest published chunk and release()s it once timed. Both ends
- * block — acquire() while every chunk is published or being timed,
- * take() while none is published — so the ring is also the
- * back-pressure: the engine runs at most `chunks` chunks ahead.
- *
- * Shutdown is two-sided, as for core::PhaseRing: closeProducer() ends
- * the stream after the published chunks; fail() does the same and
- * then rethrows the producer's exception from take(); closeConsumer()
- * makes acquire() return nullptr from then on.
+ * oldest published chunk and release()s it once timed. Blocking,
+ * back-pressure and shutdown are the SlotQueue's (common/slot_queue.h);
+ * once the consumer has closed, acquire() returns nullptr.
  */
-class alignas(64) CommandRing
+class alignas(64) CommandRing : private SlotQueue
 {
   public:
-    /** Occupancy / stall counters, readable once both sides are done. */
-    struct Stats
-    {
-        u64 producerWaits = 0; ///< acquire() blocked: ring full
-        u64 consumerWaits = 0; ///< take() blocked: ring empty
-        u64 maxOccupancy = 0;  ///< most chunks published or in timing
-    };
+    /** The queue's counters, in chunks (a chunk in timing counts
+     *  toward maxOccupancy). */
+    using SlotQueue::Stats;
 
     /**
      * @param chunks       chunks in the ring (0 is clamped to 1)
@@ -78,62 +68,30 @@ class alignas(64) CommandRing
      */
     CommandRing(std::size_t chunks, std::size_t chunk_words);
 
-    CommandRing(const CommandRing &) = delete;
-    CommandRing &operator=(const CommandRing &) = delete;
-
-    /**
-     * Producer: the next chunk to fill (chunkWords() words), blocking
-     * while the ring is full; nullptr once the consumer has closed.
-     */
+    /** Producer: the next chunk to fill (chunkWords() words). */
     u64 *acquire();
 
     /** Producer: publish the first @p words words of the acquired chunk. */
     void publish(std::size_t words);
 
-    /** Producer: the stream is complete; wakes a blocked consumer. */
-    void closeProducer();
-
-    /**
-     * Producer: the stream failed. take() rethrows @p error once the
-     * published chunks are drained. Implies closeProducer().
-     */
-    void fail(std::exception_ptr error);
-
-    /**
-     * Consumer: the oldest published chunk, blocking while there is
-     * none. Returns false once the producer has closed and every chunk
-     * was taken; rethrows the producer's exception (see fail()) then.
-     */
+    /** Consumer: the oldest published chunk; false (or the producer's
+     *  exception) at the end of the stream. */
     bool take(std::span<const u64> &words);
 
-    /** Consumer: hand the taken chunk back to the producer. */
-    void release();
-
-    /**
-     * Consumer: no further take() calls will happen; wakes and turns
-     * away a producer blocked in acquire().
-     */
-    void closeConsumer();
+    // The queue's: hand a taken chunk back, shutdown, counters.
+    using SlotQueue::release;
+    using SlotQueue::closeConsumer;
+    using SlotQueue::closeProducer;
+    using SlotQueue::fail;
+    using SlotQueue::stats;
 
     std::size_t chunkWords() const { return chunkWords_; }
 
-    /** Counter snapshot (take after both sides have shut down). */
-    Stats stats() const;
-
   private:
-    const std::size_t slots_;
     const std::size_t chunkWords_;
-    std::unique_ptr<u64[]> words_;   ///< slots_ x chunkWords_
+    std::unique_ptr<u64[]> words_;   ///< slots() x chunkWords_
     std::vector<std::size_t> sizes_; ///< published words per slot
-    mutable std::mutex mu_;
-    std::condition_variable notFull_;  ///< producer waits here
-    std::condition_variable notEmpty_; ///< consumer waits here
-    std::size_t head_ = 0;  ///< oldest published slot
-    std::size_t count_ = 0; ///< slots published or in timing
-    bool producerDone_ = false;
-    bool consumerDone_ = false;
-    std::exception_ptr error_;
-    Stats stats_;
+    std::size_t filling_ = 0;        ///< the producer's acquired slot
 };
 
 /** Builds a cell's phase source; runPipelined() calls it on the

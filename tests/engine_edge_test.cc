@@ -2,12 +2,17 @@
  * @file
  * Protection-engine edge cases: unaligned and tiny accesses, huge
  * single accesses, granularity overrides interacting with MGX_MAC,
- * flush idempotency, and scheme-specific metadata accounting
- * boundaries.
+ * flush idempotency, scheme-specific metadata accounting boundaries,
+ * and MGX tag runs against a per-line reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "common/bitops.h"
+#include "common/rng.h"
 #include "protection/protection_engine.h"
 
 namespace mgx::protection {
@@ -171,6 +176,127 @@ TEST(EngineEdge, LogicalAccessCountTracked)
                           AccessType::Read, DataClass::Generic, 0},
                          0);
     EXPECT_EQ(f.engine->logicalAccesses(), 7u);
+}
+
+/**
+ * One MGX / MGX_VN access the per-line way: the data commands, then
+ * each tag line as its own DramSystem::access() — a read fetches the
+ * line; a write read-modify-writes a line it covers in part and
+ * writes a line it covers in full. Adds the access's traffic to
+ * @p traffic and returns its completion.
+ */
+Cycles
+perLineMgxAccess(dram::DramSystem &dram, const ProtectionConfig &cfg,
+                 const LogicalAccess &acc, Cycles arrival,
+                 TrafficBreakdown &traffic)
+{
+    const MetadataLayout layout(cfg);
+    const u32 gran = cfg.effectiveMacGranularity(acc.macGranularity);
+    const bool is_write = acc.type == AccessType::Write;
+    const Addr begin = alignDown(acc.addr, gran);
+    const Addr end = alignUp(acc.addr + acc.bytes, gran);
+    const Addr data_end = acc.addr + acc.bytes;
+    Cycles done = arrival;
+    const auto range = [&](Addr a, u64 bytes, bool write) {
+        done = std::max(done, dram.accessRange(a, bytes, write, arrival));
+    };
+    traffic.dataBytes += acc.bytes;
+    traffic.expandBytes += (end - begin) - acc.bytes;
+    if (is_write && begin < acc.addr)
+        range(begin, acc.addr - begin, false);
+    if (is_write && end > data_end)
+        range(data_end, end - data_end, false);
+    range(begin, end - begin, is_write);
+
+    const u64 line_span = 64 / cfg.macBytes * gran;
+    const Addr first = layout.macLineAddr(begin, gran);
+    const Addr last = layout.macLineAddr(end - 1, gran);
+    for (Addr line = first; line <= last; line += 64) {
+        const Addr span = ((line - first) / 64 + begin / line_span) *
+                          line_span;
+        const bool full = begin <= span && end >= span + line_span;
+        const auto tag = [&](bool write) {
+            traffic.macBytes += 64;
+            done = std::max(done, dram.access({line, write, arrival}));
+        };
+        if (is_write && !full)
+            tag(false);
+        tag(is_write);
+    }
+    return is_write ? done : done + cfg.cryptoLatency;
+}
+
+TEST(EngineEdge, TagRunsMatchPerLineReference)
+{
+    // Seeded MGX and MGX_VN reads and writes whose tag lines are
+    // aligned to the data a tag line covers, or start or end (or both)
+    // inside it, or fit in one line, under per-access MAC granularity
+    // overrides. The engine sends a run of tag lines as one range plus
+    // the edge lines' read-modify-writes; a DRAM system fed the
+    // per-line commands must end up in exactly the same state.
+    static const u32 kGrans[] = {0, 64, 256, 512, 4096};
+    for (u32 channels : {1u, 4u}) {
+        for (Scheme scheme : {Scheme::MGX, Scheme::MGX_VN}) {
+            const std::string label = std::string(schemeName(scheme)) +
+                                      " on " + std::to_string(channels) +
+                                      " channels";
+            ProtectionConfig cfg;
+            cfg.scheme = scheme;
+            cfg.protectedBytes = 1ull << 30;
+            dram::DramSystem dram(dram::ddr4_2400(channels));
+            dram::DramSystem ref_dram(dram::ddr4_2400(channels));
+            ProtectionEngine engine(cfg, &dram);
+            TrafficBreakdown ref;
+            Rng rng(channels * 10 + static_cast<u64>(scheme));
+            Cycles arrival = 0;
+            for (int i = 0; i < 600; ++i) {
+                LogicalAccess acc;
+                acc.macGranularity = kGrans[rng.below(5)];
+                const u64 span =
+                    64 / cfg.macBytes *
+                    cfg.effectiveMacGranularity(acc.macGranularity);
+                // Start on the span of data a tag line covers or
+                // inside one, and end up to 24 spans later on a span
+                // boundary or inside a span; one in five stays inside
+                // its first span.
+                const u64 head = rng.chance(0.5) ? 0 : 1 + rng.below(span - 1);
+                const u64 tail = rng.chance(0.5) ? 0 : 1 + rng.below(span - 1);
+                const u64 end = rng.chance(0.2)
+                                    ? head + 1 + rng.below(span - head)
+                                    : rng.below(24) * span + tail;
+                acc.addr = rng.below(cfg.protectedBytes / 2 / span) * span +
+                           head;
+                acc.bytes = std::max(end, head + 1) - head;
+                acc.type = rng.chance(0.5) ? AccessType::Read
+                                           : AccessType::Write;
+                const Cycles got = engine.access(acc, arrival);
+                const Cycles want =
+                    perLineMgxAccess(ref_dram, cfg, acc, arrival, ref);
+                ASSERT_EQ(got, want) << label << ", access " << i;
+                arrival += rng.below(3000);
+            }
+            EXPECT_EQ(dram.accessCount(), ref_dram.accessCount()) << label;
+            EXPECT_EQ(dram.lastCompletion(), ref_dram.lastCompletion())
+                << label;
+            for (u32 c = 0; c < channels; ++c) {
+                const dram::ChannelCounters &a = dram.channel(c).counters();
+                const dram::ChannelCounters &b =
+                    ref_dram.channel(c).counters();
+                EXPECT_EQ(a.rowHits, b.rowHits) << label;
+                EXPECT_EQ(a.rowMisses, b.rowMisses) << label;
+                EXPECT_EQ(a.rowConflicts, b.rowConflicts) << label;
+                EXPECT_EQ(a.reads, b.reads) << label;
+                EXPECT_EQ(a.writes, b.writes) << label;
+                EXPECT_EQ(a.refreshStallCycles, b.refreshStallCycles)
+                    << label;
+            }
+            const TrafficBreakdown &t = engine.traffic();
+            EXPECT_EQ(t.dataBytes, ref.dataBytes) << label;
+            EXPECT_EQ(t.expandBytes, ref.expandBytes) << label;
+            EXPECT_EQ(t.macBytes, ref.macBytes) << label;
+            EXPECT_EQ(t.totalBytes(), ref.totalBytes()) << label;
+        }
+    }
 }
 
 } // namespace

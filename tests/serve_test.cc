@@ -115,6 +115,28 @@ TEST(Http, ToleratesBareLfLineEndings)
     EXPECT_EQ(p.request().header("host").value_or(""), "x");
 }
 
+/** @p s with CR, LF and unprintable bytes escaped, for messages. */
+std::string
+printable(const std::string &s)
+{
+    std::string out;
+    for (unsigned char c : s.substr(0, 160)) {
+        char esc[8];
+        if (c == '\r')
+            out += "\\r";
+        else if (c == '\n')
+            out += "\\n";
+        else if (c < 0x20 || c >= 0x7f) {
+            std::snprintf(esc, sizeof esc, "\\x%02x", c);
+            out += esc;
+        } else
+            out += static_cast<char>(c);
+    }
+    if (s.size() > 160)
+        out += "... (" + std::to_string(s.size()) + " bytes)";
+    return out;
+}
+
 TEST(Http, RejectsMalformedInput)
 {
     {
@@ -135,6 +157,48 @@ TEST(Http, RejectsMalformedInput)
         const std::string raw = "GET relative HTTP/1.1\r\n\r\n";
         EXPECT_EQ(p.feed(raw.data(), raw.size()),
                   Parser::Status::Error);
+    }
+    // Content-Length is a plain digit string, and repeated fields
+    // repeat it: a sign, leading whitespace or junk, or two differing
+    // values answer 400; a digit string over the 1 MiB cap answers 431.
+    const auto request = [](const std::string &fields) {
+        Parser p;
+        const std::string raw = "POST /run HTTP/1.1\r\n" + fields +
+                                "\r\n\r\nab";
+        p.feed(raw.data(), raw.size());
+        return p;
+    };
+    for (const char *bad :
+         {"Content-Length: -1", "Content-Length: +2", "Content-Length:\v2",
+          "Content-Length: 2x", "Content-Length:",
+          "Content-Length: 0\r\nContent-Length: 2"}) {
+        const Parser p = request(bad);
+        EXPECT_EQ(p.status(), Parser::Status::Error) << printable(bad);
+        EXPECT_FALSE(p.tooLarge()) << printable(bad);
+    }
+    for (const char *huge : {"Content-Length: 1048577",
+                             "Content-Length: 99999999999999999999"}) {
+        const Parser p = request(huge);
+        EXPECT_EQ(p.status(), Parser::Status::Error) << huge;
+        EXPECT_TRUE(p.tooLarge()) << huge;
+    }
+    {
+        const Parser p =
+            request("Content-Length: 2\r\nContent-Length: 2");
+        ASSERT_EQ(p.status(), Parser::Status::Complete) << p.error();
+        EXPECT_EQ(p.request().body, "ab");
+    }
+    // A response's status is exactly three digits, and its
+    // Content-Length is as strict as a request's.
+    for (const char *bad :
+         {"HTTP/1.1 -200 OK\r\nContent-Length: 0\r\n\r\n",
+          "HTTP/1.1 99999999999 OK\r\nContent-Length: 0\r\n\r\n",
+          "HTTP/1.1 20 OK\r\nContent-Length: 0\r\n\r\n",
+          "HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\nab"}) {
+        HttpResponseParser p;
+        EXPECT_EQ(p.feed(bad, std::strlen(bad)),
+                  HttpResponseParser::Status::Error)
+            << printable(bad);
     }
 }
 
@@ -167,28 +231,6 @@ TEST(Http, PercentCodecRoundTrip)
 // ---------------------------------------------------------------------
 
 constexpr std::size_t kRequestCap = 1u << 20; // HttpRequestParser's cap
-
-/** @p s with CR, LF and unprintable bytes escaped, for messages. */
-std::string
-printable(const std::string &s)
-{
-    std::string out;
-    for (unsigned char c : s.substr(0, 160)) {
-        char esc[8];
-        if (c == '\r')
-            out += "\\r";
-        else if (c == '\n')
-            out += "\\n";
-        else if (c < 0x20 || c >= 0x7f) {
-            std::snprintf(esc, sizeof esc, "\\x%02x", c);
-            out += esc;
-        } else
-            out += static_cast<char>(c);
-    }
-    if (s.size() > 160)
-        out += "... (" + std::to_string(s.size()) + " bytes)";
-    return out;
-}
 
 /** Feed @p in to a fresh parser in random-sized pieces, stopping at
  *  the first status that is not Incomplete. */
