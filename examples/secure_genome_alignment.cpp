@@ -40,8 +40,7 @@ main()
                 checker.report().ok ? "OK" : "VIOLATED");
     std::printf("on-chip VN state: %llu bytes "
                 "(CTR_genome + CTR_query)\n\n",
-                static_cast<unsigned long long>(
-                    kernel.state().onChipBytes()));
+                static_cast<unsigned long long>(kernel.vnStateBytes()));
 
     const sim::Platform platform = sim::genomePlatform();
     sim::ResultSet rs =

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/log.h"
 #include "graph/csr.h"
 #include "graph/graph_gen.h"
 #include "graph/graph_kernel.h"
@@ -131,7 +132,6 @@ main()
                     rs.trafficIncrease("pagerank", platform.name, s).value());
     std::printf("\nkernel on-chip VN state: %llu bytes (one Iter "
                 "counter plus the adjacency VN)\n",
-                static_cast<unsigned long long>(
-                    kernel.state().onChipBytes()));
+                static_cast<unsigned long long>(kernel.vnStateBytes()));
     return 0;
 }

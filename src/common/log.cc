@@ -5,31 +5,10 @@
 namespace mgx {
 namespace detail {
 
-LogLevel &
-logThreshold()
-{
-    static LogLevel level = LogLevel::Info;
-    return level;
-}
-
-static const char *
-levelTag(LogLevel lvl)
-{
-    switch (lvl) {
-      case LogLevel::Debug: return "debug";
-      case LogLevel::Info: return "info";
-      case LogLevel::Warn: return "warn";
-      case LogLevel::Error: return "error";
-    }
-    return "?";
-}
-
 void
-vlog(LogLevel lvl, const char *fmt, ...)
+warn(const char *fmt, ...)
 {
-    if (static_cast<int>(lvl) < static_cast<int>(logThreshold()))
-        return;
-    std::fprintf(stderr, "[mgx:%s] ", levelTag(lvl));
+    std::fprintf(stderr, "[mgx:warn] ");
     va_list ap;
     va_start(ap, fmt);
     std::vfprintf(stderr, fmt, ap);
@@ -38,12 +17,6 @@ vlog(LogLevel lvl, const char *fmt, ...)
 }
 
 } // namespace detail
-
-void
-setLogLevel(LogLevel lvl)
-{
-    detail::logThreshold() = lvl;
-}
 
 void
 fatal(const char *fmt, ...)

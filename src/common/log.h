@@ -14,31 +14,15 @@
 
 namespace mgx {
 
-/** Severity levels for runtime messages. */
-enum class LogLevel { Debug, Info, Warn, Error };
-
 namespace detail {
 
-/** Global log threshold; messages below it are suppressed. */
-LogLevel &logThreshold();
-
-void vlog(LogLevel lvl, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
+/** Print "[mgx:warn] <message>" and a newline to stderr. */
+void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace detail
 
-/** Set the global minimum level that will be printed. */
-void setLogLevel(LogLevel lvl);
-
-/** Informational message for the user. */
-#define MGX_INFO(...) ::mgx::detail::vlog(::mgx::LogLevel::Info, __VA_ARGS__)
-
 /** Something may be mis-modelled but the run can continue. */
-#define MGX_WARN(...) ::mgx::detail::vlog(::mgx::LogLevel::Warn, __VA_ARGS__)
-
-/** Debug-level tracing, off by default. */
-#define MGX_DEBUG(...) \
-    ::mgx::detail::vlog(::mgx::LogLevel::Debug, __VA_ARGS__)
+#define MGX_WARN(...) ::mgx::detail::warn(__VA_ARGS__)
 
 /**
  * Unrecoverable user error (bad configuration, invalid workload):

@@ -5,8 +5,10 @@
  * In MGX the *kernel* — the attested program on the accelerator's
  * control processor — is the component that generates version numbers.
  * Each domain (DNN, graph, genome, video, and the tiled-MatMul example)
- * subclasses Kernel, maintains its VN program state in a VnState, and
- * produces phases whose logical accesses carry fully formed VNs.
+ * subclasses Kernel, keeps its on-chip VN program state as plain Vn
+ * registers named after the paper's counters (Iter, CTR_query, VN_W,
+ * ...), and produces phases whose logical accesses carry fully formed
+ * VNs.
  *
  * Production is streaming-first: subclasses implement stream(), a
  * pull-based chunked PhaseSource, so consumers can replay a workload
@@ -25,7 +27,6 @@
 
 #include "phase.h"
 #include "phase_stream.h"
-#include "vn_state.h"
 
 namespace mgx::core {
 
@@ -55,12 +56,6 @@ class Kernel
      * unlike the stream path.
      */
     Trace generate();
-
-    /** The kernel's on-chip VN state (for storage-cost reporting). */
-    const VnState &state() const { return state_; }
-
-  protected:
-    VnState state_;
 };
 
 } // namespace mgx::core

@@ -2,18 +2,17 @@
 
 #include "common/bitops.h"
 #include "common/log.h"
+#include "counter.h"
 
 namespace mgx::core {
 
-MatMulKernel::MatMulKernel(const MatMulParams &params) : params_(params)
+MatMulKernel::MatMulKernel(const MatMulParams &params)
+    : params_(params), vn_(params.initialVn)
 {
     if (params_.m % params_.mTiles || params_.n % params_.nTiles ||
         params_.k % params_.kTiles) {
         fatal("MatMul dimensions must divide evenly into tiles");
     }
-    state_.setCounter("VN[A]", params_.initialVn);
-    state_.setCounter("VN[B]", params_.initialVn);
-    state_.setCounter("VN[C]", params_.initialVn);
 }
 
 Addr
@@ -45,10 +44,11 @@ MatMulKernel::tileAddrC(u64 mi, u64 ni) const
 
 /**
  * Streaming producer for the Fig. 4(b) schedule: the setup phase, then
- * one compute phase per (ki, mi, ni) tile, with VN[C] bumped exactly
- * when round ki begins — the same order and state evolution the
- * materializing loop had. One phase per chunk through a reused
- * scratch Phase, so the producer-side footprint is one phase.
+ * one compute phase per (ki, mi, ni) tile, with the VN counter bumped
+ * exactly when round ki begins. A and B are loaded and read at the
+ * counter's value when the run starts, so a further run reloads them
+ * above every VN the last run wrote. One phase per chunk through a
+ * reused scratch Phase, so the producer-side footprint is one phase.
  */
 class MatMulKernel::Source final : public PhaseSource
 {
@@ -61,7 +61,7 @@ class MatMulKernel::Source final : public PhaseSource
           bytesA_(tm_ * tk_ * kernel.params_.elemBytes),
           bytesB_(tk_ * tn_ * kernel.params_.elemBytes),
           bytesC_(tm_ * tn_ * kernel.params_.elemBytes),
-          vnIn_(makeVn(DataClass::Generic, kernel.params_.initialVn))
+          vnIn_(makeVn(DataClass::Generic, kernel.vn_))
     {
     }
 
@@ -74,7 +74,7 @@ class MatMulKernel::Source final : public PhaseSource
         scratch_.computeCycles = 0;
 
         if (!setupDone_) {
-            // Session setup: the host loads A and B with the initial VN.
+            // Session setup: the host loads A and B.
             scratch_.name = "load-operands";
             scratch_.accesses.reserve(p.mTiles * p.kTiles +
                                       p.kTiles * p.nTiles);
@@ -95,13 +95,11 @@ class MatMulKernel::Source final : public PhaseSource
         if (ki_ >= p.kTiles)
             return false;
 
-        // Fig. 4(b): outer loop over K rounds; VN[C] bumps once per
-        // round, as the first tile of the round is scheduled.
+        // Fig. 4(b): outer loop over K rounds; the VN counter bumps
+        // once per round, as the first tile of the round is scheduled.
         if (mi_ == 0 && ni_ == 0) {
-            vnCRead_ =
-                makeVn(DataClass::Generic, k_->state_.counter("VN[C]"));
-            vnCWrite_ = makeVn(DataClass::Generic,
-                               k_->state_.bumpCounter("VN[C]"));
+            vnCRead_ = makeVn(DataClass::Generic, k_->vn_);
+            vnCWrite_ = makeVn(DataClass::Generic, ++k_->vn_);
         }
         scratch_.name = "round" + std::to_string(ki_) + "-tile(" +
                         std::to_string(mi_) + "," + std::to_string(ni_) +
@@ -158,7 +156,7 @@ MatMulKernel::stream()
 Vn
 MatMulKernel::finalOutputVn() const
 {
-    return makeVn(DataClass::Generic, state_.counter("VN[C]"));
+    return makeVn(DataClass::Generic, vn_);
 }
 
 } // namespace mgx::core

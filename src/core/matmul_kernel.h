@@ -5,7 +5,8 @@
  * C[M x N] = A[M x K] * B[K x N], with the K dimension split into
  * `kTiles` partial-sum rounds. Within one round every C tile is written
  * exactly once, so all C tiles share one VN value that increments once
- * per round — exactly the schedule of Fig. 4(c).
+ * per round — exactly the schedule of Fig. 4(c). That value is the
+ * kernel's one on-chip VN counter.
  */
 
 #ifndef MGX_CORE_MATMUL_KERNEL_H
@@ -29,7 +30,7 @@ struct MatMulParams
     Addr baseA = 0;       ///< where A lives in protected memory
     Addr baseB = 1ull << 24;
     Addr baseC = 1ull << 25;
-    Vn initialVn = 0;     ///< VN with which A and B were pre-written
+    Vn initialVn = 0;     ///< the VN counter's value before the first run
 };
 
 /** Fig. 4's kernel: generates the VN-annotated trace of the schedule. */
@@ -41,14 +42,16 @@ class MatMulKernel : public Kernel
     std::string name() const override { return "tiled-matmul"; }
 
     /**
-     * Stream the schedule's phases. The first emitted phase also
-     * contains the initial writes of A and B with `initialVn`,
-     * modeling the session setup that loads the operands into
-     * protected memory.
+     * Stream the schedule's phases. The first emitted phase writes A
+     * and B with the VN counter's value as the run starts (initialVn
+     * on the first run), modeling the session setup that loads the
+     * operands into protected memory; the rounds read them back with
+     * that VN.
      */
     std::unique_ptr<PhaseSource> stream() override;
 
-    /** VN the final C tiles were written with (initialVn + kTiles). */
+    /** VN the final C tiles were written with (initialVn + kTiles
+     *  after one run). */
     Vn finalOutputVn() const;
 
     const MatMulParams &params() const { return params_; }
@@ -61,6 +64,7 @@ class MatMulKernel : public Kernel
     Addr tileAddrC(u64 mi, u64 ni) const;
 
     MatMulParams params_;
+    Vn vn_; ///< the VN counter: C's VN, bumped once per K round
 };
 
 } // namespace mgx::core

@@ -214,16 +214,15 @@ DnnKernel::featureDemandBytes() const
     return demand;
 }
 
-Vn
-DnnKernel::bumpFeatureVn()
+u64
+DnnKernel::vnStateBytes() const
 {
-    return state_.bumpCounter("VN_F_next");
-}
-
-Vn
-DnnKernel::bumpGradientVn()
-{
-    return state_.bumpCounter("VN_G_next");
+    // VN_F per layer, the VN_F counter, VN_W and VN_input; training
+    // adds VN_G per layer and the VN_G counter.
+    u64 entries = model_.layers.size() + 3;
+    if (task_ == DnnTask::Training)
+        entries += model_.layers.size() + 1;
+    return entries * sizeof(Vn);
 }
 
 void
@@ -237,8 +236,7 @@ DnnKernel::pushInputReads(const Layer &l, AccessList &out)
                 prunedBytes(static_cast<u64>(batch_) * l.inputElems() *
                             accel_.elemBytes);
             out.push_back({inputAddr_, bytes,
-                           makeVn(DataClass::Feature,
-                                  state_.counter("VN_input")),
+                           makeVn(DataClass::Feature, vnInput_),
                            AccessType::Read, DataClass::Feature, 0});
         } else {
             const TensorInfo &t =
@@ -257,8 +255,7 @@ DnnKernel::pushWeightRead(std::size_t idx, AccessList &out)
     const u64 wb = l.weightElems() * accel_.elemBytes;
     if (wb == 0 || l.kind == LayerKind::Embedding)
         return;
-    out.push_back({weightAddr_[idx], wb,
-                   makeVn(DataClass::Weight, state_.counter("VN_W")),
+    out.push_back({weightAddr_[idx], wb, makeVn(DataClass::Weight, vnW_),
                    AccessType::Read, DataClass::Weight, 0});
 }
 
@@ -285,8 +282,7 @@ DnnKernel::emitForwardLayer(std::size_t idx, core::PhaseSink &sink)
         p.name = l.name;
         p.computeCycles = compute;
         const u64 row_bytes = static_cast<u64>(l.rowDim) * eb;
-        const Vn vn_w =
-            makeVn(DataClass::Weight, state_.counter("VN_W"));
+        const Vn vn_w = makeVn(DataClass::Weight, vnW_);
         const u64 lookups =
             static_cast<u64>(batch_) * l.lookupsPerSample;
         for (u64 i = 0; i < lookups; ++i) {
@@ -295,12 +291,10 @@ DnnKernel::emitForwardLayer(std::size_t idx, core::PhaseSink &sink)
                                   row_bytes, vn_w, AccessType::Read,
                                   DataClass::Weight, 64});
         }
-        const Vn vn_out = bumpFeatureVn();
-        t.vn = vn_out;
+        t.vn = ++vnF_;
         t.writes = 1;
-        state_.setTable("VN_F", idx, vn_out);
         p.accesses.push_back({t.addr, t.bytes,
-                              makeVn(DataClass::Feature, vn_out),
+                              makeVn(DataClass::Feature, t.vn),
                               AccessType::Write, DataClass::Feature, 0});
         sink.consume(p);
         return;
@@ -356,7 +350,7 @@ DnnKernel::emitForwardLayer(std::size_t idx, core::PhaseSink &sink)
 
     Vn vn_prev = 0;
     for (u64 k = 0; k < k_rounds; ++k) {
-        const Vn vn_write = bumpFeatureVn();
+        const Vn vn_write = ++vnF_;
         for (u64 band = 0; band < bands; ++band) {
             auto [ob, oe] = sliceRange(out_bytes, bands, band);
             if (ob >= oe)
@@ -372,7 +366,7 @@ DnnKernel::emitForwardLayer(std::size_t idx, core::PhaseSink &sink)
                 if (wbgn < wend) {
                     p.accesses.push_back(
                         {weightAddr_[idx] + wbgn, wend - wbgn,
-                         makeVn(DataClass::Weight, state_.counter("VN_W")),
+                         makeVn(DataClass::Weight, vnW_),
                          AccessType::Read, DataClass::Weight, 0});
                 }
             }
@@ -390,13 +384,10 @@ DnnKernel::emitForwardLayer(std::size_t idx, core::PhaseSink &sink)
                         ? prunedBytes(static_cast<u64>(batch_) *
                                       l.inputElems() * eb)
                         : features_[static_cast<std::size_t>(prod)].bytes;
-                const Vn vn_in =
-                    external
-                        ? makeVn(DataClass::Feature,
-                                 state_.counter("VN_input"))
-                        : makeVn(DataClass::Feature,
-                                 features_[static_cast<std::size_t>(prod)]
-                                     .vn);
+                const Vn vn_in = makeVn(
+                    DataClass::Feature,
+                    external ? vnInput_
+                             : features_[static_cast<std::size_t>(prod)].vn);
                 auto [ib, ie] =
                     sliceRange(total, k_rounds * bands, part);
                 if (ib < ie) {
@@ -423,7 +414,6 @@ DnnKernel::emitForwardLayer(std::size_t idx, core::PhaseSink &sink)
         ++t.writes;
         t.vn = vn_write;
     }
-    state_.setTable("VN_F", idx, t.vn);
 }
 
 void
@@ -448,7 +438,7 @@ DnnKernel::emitBackwardLayer(std::size_t idx, core::PhaseSink &sink)
         const u64 row_bytes = static_cast<u64>(l.rowDim) * eb;
         const u64 lookups =
             static_cast<u64>(batch_) * l.lookupsPerSample;
-        const Vn vn_gw = bumpGradientVn();
+        const Vn vn_gw = ++vnG_;
         // Gathered-row gradients are written densely into a staging
         // buffer (the sparse scatter is resolved by the optimizer,
         // which the paper does not emulate either).
@@ -496,13 +486,12 @@ DnnKernel::emitBackwardLayer(std::size_t idx, core::PhaseSink &sink)
             tgt.accumulate = true;
             tgt.vnRead = gx.vn;
         }
-        tgt.vnWrite = bumpGradientVn();
+        tgt.vnWrite = ++vnG_;
         gx.vn = tgt.vnWrite;
         ++gx.writes;
-        state_.setTable("VN_G", pi, gx.vn);
         targets.push_back(tgt);
     }
-    const Vn vn_gw = wb > 0 ? bumpGradientVn() : 0;
+    const Vn vn_gw = wb > 0 ? ++vnG_ : 0;
     const Addr gw_addr =
         wb > 0 ? kGradientBase + (weightAddr_[idx] % kGradientRegion) : 0;
 
@@ -532,9 +521,8 @@ DnnKernel::emitBackwardLayer(std::size_t idx, core::PhaseSink &sink)
                     ? inputBytes_
                     : features_[static_cast<std::size_t>(prod)].bytes;
             const Vn vn =
-                external
-                    ? state_.counter("VN_input")
-                    : features_[static_cast<std::size_t>(prod)].vn;
+                external ? vnInput_
+                         : features_[static_cast<std::size_t>(prod)].vn;
             auto [xb, xe] = sliceRange(total, bands, band);
             if (xb < xe) {
                 p.accesses.push_back(
@@ -543,10 +531,9 @@ DnnKernel::emitBackwardLayer(std::size_t idx, core::PhaseSink &sink)
             }
         }
         if (wb > 0 && band == 0) {
-            p.accesses.push_back(
-                {weightAddr_[idx], wb,
-                 makeVn(DataClass::Weight, state_.counter("VN_W")),
-                 AccessType::Read, DataClass::Weight, 0});
+            p.accesses.push_back({weightAddr_[idx], wb,
+                                  makeVn(DataClass::Weight, vnW_),
+                                  AccessType::Read, DataClass::Weight, 0});
         }
 
         // Outgoing gradients.
@@ -591,11 +578,7 @@ DnnKernel::beginRun()
     gradients_.assign(n, {});
     remainingUses_.assign(n, 0);
     featureAlloc_.emplace(kFeatureBase, kFeatureRegion, kTensorAlign);
-    state_.makeTable("VN_F", n);
-    state_.makeTable("VN_G", n);
-    if (state_.counter("VN_W") == 0)
-        state_.setCounter("VN_W", 1); // weights loaded once at setup
-    state_.bumpCounter("VN_input");   // a new input arrived
+    ++vnInput_; // a new input arrived
 
     // Consumer counts for buffer recycling.
     for (const auto &l : model_.layers)
@@ -612,7 +595,7 @@ DnnKernel::beginRun()
  * Streaming producer: one layer's phases per chunk — forward layers in
  * order, then (training) the loss-gradient seed and the backward
  * layers in reverse. Buffer recycling happens as each layer is
- * emitted, so the address map and VN tables evolve exactly as the
+ * emitted, so the address map and tensor VNs evolve exactly as the
  * materializing loop evolved them.
  */
 class DnnKernel::Source final : public core::PhaseSource
@@ -655,7 +638,7 @@ class DnnKernel::Source final : public core::PhaseSource
             TensorInfo &gl = k_->gradients_[n - 1];
             gl.bytes = k_->features_[n - 1].bytes;
             gl.addr = k_->featureAlloc_->alloc(gl.bytes);
-            gl.vn = k_->bumpGradientVn();
+            gl.vn = ++k_->vnG_;
             gl.writes = 1;
             Phase loss;
             loss.name = "loss-grad";

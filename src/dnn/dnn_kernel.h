@@ -5,13 +5,15 @@
  * MGX contribution — generates every access's version number from
  * on-chip state exactly as paper §IV-C prescribes:
  *
- *  - VN_F: one entry per layer output; the value comes from a global
- *    monotonic feature counter, bumped once per DRAM write of the
- *    tensor (so K-tiled layers that rewrite their output t times use
- *    t successive values — Fig. 7).
- *  - VN_W: one counter for all weights; constant during inference.
- *  - VN_G: per-gradient-tensor entries during backpropagation, from a
- *    global gradient counter (Fig. 8b).
+ *  - VN_F: one entry per layer output (the `vn` of its features_
+ *    entry); the value comes from a global monotonic feature counter,
+ *    bumped once per DRAM write of the tensor (so K-tiled layers that
+ *    rewrite their output t times use t successive values — Fig. 7).
+ *  - VN_W: one register for all weights; constant during inference.
+ *  - VN_G: one entry per gradient tensor during backpropagation (the
+ *    `vn` of its gradients_ entry), from a global gradient counter
+ *    (Fig. 8b).
+ *  - VN_input: bumps once per run, as a new input arrives.
  *
  * Feature buffers are recycled once all consumers have read them, so
  * the same DRAM addresses are reused across layers with strictly
@@ -44,9 +46,6 @@ class RegionAllocator
 
     /** Return a block to the free list (coalescing neighbours). */
     void free(Addr addr);
-
-    /** Bytes currently allocated. */
-    u64 liveBytes() const { return liveBytes_; }
 
   private:
     struct Block { Addr addr; u64 size; };
@@ -87,8 +86,13 @@ class DnnKernel : public core::Kernel
      *  phases per chunk. */
     std::unique_ptr<core::PhaseSource> stream() override;
 
-    /** On-chip VN state footprint in bytes (paper: ~1 KB / 127 layers). */
-    u64 vnStateBytes() const { return state_.onChipBytes(); }
+    /**
+     * On-chip VN state footprint in bytes, 8 per register or table
+     * entry (paper: ~1 KB for 127 layers): a VN_F entry per layer, the
+     * VN_F counter, VN_W and VN_input; training adds a VN_G entry per
+     * layer and the VN_G counter.
+     */
+    u64 vnStateBytes() const;
 
     /**
      * Per-layer feature density for pruning studies (paper §VII-B):
@@ -117,7 +121,8 @@ class DnnKernel : public core::Kernel
   private:
     class Source; // the streaming producer (dnn_kernel.cc)
 
-    /** Reset per-run state: address map, VN tables, consumer counts. */
+    /** Reset per-run state (address map, tensor table, consumer
+     *  counts) and bump VN_input. */
     void beginRun();
 
     /** Emit the phases of one forward layer into @p sink. */
@@ -131,10 +136,6 @@ class DnnKernel : public core::Kernel
 
     /** Weight-read access for layer @p idx (if it has weights). */
     void pushWeightRead(std::size_t idx, core::AccessList &out);
-
-    /** Next value of the global feature counter (also bumps it). */
-    Vn bumpFeatureVn();
-    Vn bumpGradientVn();
 
     /** Scale bytes by the pruning density (64 B floor). */
     u64 prunedBytes(u64 bytes) const;
@@ -161,6 +162,13 @@ class DnnKernel : public core::Kernel
     std::vector<int> remainingUses_;     ///< consumers not yet run
     Addr inputAddr_ = 0;              ///< the external input tensor
     u64 inputBytes_ = 0;
+
+    // On-chip VN registers; the per-tensor VNs live in features_ and
+    // gradients_.
+    Vn vnF_ = 0;     ///< the VN_F counter: last feature VN handed out
+    Vn vnG_ = 0;     ///< the VN_G counter: last gradient VN handed out
+    Vn vnW_ = 1;     ///< VN_W: weights loaded once at setup
+    Vn vnInput_ = 0; ///< VN_input: bumps per run
 };
 
 } // namespace mgx::dnn

@@ -16,15 +16,12 @@ GenomeKernel::GenomeKernel(GactWorkload workload, GactConfig config,
                            u64 seed)
     : workload_(std::move(workload)), config_(config), seed_(seed)
 {
-    state_.setCounter("CTR_genome", 1); // this assembly
-    state_.setCounter("CTR_query", 0);
 }
 
 Vn
 GenomeKernel::queryVn() const
 {
-    return (state_.counter("CTR_genome") << 32) |
-           state_.counter("CTR_query");
+    return (ctrGenome_ << 32) | ctrQuery_;
 }
 
 /**
@@ -42,9 +39,8 @@ class GenomeKernel::Source final : public core::PhaseSource
         Rng rng(k_->seed_);
 
         // One new query batch per stream() call.
-        k_->state_.bumpCounter("CTR_query");
-        vnRef_ = makeVn(DataClass::GenomeTable,
-                        k_->state_.counter("CTR_genome"));
+        ++k_->ctrQuery_;
+        vnRef_ = makeVn(DataClass::GenomeTable, k_->ctrGenome_);
         vnQuery_ = makeVn(DataClass::GenomeQuery, k_->queryVn());
 
         // Tiles per read: a chain along the read, with error-driven

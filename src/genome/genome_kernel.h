@@ -35,6 +35,9 @@ class GenomeKernel : public core::Kernel
     /** VN value used for query/traceback data (tests). */
     Vn queryVn() const;
 
+    /** On-chip VN state in bytes: CTR_genome and CTR_query, 8 each. */
+    u64 vnStateBytes() const { return 2 * sizeof(Vn); }
+
   private:
     class Source; // the streaming producer (genome_kernel.cc)
 
@@ -46,6 +49,9 @@ class GenomeKernel : public core::Kernel
     Addr referenceBase_ = 0;               ///< up to 4 GB
     Addr queryBase_ = 6ull << 30;          ///< query batches
     Addr tracebackBase_ = 12ull << 30;     ///< traceback pointers
+
+    Vn ctrGenome_ = 1; ///< CTR_genome: this assembly
+    Vn ctrQuery_ = 0;  ///< CTR_query: bumps per query batch
 };
 
 } // namespace mgx::genome

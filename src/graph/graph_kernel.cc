@@ -18,8 +18,6 @@ GraphKernel::GraphKernel(GraphTiles tiles, GraphAlgorithm algorithm,
       iterations_(iterations), engine_(engine),
       vectorAccess_(vector_access)
 {
-    state_.setCounter("Iter", 0);
-    state_.setCounter("VN_adj", 1); // matrix loaded once at session start
 }
 
 std::string
@@ -46,8 +44,7 @@ class GraphKernel::Source final : public core::PhaseSource
   public:
     explicit Source(GraphKernel &kernel)
         : k_(&kernel),
-          vnAdj_(makeVn(DataClass::GraphMatrix,
-                        kernel.state_.counter("VN_adj"))),
+          vnAdj_(makeVn(DataClass::GraphMatrix, kernel.vnAdj_)),
           rng_(0x9e3779b9u ^ kernel.tiles_.vertices)
     {
         // Byte offset of each adjacency tile, in schedule order.
@@ -74,12 +71,14 @@ class GraphKernel::Source final : public core::PhaseSource
         while (it_ <= k_->iterations_) {
             if (b_ == 0 && t_ == 0 && !iterOpen_) {
                 // A new sweep begins: bump Iter, derive this sweep's
-                // VNs and double-buffer addresses.
-                const Vn iter = k_->state_.bumpCounter("Iter");
+                // VNs and double-buffer addresses. The buffers follow
+                // Iter, not it_: a further run continues from the
+                // buffer the last sweep wrote.
+                const Vn iter = ++k_->iter_;
                 vnRead_ = makeVn(DataClass::GraphVector, iter - 1 + 1);
                 vnWrite_ = makeVn(DataClass::GraphVector, iter + 1);
-                bufIn_ = k_->vectorBase_[(it_ + 1) % 2];
-                bufOut_ = k_->vectorBase_[it_ % 2];
+                bufIn_ = k_->vectorBase_[(iter + 1) % 2];
+                bufOut_ = k_->vectorBase_[iter % 2];
                 iterOpen_ = true;
             }
             for (; b_ < tiles.dstBlocks; ++b_, t_ = 0) {

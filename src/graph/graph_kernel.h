@@ -3,10 +3,11 @@
  * The GraphBLAS accelerator kernel: GraphLily-like tiled SpMV schedule
  * (paper Fig. 10) with MGX VN generation (paper §V-B).
  *
- * VN rules: the adjacency matrix is read-only with a constant VN; the
- * rank / updated-rank vectors double-buffer, with (Iter-1) as the read
- * VN and Iter as the write VN, so the kernel's whole VN state is one
- * 64-bit iteration counter.
+ * VN rules: the adjacency matrix is read-only with a constant VN
+ * (VN_adj); the rank / updated-rank vectors double-buffer, with
+ * (Iter-1) as the read VN and Iter as the write VN, and the parity of
+ * Iter picks the buffer. So the kernel's whole VN state is the 64-bit
+ * iteration counter plus VN_adj.
  */
 
 #ifndef MGX_GRAPH_GRAPH_KERNEL_H
@@ -55,8 +56,11 @@ class GraphKernel : public core::Kernel
      *  per chunk; Iter bumps as each sweep begins. */
     std::unique_ptr<core::PhaseSource> stream() override;
 
-    /** The 64-bit Iter counter after the run (paper: the whole state). */
-    Vn iterCounter() const { return state_.counter("Iter"); }
+    /** The 64-bit Iter counter after the run. */
+    Vn iterCounter() const { return iter_; }
+
+    /** On-chip VN state in bytes: Iter and VN_adj, 8 bytes each. */
+    u64 vnStateBytes() const { return 2 * sizeof(Vn); }
 
   private:
     class Source; // the streaming producer (graph_kernel.cc)
@@ -69,6 +73,9 @@ class GraphKernel : public core::Kernel
 
     Addr adjacencyBase_ = 0;
     Addr vectorBase_[2] = {12ull << 30, 13ull << 30};
+
+    Vn iter_ = 0;  ///< Iter: bumps as each sweep begins
+    Vn vnAdj_ = 1; ///< VN_adj: matrix loaded once at session start
 };
 
 } // namespace mgx::graph

@@ -161,10 +161,6 @@ class BaselineSecureMemory
 
   private:
     u64 blockIndex(Addr addr) const { return addr / kBlockBytes; }
-    u64 leafIndex(Addr addr) const
-    {
-        return blockIndex(addr) / kVnsPerLeaf;
-    }
     /** Serialize the 8 VNs of a leaf for hashing. */
     std::vector<u8> leafBytes(u64 leaf) const;
 

@@ -8,17 +8,13 @@ namespace mgx::video {
 using core::makeVn;
 using core::Phase;
 
-VideoKernel::VideoKernel(VideoConfig config) : config_(config)
-{
-    state_.setCounter("CTR_IN", 0);
-}
+VideoKernel::VideoKernel(VideoConfig config) : config_(config) {}
 
 Vn
 VideoKernel::frameVn(u32 f) const
 {
     // CTR_IN in the upper half, display frame number in the lower.
-    return makeVn(DataClass::VideoFrame,
-                  (state_.counter("CTR_IN") << 32) | f);
+    return makeVn(DataClass::VideoFrame, (ctrIn_ << 32) | f);
 }
 
 Addr
@@ -43,7 +39,7 @@ class VideoKernel::Source final : public core::PhaseSource
               static_cast<u64>(divCeil(kernel.config_.width, 16)) *
               divCeil(kernel.config_.height, 16))
     {
-        k_->state_.bumpCounter("CTR_IN"); // a new bitstream arrives
+        ++k_->ctrIn_; // a new bitstream arrives
     }
 
     bool

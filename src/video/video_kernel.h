@@ -2,7 +2,9 @@
  * @file
  * The H.264 decoder's MGX kernel: emits the frame-buffer traffic of the
  * decode schedule with VN = CTR_IN || F, and exposes the per-access VN
- * rule so the functional test can decode through SecureMemory.
+ * rule so the functional test can decode through SecureMemory. Its
+ * whole on-chip VN state is the CTR_IN register; F is the display
+ * number each frame already carries.
  */
 
 #ifndef MGX_VIDEO_VIDEO_KERNEL_H
@@ -41,6 +43,7 @@ class VideoKernel : public core::Kernel
 
     VideoConfig config_;
     Addr bufferBase_ = 2ull << 30;
+    Vn ctrIn_ = 0; ///< CTR_IN: bumps per bitstream
 };
 
 } // namespace mgx::video

@@ -1,8 +1,7 @@
 /**
  * @file
- * MGX core tests: counter construction (Fig. 6), the on-chip VN state,
- * the security-invariant checker, and the Fig. 4 tiled-MatMul kernel's
- * exact VN sequence.
+ * MGX core tests: counter construction (Fig. 6), the security-invariant
+ * checker, and the Fig. 4 tiled-MatMul kernel's exact VN sequence.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 #include "core/counter.h"
 #include "core/invariant_checker.h"
 #include "core/matmul_kernel.h"
-#include "core/vn_state.h"
 
 namespace mgx::core {
 namespace {
@@ -55,44 +53,6 @@ TEST(Counter, MaxValueIsAccepted)
 {
     Vn vn = makeVn(VnTag::Feature, kVnValueMax);
     EXPECT_EQ(vnValue(vn), kVnValueMax);
-}
-
-// -- VnState -----------------------------------------------------------------------
-
-TEST(VnState, CountersStartAtZero)
-{
-    VnState state;
-    EXPECT_EQ(state.counter("Iter"), 0u);
-    EXPECT_EQ(state.bumpCounter("Iter"), 1u);
-    EXPECT_EQ(state.counter("Iter"), 1u);
-}
-
-TEST(VnState, Tables)
-{
-    VnState state;
-    state.makeTable("VN_F", 4, 9);
-    EXPECT_EQ(state.table("VN_F", 3), 9u);
-    state.setTable("VN_F", 2, 100);
-    EXPECT_EQ(state.bumpTable("VN_F", 2), 101u);
-}
-
-TEST(VnState, OnChipBytesAccounting)
-{
-    VnState state;
-    state.setCounter("a", 1);
-    state.makeTable("t", 127);
-    // 1 scalar + 127 entries, 8 bytes each: ~1 KB for a 127-layer DNN,
-    // the figure the paper quotes.
-    EXPECT_EQ(state.onChipBytes(), 128u * 8);
-}
-
-TEST(VnState, ClearResets)
-{
-    VnState state;
-    state.setCounter("a", 5);
-    state.clear();
-    EXPECT_EQ(state.counter("a"), 0u);
-    EXPECT_EQ(state.onChipBytes(), 0u); // const reads allocate nothing
 }
 
 // -- InvariantChecker ---------------------------------------------------------------
@@ -258,8 +218,21 @@ TEST(MatMulKernel, ReadsMatchWritesAcrossReuse)
     checker.observeTrace(first.generate());
     params.initialVn = vnValue(first.finalOutputVn());
     MatMulKernel second(params);
-    checker.observeTrace(second.generate());
+    const Trace reuse = second.generate();
+    checker.observeTrace(reuse);
     EXPECT_TRUE(checker.report().ok);
+
+    // Running the first kernel again is the same reuse: it continues
+    // from its own VN counter, operand loads included.
+    const Trace again = first.generate();
+    ASSERT_EQ(again.size(), reuse.size());
+    for (std::size_t p = 0; p < again.size(); ++p) {
+        ASSERT_EQ(again[p].accesses.size(), reuse[p].accesses.size());
+        for (std::size_t i = 0; i < again[p].accesses.size(); ++i) {
+            EXPECT_EQ(again[p].accesses[i].addr, reuse[p].accesses[i].addr);
+            EXPECT_EQ(again[p].accesses[i].vn, reuse[p].accesses[i].vn);
+        }
+    }
 }
 
 } // namespace

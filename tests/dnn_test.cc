@@ -229,12 +229,15 @@ TEST(DnnKernel, TiledDenseLayerFollowsFig7VnPattern)
 
 TEST(DnnKernel, VnStateFitsOnChip)
 {
-    DnnKernel kernel(resnet50(), cloudAccel());
-    kernel.generate();
-    // Paper: ~1 KB for 127 layers. ResNet-50's graph has ~120 layers
-    // -> two tables + a few counters, comfortably under 4 KB.
-    EXPECT_LT(kernel.vnStateBytes(), 4096u);
-    EXPECT_GT(kernel.vnStateBytes(), 100u);
+    // Paper: ~1 KB for 127 layers, one VN_F entry per layer. 8 bytes
+    // per entry or register: inference keeps VN_F per layer plus the
+    // VN_F counter, VN_W and VN_input; training adds VN_G per layer
+    // and the VN_G counter.
+    ASSERT_EQ(resnet50().layers.size(), 72u);
+    DnnKernel inference(resnet50(), cloudAccel());
+    EXPECT_EQ(inference.vnStateBytes(), 600u); // 8 x (72 + 3)
+    DnnKernel training(resnet50(), cloudAccel(), DnnTask::Training);
+    EXPECT_EQ(training.vnStateBytes(), 1184u); // 8 x (2 x 72 + 4)
 }
 
 TEST(DnnKernel, EmbeddingGathersUseFineMacs)

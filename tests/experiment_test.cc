@@ -11,9 +11,13 @@
 
 #include <cctype>
 #include <chrono>
+#include <cstdio>
+#include <map>
 #include <random>
 #include <set>
 
+#include "common/checksum.h"
+#include "core/invariant_checker.h"
 #include "dram/dram_system.h"
 #include "protection/protection_engine.h"
 #include "sim/experiment.h"
@@ -281,6 +285,139 @@ TEST(Registry, LargestAcceptedDnnBatchStreamsToTheEnd)
     EXPECT_FALSE(
         checkWorkload("dnn/ResNet?task=training&batch=128", &error));
     EXPECT_NE(error.find("batch=128 needs"), std::string::npos) << error;
+}
+
+/** CRC32 of every field of every phase a kernel streams; keeps nothing. */
+class DigestSink final : public core::PhaseSink
+{
+  public:
+    void
+    consume(const core::Phase &phase) override
+    {
+        word(phase.name.size());
+        crc = crc32Update(crc, phase.name.data(), phase.name.size());
+        word(phase.computeCycles);
+        for (const core::LogicalAccess &acc : phase.accesses) {
+            word(acc.addr);
+            word(acc.bytes);
+            word(acc.vn);
+            word(static_cast<u64>(acc.type));
+            word(static_cast<u64>(acc.cls));
+            word(acc.macGranularity);
+        }
+    }
+
+    u32 crc = 0;
+
+  private:
+    /** Fold @p v in as 8 little-endian bytes, whatever the host. */
+    void
+    word(u64 v)
+    {
+        unsigned char bytes[8];
+        for (int i = 0; i < 8; ++i)
+            bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+        crc = crc32Update(crc, bytes, sizeof bytes);
+    }
+};
+
+TEST(Registry, FirstExecutionTracesArePinned)
+{
+    // The timing grid never reads a VN, so nothing else pins one: a
+    // changed VN rule, address map or schedule in any kernel's first
+    // execution shows up here as a changed digest. The digest covers
+    // each phase's name and compute cycles and each access's address,
+    // bytes, VN, direction, class and MAC granularity. A deliberate
+    // change to a kernel's schedule regenerates this table.
+    static const std::map<std::string, u32> kDigests = {
+        {"dnn/VGG?task=inference", 0x33cfbc07u},
+        {"dnn/VGG?task=training", 0xca6380bfu},
+        {"dnn/AlexNet?task=inference", 0x9b8ff7e2u},
+        {"dnn/AlexNet?task=training", 0xf78ca634u},
+        {"dnn/GoogleNet?task=inference", 0x237db53du},
+        {"dnn/GoogleNet?task=training", 0x20eb3ecbu},
+        {"dnn/ResNet?task=inference", 0x1af64b1fu},
+        {"dnn/ResNet?task=training", 0x3f5489b3u},
+        {"dnn/BERT?task=inference", 0x5f908edeu},
+        {"dnn/BERT?task=training", 0xb520e667u},
+        {"dnn/DLRM?task=inference", 0x43a6946fu},
+        {"dnn/DLRM?task=training", 0x1b1c44a3u},
+        {"dnn/MobileNet?task=inference", 0x022e869eu},
+        {"dnn/MobileNet?task=training", 0x6f906b79u},
+        {"graph/google-plus/pagerank", 0xa7aaa842u},
+        {"graph/google-plus/bfs", 0x8c875912u},
+        {"graph/google-plus/sssp", 0x8c875912u},
+        {"graph/pokec/pagerank", 0x57c9397eu},
+        {"graph/pokec/bfs", 0x4a881c60u},
+        {"graph/pokec/sssp", 0x4a881c60u},
+        {"graph/livejournal/pagerank", 0xa8ac0f69u},
+        {"graph/livejournal/bfs", 0x7d6e3ef8u},
+        {"graph/livejournal/sssp", 0x7d6e3ef8u},
+        {"graph/reddit/pagerank", 0xa4c859dfu},
+        {"graph/reddit/bfs", 0x1171bde9u},
+        {"graph/reddit/sssp", 0x1171bde9u},
+        {"graph/ogbl-ppa/pagerank", 0xf0ff14ceu},
+        {"graph/ogbl-ppa/bfs", 0x1fe2ba70u},
+        {"graph/ogbl-ppa/sssp", 0x1fe2ba70u},
+        {"graph/ogbn-products/pagerank", 0x3881db3au},
+        {"graph/ogbn-products/bfs", 0x32eccc48u},
+        {"graph/ogbn-products/sssp", 0x32eccc48u},
+        {"genome/chr1PacBio", 0x29652203u},
+        {"genome/chr1ONT2D", 0x89d5cd66u},
+        {"genome/chr1ONT1D", 0x20ccb999u},
+        {"genome/chrXPacBio", 0xd262c5a2u},
+        {"genome/chrXONT2D", 0xf5e15b3eu},
+        {"genome/chrXONT1D", 0x5833e472u},
+        {"genome/chrYPacBio", 0x940a191au},
+        {"genome/chrYONT2D", 0xcd13c2e4u},
+        {"genome/chrYONT1D", 0xfac70a4fu},
+        {"video/h264", 0x5cb197c7u},
+        {"core/matmul", 0x01950809u},
+    };
+    const std::vector<std::string> names = listWorkloads();
+    EXPECT_EQ(names.size(), kDigests.size());
+    for (const std::string &name : names) {
+        DigestSink sink;
+        makeKernel(name)->stream()->drainTo(sink);
+        const auto it = kDigests.find(name);
+        char line[128];
+        std::snprintf(line, sizeof line, "{\"%s\", 0x%08xu},", name.c_str(),
+                      sink.crc);
+        if (it == kDigests.end())
+            ADD_FAILURE() << "no pinned digest: " << line;
+        else
+            EXPECT_EQ(it->second, sink.crc) << line;
+    }
+}
+
+TEST(Registry, ReExecutionKeepsTheVnInvariant)
+{
+    // Streaming a kernel again is its next execution: a new input, a
+    // new query batch or bitstream, more sweeps, another training
+    // iteration. Two executions under one checker must still write
+    // no (address, VN) pair twice, and every read must regenerate the
+    // VN of the last write. The other DNN cells are left out only for
+    // cost: the checker keeps one entry per 64 B block, hundreds of MB
+    // on BERT training.
+    const std::set<std::string> dnn = {
+        "dnn/DLRM?task=inference",      "dnn/DLRM?task=training",
+        "dnn/MobileNet?task=inference", "dnn/MobileNet?task=training",
+        "dnn/GoogleNet?task=inference", "dnn/GoogleNet?task=training"};
+    std::size_t checked = 0;
+    for (const std::string &name : listWorkloads()) {
+        if (name.rfind("dnn/", 0) == 0 && !dnn.count(name))
+            continue;
+        auto kernel = makeKernel(name);
+        core::InvariantChecker checker;
+        checker.observeTrace(kernel->generate());
+        checker.observeTrace(kernel->generate());
+        const core::CheckReport report = checker.report();
+        EXPECT_TRUE(report.ok)
+            << name << ": "
+            << (report.violations.empty() ? "" : report.violations.front());
+        ++checked;
+    }
+    EXPECT_EQ(checked, 35u);
 }
 
 // ---------------------------------------------------------------------

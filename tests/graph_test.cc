@@ -168,7 +168,7 @@ TEST(GraphKernel, IterCounterIsTheWholeState)
     EXPECT_EQ(kernel.iterCounter(), 5u);
     // One Iter counter + one adjacency VN: 16 bytes of on-chip state
     // (the paper quotes 64 bits for Iter alone).
-    EXPECT_LE(kernel.state().onChipBytes(), 16u);
+    EXPECT_EQ(kernel.vnStateBytes(), 16u);
 }
 
 TEST(GraphKernel, VnInvariantsAcrossIterations)
