@@ -4,14 +4,14 @@
  * Server on a private unix socket, then
  *
  *   1. cold burst — N clients fire the same never-run request at
- *      once, so the singleflight layer should collapse the N engine
- *      runs (dedupCollapsed lands between 0 and (N-1) x cells,
- *      racing arrival order; > 0 on any real overlap),
+ *      once, and the cell table runs each of its cells exactly once
+ *      (cellsRun equals the cell count; the other requests wait on
+ *      a run, counted in dedupCollapsed, or find the finished cell),
  *   2. sustained — the N clients hammer the warm cell for a fixed
  *      wall-clock window, measuring served requests and cells/second.
  *
  * `--fleet` swaps the in-process Server for a real fleet::Fleet —
- * forked mgx_serve workers behind the consistent-hash proxy — and
+ * forked mgx_serve workers behind the rendezvous-hash proxy — and
  * adds a fault drill of process murder: `--kill-every-ms N` runs a
  * killer thread SIGKILLing one worker after another while the
  * clients hammer. Pass criteria: zero failed requests, zero body
@@ -136,7 +136,7 @@ runFleetBench(const Options &opt)
                     break;
                 const auto workers = f.supervisor().status();
                 // Round-robin through the fleet so every worker gets
-                // murdered, not just the unlucky ring owner.
+                // murdered, not just the unlucky key owner.
                 for (std::size_t i = 0; i < workers.size(); ++i) {
                     const auto &w =
                         workers[(next + i) % workers.size()];

@@ -2,7 +2,7 @@
  * @file
  * mgx_fleet: front-end proxy + supervisor for a fleet of mgx_serve
  * workers. Forks N workers (each on its own unix socket), routes
- * /run by consistent hash of the request's cell set, probes
+ * /run by rendezvous hash of the request's cell set, probes
  * /healthz, restarts dead workers with
  * capped backoff, and fails requests over so a SIGKILLed worker
  * never surfaces as a client error. See src/fleet/ and

@@ -49,9 +49,9 @@ usage(std::FILE *out)
         "                         on expiry the running cell stops\n"
         "                         and the request gets 503 (default\n"
         "                         0 = none)\n"
-        "  --result-memo N        finished cells memoized in memory\n"
+        "  --result-memo N        finished cells kept in memory\n"
         "                         (LRU; warm repeats skip the engine;\n"
-        "                         default 64, 0 disables)\n"
+        "                         default 64, 0 keeps none)\n"
         "  --keep-alive-idle-ms N close a kept-alive connection (the\n"
         "                         client asks per request with\n"
         "                         Connection: keep-alive) after N ms\n"

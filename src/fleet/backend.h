@@ -23,9 +23,9 @@ class BackendDirectory
   public:
     virtual ~BackendDirectory() = default;
 
-    /** Stable backend names ("w0".."wN-1"): the hash-ring nodes.
-     *  Fixed after start — a restarted worker keeps its name, which
-     *  is what keeps ring ownership stable across crashes. */
+    /** Stable backend names ("w0".."wN-1"): what the proxy routes
+     *  over. Fixed after start — a restarted worker keeps its name,
+     *  which is what keeps key ownership stable across crashes. */
     virtual std::vector<std::string> backendNames() const = 0;
 
     /** Where @p name listens. Stable across restarts. */

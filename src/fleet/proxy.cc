@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string_view>
 #include <thread>
+#include <utility>
 
 #include "common/failpoint.h"
+#include "sim/runner.h"
 
 namespace mgx::fleet {
 namespace {
@@ -16,7 +19,7 @@ failpoint::Point &fpBackendConnect =
 failpoint::Point &fpBackendReset =
     failpoint::Point::get("fleet.backend.reset");
 
-/// Sweeps over the ring order before a /run answers 503.
+/// Sweeps over the failover order before a /run answers 503.
 constexpr int kFailoverPasses = 3;
 
 /// One backend attempt's budget.
@@ -26,6 +29,30 @@ constexpr int kBackendTimeoutMs = 120000;
 /// request: one death may be a coincidence, two in a row are the
 /// request's doing, and a third attempt would only kill another.
 constexpr int kPoisonLimit = 2;
+
+/** splitmix64 finisher: spreads FNV's weak low bits. */
+u64
+mix(u64 x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/** @p name's rendezvous weight for @p key: FNV-1a over the name, a
+ *  NUL and the key, finished by splitmix64. */
+u64
+weight(std::string_view name, std::string_view key)
+{
+    u64 h = 14695981039346656037ull;
+    for (std::string_view part : {name, std::string_view("", 1), key})
+        for (unsigned char c : part) {
+            h ^= c;
+            h *= 1099511628211ull;
+        }
+    return mix(h);
+}
 
 std::string
 trimmed(std::string s)
@@ -55,11 +82,10 @@ Proxy::~Proxy()
 void
 Proxy::start()
 {
-    // Fill the ring only before the first start: the front door's
-    // workers read it without a lock.
-    if (ring_.size() == 0)
-        for (const auto &name : directory_->backendNames())
-            ring_.add(name);
+    // Read the names only before the first start: the front door's
+    // workers read them without a lock.
+    if (names_.empty())
+        names_ = directory_->backendNames();
     door_.start();
 }
 
@@ -74,33 +100,58 @@ Proxy::shutdown()
 std::string
 Proxy::routingKey(const serve::HttpRequest &req)
 {
-    // The cell set, normalized: sorted workloads plus the platform /
-    // scheme axes. Requests that resolve to the same cells hash to
-    // the same worker regardless of parameter order, which is what
-    // keeps one cell's singleflight on one worker.
-    std::vector<std::string> workloads =
-        req.queryValues("workload");
-    std::sort(workloads.begin(), workloads.end());
-    std::string key = "w:";
-    for (const auto &w : workloads) {
-        key += w;
-        key += ';';
-    }
-    key += "|p:" + req.queryValue("platforms").value_or("");
-    key += "|s:" + req.queryValue("schemes").value_or("");
+    // The cell set, normalized: each axis split at commas, as
+    // mgx_serve reads it, and sorted. Requests that resolve to the
+    // same cells hash to the same worker regardless of value order or
+    // of how the workloads are spread over workload= parameters, which
+    // is what keeps one cell on one worker's cell table.
+    std::string key;
+    const auto append = [&key](const char *tag,
+                               std::vector<std::string> values) {
+        std::sort(values.begin(), values.end());
+        key += tag;
+        for (const auto &v : values) {
+            key += v;
+            key += ';';
+        }
+    };
+    std::vector<std::string> workloads;
+    for (const auto &v : req.queryValues("workload"))
+        for (auto &w : sim::splitCommas(v))
+            workloads.push_back(std::move(w));
+    append("w:", std::move(workloads));
+    append("|p:", sim::splitCommas(req.queryValue("platforms").value_or("")));
+    append("|s:", sim::splitCommas(req.queryValue("schemes").value_or("")));
     return key;
+}
+
+std::vector<std::string>
+Proxy::route(const std::string &key, std::vector<std::string> names)
+{
+    std::vector<std::pair<u64, std::string>> weighed;
+    weighed.reserve(names.size());
+    for (auto &name : names)
+        weighed.emplace_back(weight(name, key), std::move(name));
+    std::sort(weighed.begin(), weighed.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first != b.first ? a.first > b.first
+                                            : a.second < b.second;
+              });
+    for (std::size_t i = 0; i < weighed.size(); ++i)
+        names[i] = std::move(weighed[i].second);
+    return names;
 }
 
 std::vector<std::string>
 Proxy::candidateOrder(const std::string &key) const
 {
-    std::vector<std::string> order = ring_.route(key);
+    std::vector<std::string> order = route(key, names_);
     // In-rotation workers first, out-of-rotation ones as a last
     // resort (probe state lags reality, and a "down" worker that is
-    // actually up beats a 503). The partition is stable, so ring
-    // order — and with it ownership — stays deterministic within
-    // each class, and it asks the concurrently updated directory
-    // exactly once per backend.
+    // actually up beats a 503). The partition is stable, so the
+    // rendezvous order — and with it ownership — stays deterministic
+    // within each class, and it asks the concurrently updated
+    // directory exactly once per backend.
     std::stable_partition(order.begin(), order.end(),
                           [this](const std::string &name) {
                               return directory_->inRotation(name);

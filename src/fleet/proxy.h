@@ -1,16 +1,16 @@
 /**
  * @file
  * The fleet front end: one listening socket (unix or TCP loopback)
- * that routes /run requests across the worker fleet by consistent
+ * that routes /run requests across the worker fleet by rendezvous
  * hash of the request's cell set — the same cells always land on the
- * same worker, so that worker's SingleFlight coalesces concurrent
- * identical requests and its result memo stays warm.
+ * same worker, so that worker's cell table runs each cell once and
+ * answers repeats without the engine.
  *
  * Robustness model: the proxy buffers a backend's entire response
  * before relaying one byte to the client, so a worker SIGKILLed
  * mid-response costs a failover, never a truncated client read. On
  * a transport failure (connect refused, reset, timeout) or a 503 it
- * walks the hash ring's failover order — in-rotation workers first,
+ * walks the key's rendezvous order — in-rotation workers first,
  * then everyone (probe state lags reality) — across several passes
  * with a short pause, before finally answering 503. A request that
  * reaches two workers and gets no complete answer from either (each
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "backend.h"
-#include "hash_ring.h"
 #include "serve/client.h"
 #include "serve/front_door.h"
 
@@ -49,7 +48,7 @@ struct ProxyOptions : serve::FrontDoorOptions
         admissionCapacity = 32;
     }
 
-    int failoverPauseMs = 100; ///< pause between sweeps over the ring
+    int failoverPauseMs = 100; ///< pause between failover sweeps
 };
 
 /** The front door's relaxed counters plus the routing ones; /stats
@@ -75,7 +74,7 @@ class Proxy
     Proxy(const Proxy &) = delete;
     Proxy &operator=(const Proxy &) = delete;
 
-    /** Put the backends on the ring and open the front door. */
+    /** Read the backend names and open the front door. */
     void start();
     void requestShutdown() { door_.requestShutdown(); }
     /** Drain the front door, then close the pooled backend
@@ -94,6 +93,16 @@ class Proxy
     /** Routing key for a /run target (exposed for tests): the
      *  request's cell-defining query values, normalized. */
     static std::string routingKey(const serve::HttpRequest &req);
+
+    /**
+     * Rendezvous (highest-random-weight) order of @p names for @p key
+     * (exposed for tests): heaviest first, each name weighed by an
+     * FNV-1a + splitmix64 hash of the name and the key, ties broken by
+     * name. The first is the key's owner and the rest its failover
+     * sequence; removing a name moves only the keys it owned.
+     */
+    static std::vector<std::string>
+    route(const std::string &key, std::vector<std::string> names);
 
   private:
     struct BackendAttempt
@@ -114,7 +123,7 @@ class Proxy
     BackendAttempt fetchFromBackend(const std::string &name,
                                     const std::string &target);
 
-    /** Failover order for @p key: ring order, in-rotation first. */
+    /** Failover order for @p key: route(), in-rotation first. */
     std::vector<std::string> candidateOrder(
         const std::string &key) const;
 
@@ -125,7 +134,9 @@ class Proxy
 
     ProxyOptions opts_;
     BackendDirectory *directory_;
-    HashRing ring_;
+    /// The backend names, read once by start(): a restarted worker
+    /// keeps its name, so the set is fixed for the proxy's life.
+    std::vector<std::string> names_;
     ProxyMetrics metrics_;
 
     std::mutex poolmu_;

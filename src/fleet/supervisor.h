@@ -21,7 +21,7 @@
  *
  * A death within flapWindowMs of the last spawn counts as "rapid";
  * surviving the window resets the count. A worker's in-memory state
- * (its result memo) is disposable: every cell it answers is
+ * (its cell table) is disposable: every cell it answers is
  * deterministic, so killing and restarting one loses nothing but
  * warmth.
  */
@@ -68,7 +68,7 @@ struct SupervisorOptions
 struct WorkerStatus
 {
     int id = 0;
-    std::string name; ///< ring node name, "w<id>"
+    std::string name; ///< routing name, "w<id>"
     std::string socketPath;
     pid_t pid = -1; ///< -1 while not running
     WorkerState state = WorkerState::Starting;

@@ -261,16 +261,18 @@ httpGetRetry(const SocketAddress &addr, const std::string &target,
     };
 
     const int attempts = 1 + std::max(0, opts.retries);
+    // The delay base doubles per retry and stops at the ceiling, so no
+    // retry budget can overflow it.
+    const u64 max_base = static_cast<u64>(std::max(1, opts.maxBackoffMs));
+    u64 base = std::min<u64>(static_cast<u64>(std::max(1, opts.backoffMs)),
+                             max_base);
     bool ok = false;
     for (int attempt = 0; attempt < attempts; ++attempt) {
         if (attempt > 0) {
-            u64 base = static_cast<u64>(std::max(1, opts.backoffMs))
-                       << (attempt - 1);
-            base = std::min<u64>(
-                base, static_cast<u64>(std::max(1, opts.maxBackoffMs)));
             const u64 delay = base / 2 + next() % (base - base / 2 + 1);
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(delay));
+            base = std::min(base * 2, max_base);
         }
         GetFailure f = GetFailure::None;
         ok = httpGet(addr, target, out, error, timeout_ms, &f);

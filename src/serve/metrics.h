@@ -28,9 +28,9 @@ class ServeMetrics : public FrontDoorMetrics
         u64 served = 0;         ///< responses with status < 400
         u64 failed = 0;         ///< responses with status >= 500
         u64 badRequests = 0;    ///< 4xx other than queue rejections
-        u64 dedupCollapsed = 0; ///< cell requests served as followers
-        u64 cellsRun = 0;       ///< cells actually simulated (leaders)
-        u64 resultMemoHits = 0; ///< cells answered from the result memo
+        u64 dedupCollapsed = 0; ///< cells that waited on another's run
+        u64 cellsRun = 0;       ///< cell runs started (stopped included)
+        u64 resultMemoHits = 0; ///< cells answered by a finished entry
         u64 inFlight = 0;       ///< requests being handled right now
         u64 queueDepth = 0;     ///< connections waiting for a worker
         u64 maxQueueDepth = 0;  ///< high-water mark of queueDepth

@@ -16,7 +16,7 @@ CellKey::key() const
 }
 
 Server::Server(ServerOptions opts)
-    : opts_(std::move(opts)), memo_(opts_.resultMemoCapacity),
+    : opts_(std::move(opts)), cells_(opts_.resultMemoCapacity),
       door_(opts_, metrics_,
             [this](const HttpRequest &req, int *status) {
                 return handleRequest(req, status);
@@ -153,25 +153,24 @@ Server::handleRun(const HttpRequest &req, int *status_out)
         for (const auto &platform : cell_platforms) {
             for (protection::Scheme scheme : schemes) {
                 CellKey cell{w, platform, scheme};
-                // Warm repeat: the memo'd record is bitwise what a
-                // re-run would produce, so skip the engine entirely.
-                if (auto memo = memo_.get(cell.key())) {
-                    metrics_.resultMemoHits.fetch_add(
-                        1, std::memory_order_relaxed);
-                    rs.add(std::move(*memo));
-                    continue;
-                }
-                SingleFlight<sim::RunRecord>::Outcome outcome;
                 try {
-                    outcome = flights_.run(cell.key(), [&] {
-                        metrics_.cellsRun.fetch_add(
+                    CellTable::Answer answer =
+                        cells_.get(cell.key(), [&] {
+                            metrics_.cellsRun.fetch_add(
+                                1, std::memory_order_relaxed);
+                            return runner_(cell, deadline);
+                        });
+                    if (answer.source == CellTable::Source::Kept)
+                        metrics_.resultMemoHits.fetch_add(
                             1, std::memory_order_relaxed);
-                        return runner_(cell, deadline);
-                    });
+                    else if (answer.source == CellTable::Source::Joined)
+                        metrics_.dedupCollapsed.fetch_add(
+                            1, std::memory_order_relaxed);
+                    rs.add(std::move(answer.record));
                 } catch (const sim::DeadlineExceeded &) {
                     // The cell stopped at a chunk boundary: nothing
-                    // is left running. Followers of its flight get
-                    // the same 503.
+                    // is left running. The requests that waited on it
+                    // get the same 503.
                     metrics_.deadlineExceeded.fetch_add(
                         1, std::memory_order_relaxed);
                     *status_out = 503;
@@ -180,11 +179,6 @@ Server::handleRun(const HttpRequest &req, int *status_out)
                         std::to_string(opts_.requestDeadlineMs) +
                         " ms");
                 }
-                if (!outcome.leader)
-                    metrics_.dedupCollapsed.fetch_add(
-                        1, std::memory_order_relaxed);
-                rs.add(*outcome.value);
-                memo_.put(cell.key(), *outcome.value);
             }
         }
     }

@@ -24,18 +24,12 @@
  *   GET /shutdown
  *       Acknowledge, then begin graceful shutdown.
  *
- * Behind the front door's admission queue, a /run cell goes through
- * two layers:
- *
- *   memo        A bounded in-memory LRU of finished cell results
- *               keyed like the singleflight: a warm repeat skips the
- *               engine entirely (metrics.resultMemoHits). Safe
- *               because cell results are deterministic — the memo'd
- *               record is bitwise what a re-run would produce.
- *   coalescing  Each grid cell runs under a SingleFlight keyed by
- *               workload|platform|scheme: concurrent requests that
- *               resolve to the same cell cost one engine run, the
- *               rest are followers (metrics.dedupCollapsed).
+ * Behind the front door, every /run cell goes through one
+ * serve::CellTable (cell_table.h) keyed by workload|platform|scheme:
+ * a finished cell answers from the table without the engine
+ * (metrics.resultMemoHits), a running one is waited on
+ * (metrics.dedupCollapsed), and only a cell in neither state runs
+ * (metrics.cellsRun).
  *
  * Each cell runs on one engine thread, never pipelined, so response
  * bodies are byte-identical to `mgx_run --no-pipeline --json`. A cell
@@ -50,15 +44,11 @@
 
 #include <chrono>
 #include <functional>
-#include <list>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <string>
 
+#include "cell_table.h"
 #include "front_door.h"
 #include "metrics.h"
-#include "singleflight.h"
 #include "sim/experiment.h"
 
 namespace mgx::serve {
@@ -67,10 +57,9 @@ struct ServerOptions : FrontDoorOptions
 {
     /// Wall-clock budget for one /run request, 0 = none. On expiry
     /// the running cell stops at its next chunk boundary and the
-    /// request answers 503; so do the requests that joined its flight.
+    /// request answers 503; so do the requests that waited on it.
     int requestDeadlineMs = 0;
-    /// Finished-cell results memoized in memory (LRU, keyed like the
-    /// singleflight); 0 disables the memo.
+    /// Finished cells the CellTable keeps (LRU); 0 keeps none.
     std::size_t resultMemoCapacity = 64;
 };
 
@@ -81,7 +70,7 @@ struct CellKey
     sim::Platform platform;
     protection::Scheme scheme = protection::Scheme::NP;
 
-    /** The singleflight key. */
+    /** The CellTable key. */
     std::string key() const;
 };
 
@@ -93,78 +82,6 @@ struct CellKey
  */
 using CellRunner = std::function<sim::RunRecord(
     const CellKey &, std::chrono::steady_clock::time_point deadline)>;
-
-/**
- * Bounded, thread-safe LRU memo from a string key to a value, shared
- * by every worker. Hits return a copy; a stored value is never
- * mutated. Capacity 0 disables it.
- */
-template <typename Value>
-class LruMemo
-{
-  public:
-    explicit LruMemo(std::size_t capacity) : capacity_(capacity) {}
-
-    /** The memo'd value for @p key, refreshing its recency. */
-    std::optional<Value>
-    get(const std::string &key)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = entries_.find(key);
-        if (it == entries_.end())
-            return std::nullopt;
-        order_.splice(order_.begin(), order_, it->second.order);
-        return it->second.value;
-    }
-
-    /** Memoize @p value under @p key, evicting the LRU entry at
-     *  capacity. A key already present is only refreshed (concurrent
-     *  producers of one key store the same value). */
-    void
-    put(const std::string &key, const Value &value)
-    {
-        if (capacity_ == 0)
-            return;
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            order_.splice(order_.begin(), order_, it->second.order);
-            return;
-        }
-        while (entries_.size() >= capacity_) {
-            entries_.erase(order_.back());
-            order_.pop_back();
-        }
-        order_.push_front(key);
-        entries_.emplace(key, Entry{order_.begin(), value});
-    }
-
-    std::size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return entries_.size();
-    }
-
-  private:
-    struct Entry
-    {
-        std::list<std::string>::iterator order;
-        Value value;
-    };
-
-    mutable std::mutex mu_;
-    std::size_t capacity_;
-    std::list<std::string> order_; ///< front = most recently used
-    std::map<std::string, Entry> entries_;
-};
-
-/**
- * The memo of finished cell records. A memo'd answer is bitwise the
- * answer a fresh engine run would give: cell results are
- * deterministic by construction (each cell simulates on fresh state).
- */
-using ResultMemo = LruMemo<sim::RunRecord>;
 
 class Server
 {
@@ -202,11 +119,8 @@ class Server
     /** Replace the engine-backed cell runner (tests only). */
     void setCellRunnerForTest(CellRunner runner);
 
-    /** The per-cell flight table (tests observe waiters()). */
-    SingleFlight<sim::RunRecord> &cellFlights() { return flights_; }
-
-    /** The finished-cell memo (tests observe size()). */
-    ResultMemo &resultMemo() { return memo_; }
+    /** The cell table (tests observe waiters() and size()). */
+    CellTable &cells() { return cells_; }
 
   private:
     std::string handleRequest(const HttpRequest &req, int *status_out);
@@ -217,8 +131,7 @@ class Server
 
     ServerOptions opts_;
     ServeMetrics metrics_;
-    SingleFlight<sim::RunRecord> flights_;
-    ResultMemo memo_; ///< capacity from opts_ (ctor init order)
+    CellTable cells_; ///< capacity from opts_ (ctor init order)
     /// Engine-backed unless replaced via setCellRunnerForTest.
     CellRunner runner_;
     /// Last: its threads call into every member above.

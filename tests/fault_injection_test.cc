@@ -527,7 +527,7 @@ TEST(ServeFault, ExpiredDeadlineAnswers503AndFreesTheWorker)
     EXPECT_NE(resp.body.find("\"deadlineExceeded\": 1"),
               std::string::npos);
 
-    // No flight outlived its request, so a retry runs the cell afresh
+    // No entry outlived its request, so a retry runs the cell afresh
     // under its own deadline.
     ASSERT_TRUE(serve::httpGet(addr, target, &resp, &error)) << error;
     EXPECT_EQ(resp.status, 503);
@@ -547,7 +547,7 @@ TEST(ServeFault, FollowersOfAStoppedCellGetTheSame503)
     serve::Server server(opts);
 
     // The leader's cell stops once a second request has joined its
-    // flight, as if its deadline had passed.
+    // run, as if its deadline had passed.
     const serve::CellKey cell{"core/matmul",
                               sim::defaultPlatform("core/matmul"),
                               protection::Scheme::NP};
@@ -556,7 +556,7 @@ TEST(ServeFault, FollowersOfAStoppedCellGetTheSame503)
         [&](const serve::CellKey &, Deadline) -> sim::RunRecord {
             runs.fetch_add(1);
             eventually([&] {
-                return server.cellFlights().waiters(cell.key()) > 0;
+                return server.cells().waiters(cell.key()) > 0;
             });
             throw sim::DeadlineExceeded();
         });

@@ -1,7 +1,8 @@
 /**
  * @file
- * Fleet-layer tests: consistent-hash ring stability under node churn
- * (only the removed node's keys move), routing-key normalization,
+ * Fleet-layer tests: rendezvous routing (a deterministic order, only
+ * a removed worker's keys move, an even split of fixed keys),
+ * routing-key normalization,
  * proxy routing / failover order / stats aggregation / front-door
  * error answers against in-process serve::Servers, supervisor flap
  * breaking with an injected spawner, and one end-to-end integration
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -21,9 +23,9 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <sys/socket.h>
@@ -34,7 +36,6 @@
 #include "common/failpoint.h"
 #include "fleet/backend.h"
 #include "fleet/fleet.h"
-#include "fleet/hash_ring.h"
 #include "fleet/proxy.h"
 #include "fleet/supervisor.h"
 #include "serve/client.h"
@@ -114,74 +115,84 @@ parseRequest(const std::string &raw)
 }
 
 // ---------------------------------------------------------------------
-// Hash ring
+// Rendezvous route
 // ---------------------------------------------------------------------
 
-TEST(HashRing, SingleNodeOwnsEverything)
+/** The supervisor's names for @p n workers: "w0" .. "w<n-1>". */
+std::vector<std::string>
+workerNames(int n)
 {
-    HashRing ring;
-    EXPECT_EQ(ring.owner("anything"), "");
-    EXPECT_TRUE(ring.route("anything").empty());
-
-    ring.add("w0");
-    EXPECT_EQ(ring.size(), 1u);
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(ring.owner("key" + std::to_string(i)), "w0");
+    std::vector<std::string> names;
+    for (int i = 0; i < n; ++i)
+        names.push_back(workerName(static_cast<std::size_t>(i)));
+    return names;
 }
 
-TEST(HashRing, OnlyTheRemovedNodesKeysMove)
+/** The routing key of a cold /run: a DLRM cell at a fresh seed. */
+std::string
+coldKey(int seed)
 {
-    constexpr int kNodes = 5;
-    constexpr int kKeys = 2000;
-    HashRing ring;
-    for (int n = 0; n < kNodes; ++n)
-        ring.add(workerName(n));
+    serve::HttpRequest req;
+    req.query = {{"workload",
+                  "dnn/DLRM?task=inference&seed=" + std::to_string(seed)},
+                 {"schemes", "NP"}};
+    return Proxy::routingKey(req);
+}
 
-    std::map<std::string, std::string> before;
-    for (int i = 0; i < kKeys; ++i) {
-        const std::string key = "cell/" + std::to_string(i);
-        before[key] = ring.owner(key);
+TEST(ProxyRoute, IsADeterministicPermutationOfTheNames)
+{
+    const std::vector<std::string> names = workerNames(4);
+    for (int i = 0; i < 64; ++i) {
+        const std::string key = coldKey(i);
+        const std::vector<std::string> order = Proxy::route(key, names);
+        EXPECT_EQ(order, Proxy::route(key, names)) << key;
+        EXPECT_TRUE(std::is_permutation(order.begin(), order.end(),
+                                        names.begin(), names.end()))
+            << key;
+        // The order depends on the names, not on how they are listed.
+        EXPECT_EQ(order, Proxy::route(key, {names.rbegin(), names.rend()}))
+            << key;
     }
+    EXPECT_TRUE(Proxy::route("anything", {}).empty());
+    EXPECT_EQ(Proxy::route("anything", {"w0"}),
+              std::vector<std::string>{"w0"});
+}
 
-    ring.remove("w2");
-    EXPECT_FALSE(ring.contains("w2"));
-    int moved = 0;
-    for (const auto &[key, owner] : before) {
-        const std::string now = ring.owner(key);
-        if (owner == "w2") {
-            // Orphaned keys must land somewhere else...
-            EXPECT_NE(now, "w2");
-            ++moved;
-        } else {
-            // ...and every other key must not notice the churn.
-            EXPECT_EQ(now, owner) << key;
+TEST(ProxyRoute, RemovingANameKeepsTheOthersInOrder)
+{
+    // Only the removed worker's keys move, each to the next worker in
+    // its own order; every other key keeps its owner and failover.
+    const std::vector<std::string> names = workerNames(3);
+    for (const auto &gone : names) {
+        std::vector<std::string> rest;
+        for (const auto &n : names)
+            if (n != gone)
+                rest.push_back(n);
+        for (int i = 0; i < 1000; ++i) {
+            const std::string key = coldKey(i);
+            std::vector<std::string> order = Proxy::route(key, names);
+            order.erase(std::find(order.begin(), order.end(), gone));
+            ASSERT_EQ(Proxy::route(key, rest), order) << gone << " " << key;
         }
     }
-    // ~K/N of the keyspace belonged to the removed node. Wide
-    // tolerance: vnode placement is hashed, not perfectly even.
-    EXPECT_GT(moved, kKeys / (kNodes * 4));
-    EXPECT_LT(moved, kKeys / 2);
-
-    // Re-adding the node restores the original assignment exactly.
-    ring.add("w2");
-    for (const auto &[key, owner] : before)
-        EXPECT_EQ(ring.owner(key), owner) << key;
 }
 
-TEST(HashRing, RouteIsTheDistinctFailoverOrder)
+TEST(ProxyRoute, BalancesFixedKeysWithinFourSigma)
 {
-    HashRing ring;
-    for (int n = 0; n < 4; ++n)
-        ring.add(workerName(n));
-
-    for (int i = 0; i < 64; ++i) {
-        const std::string key = "cell/" + std::to_string(i);
-        const std::vector<std::string> order = ring.route(key);
-        ASSERT_EQ(order.size(), 4u) << key;
-        EXPECT_EQ(order[0], ring.owner(key)) << key;
-        const std::set<std::string> distinct(order.begin(),
-                                             order.end());
-        EXPECT_EQ(distinct.size(), 4u) << key;
+    // 10,000 cold keys, owned by each of n workers with probability
+    // 1/n: every count must lie within four standard deviations of
+    // 10,000/n (sigma = 50 for two workers, 47.1 for three).
+    for (const auto &[n, lo, hi] : {std::tuple{2, 4800, 5200},
+                                    std::tuple{3, 3145, 3522}}) {
+        const std::vector<std::string> names = workerNames(n);
+        std::map<std::string, int> owned;
+        for (int i = 0; i < 10000; ++i)
+            ++owned[Proxy::route(coldKey(i), names).front()];
+        ASSERT_EQ(owned.size(), names.size()) << n;
+        for (const auto &[name, count] : owned) {
+            EXPECT_GE(count, lo) << n << " workers, " << name;
+            EXPECT_LE(count, hi) << n << " workers, " << name;
+        }
     }
 }
 
@@ -198,6 +209,18 @@ TEST(RoutingKey, WorkloadOrderDoesNotChangeTheKey)
         "GET /run?workload=dnn%2Flenet&workload=core%2Fmatmul"
         "&schemes=NP,BP HTTP/1.1\r\n\r\n");
     EXPECT_EQ(Proxy::routingKey(a), Proxy::routingKey(b));
+
+    // mgx_serve splits every axis at commas, so the comma forms and
+    // either scheme order name the same cells.
+    for (const char *same :
+         {"workload=core%2Fmatmul,dnn%2Flenet&schemes=NP,BP",
+          "workload=dnn%2Flenet,core%2Fmatmul&schemes=NP,BP",
+          "workload=dnn%2Flenet&workload=core%2Fmatmul&schemes=BP,NP",
+          "workload=core%2Fmatmul,dnn%2Flenet&schemes=BP,NP"}) {
+        const auto c = parseRequest(std::string("GET /run?") + same +
+                                    " HTTP/1.1\r\n\r\n");
+        EXPECT_EQ(Proxy::routingKey(a), Proxy::routingKey(c)) << same;
+    }
 }
 
 TEST(RoutingKey, EachCellAxisParticipates)
@@ -257,17 +280,23 @@ struct MiniFleet
 
 const char *const kTarget = "/run?workload=core%2Fmatmul&schemes=NP";
 
-/** Index of the worker owning kTarget under the proxy's ring. */
-std::size_t
-ownerIndex(int n)
+/** @p target's failover order over @p n workers, as worker indices. */
+std::vector<std::size_t>
+routeIndices(int n, const std::string &target = kTarget)
 {
-    HashRing ring;
-    for (int i = 0; i < n; ++i)
-        ring.add(workerName(i));
-    const auto req =
-        parseRequest(std::string("GET ") + kTarget + " HTTP/1.1\r\n\r\n");
-    const std::string owner = ring.owner(Proxy::routingKey(req));
-    return static_cast<std::size_t>(owner[1] - '0');
+    const auto req = parseRequest("GET " + target + " HTTP/1.1\r\n\r\n");
+    std::vector<std::size_t> order;
+    for (const auto &name :
+         Proxy::route(Proxy::routingKey(req), workerNames(n)))
+        order.push_back(static_cast<std::size_t>(name[1] - '0'));
+    return order;
+}
+
+/** Index of the worker owning @p target. */
+std::size_t
+ownerIndex(int n, const std::string &target = kTarget)
+{
+    return routeIndices(n, target).front();
 }
 
 TEST(ProxyTest, RoutesRepeatedKeysToTheOwner)
@@ -290,7 +319,7 @@ TEST(ProxyTest, RoutesRepeatedKeysToTheOwner)
                   std::string::npos);
     }
 
-    // Every request landed on the ring owner; nobody else ran cells.
+    // Every request landed on the owner; nobody else ran cells.
     const std::size_t owner = ownerIndex(3);
     for (std::size_t i = 0; i < mini.runs.size(); ++i) {
         if (i == owner)
@@ -322,16 +351,9 @@ TEST(ProxyTest, FailsOverToTheNextRingNodeWhenTheOwnerIsDead)
     ASSERT_TRUE(serve::httpGet(addr, kTarget, &resp, &error)) << error;
     ASSERT_EQ(resp.status, 200) << resp.body;
 
-    // The next distinct node in ring order picked the request up —
+    // The next worker in the key's order picked the request up —
     // not an arbitrary survivor.
-    HashRing ring;
-    for (int i = 0; i < 3; ++i)
-        ring.add(workerName(i));
-    const auto req = parseRequest(std::string("GET ") + kTarget +
-                                  " HTTP/1.1\r\n\r\n");
-    const auto order = ring.route(Proxy::routingKey(req));
-    const std::size_t second =
-        static_cast<std::size_t>(order[1][1] - '0');
+    const std::size_t second = routeIndices(3)[1];
     EXPECT_EQ(mini.runs[owner]->load(), 0u);
     EXPECT_GT(mini.runs[second]->load(), 0u);
     EXPECT_GE(proxy.metrics().failovers.load(), 1u);
@@ -712,8 +734,7 @@ TEST(FleetIntegration, SigkillingOwnersNeverFailsOrDriftsARequest)
     // Sustained load while a killer SIGKILLs the current owner of
     // the in-flight cell. The proxy must absorb every crash: zero
     // failed requests, zero drifted bodies.
-    const std::size_t owner = ownerIndex(3);
-    const std::string owner_name = workerName(owner);
+    const std::string owner_name = workerName(ownerIndex(3, target));
     std::atomic<bool> stop{false};
     std::atomic<int> kills{0};
     std::thread killer([&] {

@@ -1,18 +1,19 @@
 /**
  * @file
  * Experiment-service tests: HTTP request/response framing units and a
- * seeded parser fuzz test, the SingleFlight coalescing semantics
- * (deterministic via waiters()),
- * and end-to-end Server tests over a unix socket — resultset parity
- * with the Experiment API, request dedup, queue-full back-pressure,
- * and graceful-shutdown draining. Runs under ThreadSanitizer in CI
- * alongside the other threaded suites.
+ * seeded parser fuzz test, the CellTable semantics (deterministic via
+ * waiters()), and end-to-end Server tests over a unix socket —
+ * resultset parity with the Experiment API, request dedup, a cell
+ * asked for around its completion running once, kept cells,
+ * queue-full back-pressure, and graceful-shutdown draining. Runs
+ * under ThreadSanitizer in CI alongside the other threaded suites.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <condition_variable>
 #include <iterator>
@@ -33,7 +34,6 @@
 #include "serve/client.h"
 #include "serve/http.h"
 #include "serve/server.h"
-#include "serve/singleflight.h"
 #include "sim/report.h"
 #include "sim/workload_registry.h"
 
@@ -369,72 +369,95 @@ TEST(HttpFuzz, ParsersAgreeHoweverBytesArrive)
 }
 
 // ---------------------------------------------------------------------
-// SingleFlight semantics
+// CellTable semantics
 // ---------------------------------------------------------------------
 
-TEST(SingleFlightTest, CollapsesConcurrentCallsToOneExecution)
+/** A record told apart by its cycle count. */
+sim::RunRecord
+recordOf(u64 cycles)
 {
-    SingleFlight<int> flights;
-    std::atomic<int> executions{0};
-    std::atomic<int> followers{0};
+    sim::RunRecord r;
+    r.result.totalCycles = cycles;
+    return r;
+}
+
+TEST(CellTable, ConcurrentCallersCollapseToOneRun)
+{
+    CellTable table(8);
+    std::atomic<int> runs{0};
+    std::atomic<int> joined{0};
     constexpr int kThreads = 4;
 
     std::vector<std::thread> threads;
     for (int i = 0; i < kThreads; ++i) {
         threads.emplace_back([&] {
-            auto outcome = flights.run("key", [&] {
-                executions.fetch_add(1);
+            const auto answer = table.get("key", [&] {
+                runs.fetch_add(1);
                 // Park until every other thread has provably joined
-                // this flight, so the collapse count is exact.
-                while (flights.waiters("key") <
+                // this run, so the collapse count is exact.
+                while (table.waiters("key") <
                        static_cast<std::size_t>(kThreads - 1))
                     std::this_thread::yield();
-                return 42;
+                return recordOf(42);
             });
-            EXPECT_EQ(*outcome.value, 42);
-            if (!outcome.leader)
-                followers.fetch_add(1);
+            EXPECT_EQ(answer.record.result.totalCycles, 42u);
+            if (answer.source == CellTable::Source::Joined)
+                joined.fetch_add(1);
         });
     }
     for (auto &t : threads)
         t.join();
-    EXPECT_EQ(executions.load(), 1);
-    EXPECT_EQ(followers.load(), kThreads - 1);
+    EXPECT_EQ(runs.load(), 1);
+    EXPECT_EQ(joined.load(), kThreads - 1);
+    EXPECT_EQ(table.waiters("key"), 0u);
 }
 
-TEST(SingleFlightTest, DistinctKeysRunIndependently)
+TEST(CellTable, DistinctKeysRunIndependently)
 {
-    SingleFlight<std::string> flights;
-    auto a = flights.run("a", [] { return std::string("va"); });
-    auto b = flights.run("b", [] { return std::string("vb"); });
-    EXPECT_TRUE(a.leader);
-    EXPECT_TRUE(b.leader);
-    EXPECT_EQ(*a.value, "va");
-    EXPECT_EQ(*b.value, "vb");
+    CellTable table(8);
+    const auto a = table.get("a", [] { return recordOf(1); });
+    const auto b = table.get("b", [] { return recordOf(2); });
+    EXPECT_EQ(a.source, CellTable::Source::Ran);
+    EXPECT_EQ(b.source, CellTable::Source::Ran);
+    EXPECT_EQ(a.record.result.totalCycles, 1u);
+    EXPECT_EQ(b.record.result.totalCycles, 2u);
+    EXPECT_EQ(table.size(), 2u);
 }
 
-TEST(SingleFlightTest, KeyRetiresAfterCompletion)
+TEST(CellTable, KeptCellAnswersWithoutRunning)
 {
-    SingleFlight<int> flights;
+    CellTable table(8);
     int calls = 0;
-    flights.run("k", [&] { return ++calls; });
-    auto second = flights.run("k", [&] { return ++calls; });
-    EXPECT_EQ(calls, 2);
-    EXPECT_EQ(*second.value, 2);
-    EXPECT_TRUE(second.leader);
+    table.get("k", [&] { return recordOf(++calls); });
+    const auto second = table.get("k", [&] { return recordOf(++calls); });
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(second.source, CellTable::Source::Kept);
+    EXPECT_EQ(second.record.result.totalCycles, 1u);
 }
 
-TEST(SingleFlightTest, LeaderExceptionReachesFollowers)
+TEST(CellTable, AtCapacityZeroAKeyRunsAgainAfterCompletion)
 {
-    SingleFlight<int> flights;
+    CellTable table(0);
+    int calls = 0;
+    table.get("k", [&] { return recordOf(++calls); });
+    const auto second = table.get("k", [&] { return recordOf(++calls); });
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(second.source, CellTable::Source::Ran);
+    EXPECT_EQ(second.record.result.totalCycles, 2u);
+    EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(CellTable, ErrorReachesEveryWaiterAndIsNotKept)
+{
+    CellTable table(8);
     std::atomic<int> rethrown{0};
     constexpr int kThreads = 3;
     std::vector<std::thread> threads;
     for (int i = 0; i < kThreads; ++i) {
         threads.emplace_back([&] {
             try {
-                flights.run("boom", [&]() -> int {
-                    while (flights.waiters("boom") <
+                table.get("boom", [&]() -> sim::RunRecord {
+                    while (table.waiters("boom") <
                            static_cast<std::size_t>(kThreads - 1))
                         std::this_thread::yield();
                     throw std::runtime_error("engine failed");
@@ -448,6 +471,34 @@ TEST(SingleFlightTest, LeaderExceptionReachesFollowers)
     for (auto &t : threads)
         t.join();
     EXPECT_EQ(rethrown.load(), kThreads);
+    EXPECT_EQ(table.size(), 0u);
+
+    // No entry outlived the error: the next caller runs afresh.
+    const auto retry = table.get("boom", [] { return recordOf(7); });
+    EXPECT_EQ(retry.source, CellTable::Source::Ran);
+    EXPECT_EQ(retry.record.result.totalCycles, 7u);
+}
+
+TEST(CellTable, StaysBoundedUnderNewKeysAndKeepsHotOnes)
+{
+    // A daemon's traffic: a stream of never-repeated workloads (a seed
+    // sweep) interleaved with a few hot ones. The table must stay at
+    // capacity, and the hot keys — refreshed on every use — must never
+    // be the ones evicted.
+    CellTable table(16);
+    const auto ran = [&table](const std::string &key) {
+        return table.get(key, [] { return recordOf(0); }).source ==
+               CellTable::Source::Ran;
+    };
+    for (int i = 0; i < 1000; ++i) {
+        for (const char *hot : {"core/matmul", "video/h264"})
+            ASSERT_EQ(ran(hot), i == 0) << hot << " " << i;
+        ASSERT_TRUE(ran("dnn/MobileNet?seed=" + std::to_string(i)));
+        ASSERT_LE(table.size(), 16u);
+    }
+    EXPECT_EQ(table.size(), 16u);
+    EXPECT_FALSE(ran("dnn/MobileNet?seed=999"));
+    EXPECT_TRUE(ran("dnn/MobileNet?seed=0"));
 }
 
 // ---------------------------------------------------------------------
@@ -670,7 +721,7 @@ TEST(ServerTest, DedupCollapsesConcurrentRequestsExactly)
     Server server(opts);
 
     // The leader parks inside the runner until every other client's
-    // request has joined the flight — so the collapse is exact, not a
+    // request has joined its run — so the collapse is exact, not a
     // lucky race.
     std::atomic<bool> release{false};
     server.setCellRunnerForTest([&](const CellKey &cell, Deadline) {
@@ -705,10 +756,10 @@ TEST(ServerTest, DedupCollapsesConcurrentRequestsExactly)
         });
     }
 
-    // All clients but the leader end up as followers of one flight.
+    // All clients but the leader end up waiting on one run.
     ASSERT_TRUE(eventually([&] {
-        return server.cellFlights().waiters(key) == kClients - 1;
-    })) << "waiters: " << server.cellFlights().waiters(key);
+        return server.cells().waiters(key) == kClients - 1;
+    })) << "waiters: " << server.cells().waiters(key);
     release.store(true, std::memory_order_release);
 
     for (auto &t : clients)
@@ -722,6 +773,59 @@ TEST(ServerTest, DedupCollapsesConcurrentRequestsExactly)
     ASSERT_EQ(bodies.size(), kClients);
     for (const auto &b : bodies)
         EXPECT_EQ(b, bodies.front());
+    server.shutdown();
+}
+
+TEST(ServerTest, IdenticalRequestsAroundCompletionRunTheCellOnce)
+{
+    // Four clients ask for one fresh cell, staggered by 20 us each,
+    // around a 50 us run: the early ones join the run, the late ones
+    // arrive as it finishes. Whichever side of the completion a
+    // request lands on, it must not start the cell a second time.
+    constexpr unsigned kClients = 4;
+    constexpr int kRounds = 2000;
+
+    ServerOptions opts;
+    opts.listen.unixPath = testSocketPath("around");
+    opts.workers = kClients;
+    opts.admissionCapacity = kClients * 2;
+    Server server(opts);
+    server.setCellRunnerForTest([](const CellKey &cell, Deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        return syntheticOutcome(cell);
+    });
+    server.start();
+    const SocketAddress addr{opts.listen.unixPath, "127.0.0.1", 0};
+
+    std::barrier round_start(kClients);
+    std::atomic<int> failed{0};
+    std::vector<std::thread> clients;
+    for (unsigned c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            ClientConnection conn(addr);
+            for (int round = 0; round < kRounds; ++round) {
+                const std::string target =
+                    "/run?workload=" +
+                    percentEncode("dnn/DLRM?task=inference&seed=" +
+                                  std::to_string(round)) +
+                    "&schemes=NP";
+                round_start.arrive_and_wait();
+                const auto until = std::chrono::steady_clock::now() +
+                                   std::chrono::microseconds(20 * c);
+                while (std::chrono::steady_clock::now() < until) {
+                }
+                HttpResponse resp;
+                std::string error;
+                if (!conn.get(target, &resp, &error) || resp.status != 200)
+                    failed.fetch_add(1);
+            }
+        });
+    }
+    for (auto &t : clients)
+        t.join();
+
+    EXPECT_EQ(failed.load(), 0);
+    EXPECT_EQ(server.metricsSnapshot().cellsRun, u64{kRounds});
     server.shutdown();
 }
 
@@ -963,6 +1067,29 @@ TEST(ClientRetry, ConnectRefusedExhaustsAllAttempts)
     EXPECT_FALSE(error.empty());
 }
 
+TEST(ClientRetry, LongRetryBudgetStaysDefined)
+{
+    // Eighty retries double the delay base far past 64 bits; it must
+    // stop at the 1 ms ceiling instead of shifting out of range.
+    SocketAddress addr;
+    addr.unixPath = testSocketPath("long-retry");
+    RetryOptions retry;
+    retry.retries = 80;
+    retry.backoffMs = 1;
+    retry.maxBackoffMs = 1;
+    retry.seed = 7;
+
+    HttpResponse resp;
+    std::string error;
+    int attempts = 0;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(httpGetRetry(addr, "/stats", &resp, &error, 1000,
+                              retry, &attempts));
+    EXPECT_EQ(attempts, 81);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+}
+
 TEST(ClientRetry, ExhaustedBackpressureReturnsTheLastStatus)
 {
     // A server that answers 429 on every attempt: the retry loop
@@ -1158,7 +1285,7 @@ TEST(ClientFailure, ResetAfterPartialResponseIsClassified)
 }
 
 // ---------------------------------------------------------------------
-// Result memo
+// Kept cells
 // ---------------------------------------------------------------------
 
 TEST(ServerTest, ResultMemoWarmRepeatSkipsEngine)
@@ -1181,7 +1308,7 @@ TEST(ServerTest, ResultMemoWarmRepeatSkipsEngine)
     ASSERT_TRUE(httpGet(addr, target, &cold, &error)) << error;
     ASSERT_EQ(cold.status, 200) << cold.body;
     EXPECT_EQ(runs.load(), 1);
-    EXPECT_EQ(server.resultMemo().size(), 1u);
+    EXPECT_EQ(server.cells().size(), 1u);
 
     // The warm repeat answers from the memo: no engine run, same
     // bytes.
@@ -1223,34 +1350,12 @@ TEST(ServerTest, ResultMemoEvictsLeastRecentlyUsed)
     // BP evicted NP (capacity 1), so NP runs the engine again...
     ASSERT_TRUE(httpGet(addr, np, &resp, &error)) << error;
     EXPECT_EQ(runs.load(), 3);
-    EXPECT_EQ(server.resultMemo().size(), 1u);
+    EXPECT_EQ(server.cells().size(), 1u);
     // ...and the immediate repeat is the memo hit.
     ASSERT_TRUE(httpGet(addr, np, &resp, &error)) << error;
     EXPECT_EQ(runs.load(), 3);
     EXPECT_EQ(server.metricsSnapshot().resultMemoHits, 1u);
     server.shutdown();
-}
-
-TEST(LruMemo, StaysBoundedUnderDistinctKeysAndKeepsHotOnes)
-{
-    // The result memo under a daemon's traffic: a stream of
-    // never-repeated workloads (a seed sweep) interleaved with a few hot
-    // ones. The memo must stay at capacity, and the hot keys —
-    // refreshed on every use — must never be the ones evicted.
-    LruMemo<std::string> memo(16);
-    for (int i = 0; i < 1000; ++i) {
-        for (const char *hot : {"core/matmul", "video/h264"}) {
-            if (!memo.get(hot))
-                memo.put(hot, "");
-        }
-        memo.put("dnn/MobileNet?seed=" + std::to_string(i), "");
-        ASSERT_LE(memo.size(), 16u);
-        ASSERT_TRUE(memo.get("core/matmul").has_value()) << i;
-        ASSERT_TRUE(memo.get("video/h264").has_value()) << i;
-    }
-    EXPECT_EQ(memo.size(), 16u);
-    EXPECT_FALSE(memo.get("dnn/MobileNet?seed=0").has_value());
-    EXPECT_TRUE(memo.get("dnn/MobileNet?seed=999").has_value());
 }
 
 TEST(ServerTest, ResultMemoDisabledRunsEveryTime)
@@ -1275,7 +1380,7 @@ TEST(ServerTest, ResultMemoDisabledRunsEveryTime)
     ASSERT_TRUE(httpGet(addr, target, &resp, &error)) << error;
     EXPECT_EQ(runs.load(), 2);
     EXPECT_EQ(server.metricsSnapshot().resultMemoHits, 0u);
-    EXPECT_EQ(server.resultMemo().size(), 0u);
+    EXPECT_EQ(server.cells().size(), 0u);
     server.shutdown();
 }
 
